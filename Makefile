@@ -47,8 +47,8 @@ ftserve-smoke:
 	$(GO) run ./cmd/ftserve -engine=sharded -seed=7 -eps=0.002 -duration=120 -report=30 > ftserve-a.out; \
 	$(GO) run ./cmd/ftserve -engine=sharded -seed=7 -eps=0.002 -duration=120 -report=30 > ftserve-b.out; \
 	cmp ftserve-a.out ftserve-b.out || { echo "ftserve report not deterministic"; exit 1; }; \
-	$(GO) run ./cmd/ftserve -engine=cas -seed=9 -arrival=mmpp -pattern=hotspot -duration=120 -report=30 > ftserve-a.out; \
-	$(GO) run ./cmd/ftserve -engine=cas -seed=9 -arrival=mmpp -pattern=hotspot -duration=120 -report=30 > ftserve-b.out; \
+	$(GO) run ./cmd/ftserve -engine=router -seed=9 -arrival=mmpp -pattern=hotspot -duration=120 -report=30 > ftserve-a.out; \
+	$(GO) run ./cmd/ftserve -engine=router -seed=9 -arrival=mmpp -pattern=hotspot -duration=120 -report=30 > ftserve-b.out; \
 	cmp ftserve-a.out ftserve-b.out || { echo "ftserve report not deterministic"; exit 1; }; \
 	rm -f ftserve-a.out ftserve-b.out; \
 	echo "ftserve smoke: deterministic"
@@ -81,7 +81,7 @@ fuzz-smoke:
 # ns/op regression at any cpu count, or any allocs/op increase at cpu=1,
 # fails), bench-baseline refreshes the baseline.
 
-BENCH_GATED := BenchmarkShardedChurn|BenchmarkShardedChurnParallel|BenchmarkGreedyConnect|BenchmarkEvaluatorTrial|BenchmarkEvaluatorBatchTrial|BenchmarkEvaluatorBatchCertTrial|BenchmarkEvaluatorShardedChurnTrial|BenchmarkZooBatchCertTrial|BenchmarkZooShardedChurnTrial|BenchmarkMonteCarloTheorem2Engine|BenchmarkMonteCarloCertificateEngine|BenchmarkPooledE8WitnessSweep|BenchmarkPooledE10CertSweep|BenchmarkWitnessChecks|BenchmarkOpenLoopServe|BenchmarkIncrementalGuideEpoch
+BENCH_GATED := BenchmarkShardedChurn|BenchmarkShardedChurnParallel|BenchmarkGreedyConnect|BenchmarkEvaluatorBatchTrial|BenchmarkEvaluatorBatchCertTrial|BenchmarkEvaluatorShardedChurnTrial|BenchmarkZooBatchCertTrial|BenchmarkZooShardedChurnTrial|BenchmarkMonteCarloTheorem2Engine|BenchmarkMonteCarloCertificateEngine|BenchmarkPooledE8WitnessSweep|BenchmarkPooledE10CertSweep|BenchmarkWitnessChecks|BenchmarkOpenLoopServe|BenchmarkIncrementalGuideEpoch
 # The multi-core tier: scale-out benchmarks additionally measured at
 # -cpu=$(BENCH_CPUS_MULTI), gated per cpu count on ns/op only (parallel
 # schedules jitter allocation counts; the alloc gate stays -cpu=1-pinned).

@@ -191,34 +191,11 @@ func BenchmarkGreedyConnect(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrentBatch8 measures routing a full permutation with 8
-// worker goroutines on n=64.
-func BenchmarkConcurrentBatch8(b *testing.B) {
-	nw := benchNetwork(b, 3)
-	n := len(nw.Inputs())
-	perm := rng.New(4).Perm(n)
-	reqs := make([]route.Request, n)
-	for i := range reqs {
-		reqs[i] = route.Request{In: nw.Inputs()[i], Out: nw.Outputs()[perm[i]]}
-	}
-	cr := route.NewConcurrentRouter(nw.G)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results := cr.ServeBatch(reqs, 8, uint64(i))
-		for _, res := range results {
-			if res.Path != nil {
-				cr.Release(res.Path)
-			}
-		}
-	}
-}
-
 // benchChurn drives any route.Engine with the operational connect/release
 // churn stream (netsim.Workload) at 50% circuit occupancy and reports
 // operational requests served per second — connect requests plus release
-// requests, the two request kinds of the circuit-switching protocol
-// (netsim's PROBE and RELEASE) — alongside connects/s alone. Every engine
+// requests, the two request kinds of the circuit-switching protocol —
+// alongside connects/s alone. Every engine
 // makes bit-identical decisions on this stream (route's differential
 // harness), so the rows compare pure serving throughput.
 func benchChurn(b *testing.B, nw *Network, eng route.Engine, batch int) {
@@ -347,29 +324,11 @@ func BenchmarkShardedChurnParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluatorTrial measures one full Theorem-2 trial (inject →
-// discard repair → majority-access certificate → 120-op churn) on the
-// zero-allocation Evaluator fast path, n=64. Compare with
-// BenchmarkEvaluateLegacy: same work on the one-shot allocating pipeline.
-func BenchmarkEvaluatorTrial(b *testing.B) {
-	nw := benchNetwork(b, 3)
-	ev := NewEvaluator(nw)
-	m := fault.Symmetric(1e-3)
-	var out core.TrialOutcome
-	r := rng.New(7)
-	ev.EvaluateInto(&out, m, r, 120) // warm the evaluator scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.EvaluateInto(&out, m, r, 120)
-	}
-}
-
-// BenchmarkEvaluatorBatchTrial is BenchmarkEvaluatorTrial on the batched
-// block engine: failure positions for 64-trial blocks drawn in one sweep,
-// per-trial diff application, incremental repair-mask maintenance.
-// Outcomes are bit-identical to BenchmarkEvaluatorTrial's engine (see the
-// core differential harness); the delta is pure per-trial overhead.
+// BenchmarkEvaluatorBatchTrial measures one full Theorem-2 trial (inject →
+// discard repair → shorting witness → majority-access certificate →
+// 120-op churn) on the zero-allocation Evaluator, n=64: failure positions
+// for 64-trial blocks drawn in one sweep, per-trial diff application,
+// incremental repair-mask maintenance, churn on the default Router.
 func BenchmarkEvaluatorBatchTrial(b *testing.B) {
 	nw := benchNetwork(b, 3)
 	ev := NewEvaluator(nw)
@@ -415,31 +374,13 @@ func BenchmarkEvaluatorShardedChurnTrial(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluatorCertTrial measures one certificate-only trial (inject
-// → discard repair → majority-access certificate, no witnesses or churn)
-// on the per-trial engine: repair masks are rebuilt from scratch and the
-// certificate runs 2n per-terminal BFS sweeps. This is the BFS baseline
-// for BenchmarkEvaluatorBatchCertTrial.
-func BenchmarkEvaluatorCertTrial(b *testing.B) {
-	nw := benchNetwork(b, 3)
-	ev := NewEvaluator(nw)
-	m := fault.Symmetric(1e-3)
-	var out core.TrialOutcome
-	r := rng.New(7)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.EvaluateCertificateInto(&out, m, r)
-	}
-}
-
-// BenchmarkEvaluatorBatchCertTrial is BenchmarkEvaluatorCertTrial on the
-// batched block engine: incremental repair masks carry the CSR-slot
-// traversal bytes, so the majority-access certificate runs word-parallel
+// BenchmarkEvaluatorBatchCertTrial measures one certificate-only trial
+// (inject → discard repair → majority-access certificate, no witnesses or
+// churn) on the block pipeline, n=64: incremental repair masks carry the
+// CSR-slot traversal bytes, so the certificate runs word-parallel
 // (core.BatchAccessChecker — all terminals in O(E·n/64) word operations
 // instead of 2n BFS sweeps). Outcomes are bit-identical to the BFS path
-// (see TestDifferentialWordParallelCertifier); the delta is the whole
-// point of the batched certificate.
+// (see TestDifferentialWordParallelCertifier).
 func BenchmarkEvaluatorBatchCertTrial(b *testing.B) {
 	nw := benchNetwork(b, 3)
 	ev := NewEvaluator(nw)
@@ -641,8 +582,9 @@ func BenchmarkPooledE10CertSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateLegacy is the pre-Evaluator pipeline (fresh buffers
-// every trial), kept as the before/after baseline for the Evaluator.
+// BenchmarkEvaluateLegacy is the one-shot Network.Evaluate (a fresh
+// Evaluator, hence fresh buffers, every trial), kept as the before/after
+// baseline for holding an Evaluator.
 func BenchmarkEvaluateLegacy(b *testing.B) {
 	nw := benchNetwork(b, 3)
 	m := fault.Symmetric(1e-3)
@@ -669,9 +611,7 @@ func (s *theorem2Scratch) StartBlock(seed, first uint64, n int) {
 // BenchmarkMonteCarloTheorem2Engine runs an experiment-scale (256-trial,
 // all-core) Theorem-2 Monte-Carlo estimate on the batched block engine:
 // per-worker Evaluators, block-filled fault injection, incremental repair
-// masks, zero steady-state allocation. Compare with
-// BenchmarkMonteCarloTheorem2Legacy, which rebuilds every per-trial buffer
-// the way the harness did before the Evaluator existed.
+// masks, zero steady-state allocation.
 func BenchmarkMonteCarloTheorem2Engine(b *testing.B) {
 	nw := benchNetwork(b, 2)
 	m := fault.Symmetric(0.002)
@@ -685,26 +625,6 @@ func BenchmarkMonteCarloTheorem2Engine(b *testing.B) {
 				s.ev.EvaluateNextInto(&s.out, 120)
 				return s.out.Success
 			})
-		if p.Trials != cfg.Trials {
-			b.Fatal("wrong trial count")
-		}
-	}
-}
-
-// BenchmarkMonteCarloTheorem2Legacy is the same estimate with fresh
-// per-trial state (instance, masks, checker, router) — the pre-Evaluator
-// code path, kept for the before/after comparison.
-func BenchmarkMonteCarloTheorem2Legacy(b *testing.B) {
-	nw := benchNetwork(b, 2)
-	m := fault.Symmetric(0.002)
-	cfg := montecarlo.Config{Trials: 256, Seed: 0xBE}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := montecarlo.RunBool(cfg, func(r *rng.RNG) bool {
-			inst := fault.Inject(nw.G, m, r)
-			return nw.EvaluateInstance(inst, 120, r).Success
-		})
 		if p.Trials != cfg.Trials {
 			b.Fatal("wrong trial count")
 		}

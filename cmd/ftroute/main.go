@@ -27,9 +27,12 @@ func main() {
 	eps := flag.Float64("eps", 0.002, "switch failure rate ε (open = closed = ε)")
 	ops := flag.Int("ops", 40, "churn operations")
 	seed := flag.Uint64("seed", 7, "seed")
-	concurrent := flag.Bool("concurrent", false, "use the CAS-claiming concurrent router for a batch permutation")
-	workers := flag.Int("workers", 4, "concurrent workers")
+	concurrent := flag.Bool("concurrent", false, "route one permutation batch on the sharded engine instead of churning")
+	workers := flag.Int("workers", 4, "shard count of the -concurrent batch")
 	flag.Parse()
+	if *concurrent && *workers < 1 {
+		die(fmt.Errorf("-workers must be >= 1, got %d", *workers))
+	}
 
 	p := core.Params{Nu: *nu, Gamma: 0, M: *m, DQ: *dq, Seed: 1}
 	nw, err := core.Build(p)
@@ -65,16 +68,19 @@ func main() {
 		for i := range reqs {
 			reqs[i] = route.Request{In: nw.Inputs()[i], Out: nw.Outputs()[perm[i]]}
 		}
-		cr := route.NewConcurrentRepairedRouter(inst)
-		results := cr.ServeBatch(reqs, *workers, *seed)
+		se := route.NewRepairedShardedEngine(inst, *workers)
+		results := se.ConnectBatch(reqs, nil)
 		okCount := 0
 		for _, res := range results {
 			if res.Path != nil {
 				okCount++
 			}
 		}
-		fmt.Printf("concurrent batch: %d/%d circuits established with %d workers (disjoint=%v)\n",
-			okCount, n, *workers, route.VerifyDisjoint(results))
+		fmt.Printf("concurrent batch: %d/%d circuits established with %d shards\n", okCount, n, *workers)
+		if err := se.VerifyState(); err != nil {
+			fmt.Printf("INVARIANT VIOLATION: %v\n", err)
+			os.Exit(1)
+		}
 		return
 	}
 

@@ -36,9 +36,8 @@ import (
 )
 
 type config struct {
-	engine  string
-	shards  int
-	workers int
+	engine string
+	shards int
 
 	nu        int
 	eps       float64
@@ -61,9 +60,8 @@ type config struct {
 func parseFlags(args []string) (config, error) {
 	var c config
 	fs := flag.NewFlagSet("ftserve", flag.ContinueOnError)
-	fs.StringVar(&c.engine, "engine", "sharded", "engine: router|sharded|cas")
+	fs.StringVar(&c.engine, "engine", "sharded", "engine: router|sharded")
 	fs.IntVar(&c.shards, "shards", 4, "shard count (engine=sharded)")
-	fs.IntVar(&c.workers, "workers", 0, "worker goroutines (engine=cas); 0 = deterministic sequential mode, >1 forfeits report byte-stability")
 	fs.IntVar(&c.nu, "nu", 2, "ν (n = 4^ν terminals)")
 	fs.Float64Var(&c.eps, "eps", 0, "switch failure rate ε; > 0 serves on the repaired faulty network")
 	fs.Uint64Var(&c.faultSeed, "faultseed", 1, "fault-draw seed (eps > 0)")
@@ -109,25 +107,15 @@ func buildEngine(c config, nw *core.Network) (route.Engine, error) {
 		rt.EnablePathReuse()
 		return rt, nil
 	case "sharded":
+		if c.shards < 1 {
+			return nil, fmt.Errorf("-shards must be >= 1, got %d", c.shards)
+		}
 		if inst != nil {
 			return route.NewRepairedShardedEngine(inst, c.shards), nil
 		}
 		return route.NewShardedEngine(nw.G, c.shards), nil
-	case "cas":
-		var cr *route.ConcurrentRouter
-		if inst != nil {
-			cr = route.NewConcurrentRepairedRouter(inst)
-		} else {
-			cr = route.NewConcurrentRouter(nw.G)
-		}
-		if c.workers <= 0 {
-			cr.Sequential = true
-		} else {
-			cr.Workers = c.workers
-		}
-		return cr, nil
 	default:
-		return nil, fmt.Errorf("unknown engine %q (want router|sharded|cas)", c.engine)
+		return nil, fmt.Errorf("unknown engine %q (want router|sharded)", c.engine)
 	}
 }
 
@@ -167,6 +155,12 @@ func buildSource(c config, nw *core.Network) (*netsim.TrafficSource, error) {
 	case "uniform":
 		pat = netsim.NewUniformPattern(nw.Inputs(), nw.Outputs())
 	case "hotspot":
+		if n := len(nw.Outputs()); c.hotCount < 1 || c.hotCount > n {
+			return nil, fmt.Errorf("-hotcount must be in [1, %d], got %d", n, c.hotCount)
+		}
+		if c.hotFrac < 0 || c.hotFrac > 1 {
+			return nil, fmt.Errorf("-hotfrac must be in [0, 1], got %g", c.hotFrac)
+		}
 		pat = netsim.NewHotspotPattern(nw.Inputs(), nw.Outputs(), c.hotCount, c.hotFrac)
 	case "permutation":
 		pat = netsim.NewPermutationPattern(nw.Inputs(), nw.Outputs())

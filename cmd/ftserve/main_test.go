@@ -20,7 +20,6 @@ func TestRunDeterministic(t *testing.T) {
 	cases := map[string]func(*config){
 		"router":       func(c *config) { c.engine = "router" },
 		"sharded":      func(c *config) { c.engine = "sharded"; c.shards = 4 },
-		"cas-seq":      func(c *config) { c.engine = "cas"; c.workers = 0 },
 		"faulty":       func(c *config) { c.eps = 0.002 },
 		"mmpp-hotspot": func(c *config) { c.arrival = "mmpp"; c.pattern = "hotspot" },
 		"diurnal-pareto": func(c *config) {
@@ -68,6 +67,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		func(c *config) { c.holdDist = "uniform" },
 		func(c *config) { c.pattern = "tornado" },
 		func(c *config) { c.rate = 0 },
+		func(c *config) { c.engine = "cas" },
+		func(c *config) { c.shards = 0 },
+		func(c *config) { c.shards = -2 },
+		func(c *config) { c.pattern = "hotspot"; c.hotCount = 0 },
+		func(c *config) { c.pattern = "hotspot"; c.hotCount = 99 },
+		func(c *config) { c.pattern = "hotspot"; c.hotFrac = 1.5 },
+		func(c *config) { c.pattern = "hotspot"; c.hotFrac = -0.1 },
 	}
 	for i, tweak := range bad {
 		c := baseConfig()

@@ -57,11 +57,16 @@ func main() {
 		die(err)
 		fmt.Printf("network-N: n=%d L=%d edges=%d\n", p.N(), p.L(), nw.G.NumEdges())
 		tab := stats.NewTable("ε", "P[success] (95% CI)", "P[majority]", "P[shorted]", "mean failed switches")
+		// One evaluator serves every ε: each sweep point is one block whose
+		// trial i draws from rng.New(seed+i).
+		ev := core.NewEvaluator(nw)
+		var out core.TrialOutcome
 		for _, eps := range epss {
 			var succ, maj, shorted stats.Proportion
 			var failed stats.Sample
+			ev.StartBlockSeq(fault.Symmetric(eps), *seed, 0, *trials)
 			for i := 0; i < *trials; i++ {
-				out := nw.Evaluate(fault.Symmetric(eps), *seed+uint64(i), *churn)
+				ev.EvaluateNextInto(&out, *churn)
 				succ.Add(out.Success)
 				maj.Add(out.MajorityAccess)
 				shorted.Add(out.Shorted)

@@ -23,9 +23,12 @@
 //   - NewSuperconcentrator: linear-size superconcentrators with
 //     max-flow verification;
 //   - Symmetric / Inject: the random switch failure model;
-//   - NewRouter / NewRepairedRouter: greedy circuit routing (§4);
+//   - NewRouter / NewRepairedRouter: greedy circuit routing (§4), and
+//     NewShardedEngine / NewRepairedShardedEngine: the same decisions and
+//     paths served in sharded batches — the two Engine implementations;
 //   - Evaluate: the end-to-end Theorem-2 pipeline
-//     (inject → discard repair → majority-access certificate → churn).
+//     (inject → discard repair → majority-access certificate → churn),
+//     which an Evaluator runs as blocks of trials.
 //
 // Beyond the paper's trials, the package tells an operational-serving
 // story: the open-loop traffic subsystem drives any Engine with
@@ -92,15 +95,11 @@ type Router = route.Router
 // shard count. See internal/route and DESIGN.md §2.7.
 type ShardedEngine = route.ShardedEngine
 
-// ConcurrentRouter serves batches with one CAS-claiming goroutine per
-// worker — the distributed-path-selection analogue measured by E9.
-type ConcurrentRouter = route.ConcurrentRouter
-
-// Engine is the uniform seam over the three path-hunting engines (Router,
-// ConcurrentRouter, ShardedEngine): ConnectBatch / Disconnect / PathOf /
-// Reset / Stats plus shared-mask adoption. The Theorem-2 trial pipeline
-// drives its churn through this seam (Evaluator.SetChurnEngine); see
-// DESIGN.md §2.8.
+// Engine is the uniform seam over the two path-hunting engines (Router,
+// ShardedEngine), both with sequential-batch semantics: ConnectBatch /
+// Disconnect / PathOf / Reset / Stats plus shared-mask adoption. The
+// Theorem-2 trial pipeline drives its churn through this seam
+// (Evaluator.SetChurnEngine); see DESIGN.md §2.8.
 type Engine = route.Engine
 
 // EngineStats is the engine-neutral cumulative serving record.
@@ -164,17 +163,14 @@ func Inject(g *Graph, m FaultModel, seed uint64) *FaultInstance {
 }
 
 // NewEvaluator returns a reusable trial evaluator for nw; repeated
-// Evaluate / EvaluateInto calls allocate nothing in steady state.
+// Evaluate calls and block trials (StartBlock, EvaluateNextInto) allocate
+// nothing in steady state.
 func NewEvaluator(nw *Network) *Evaluator { return core.NewEvaluator(nw) }
 
 // NewEvaluatorPool returns a scratch pool for multi-network experiment
 // sweeps: pool.NewEvaluator(nw) draws a pooled evaluator, Release recycles
 // its buffers for the next network.
 func NewEvaluatorPool() *EvaluatorPool { return core.NewEvaluatorPool() }
-
-// NewConcurrentRouter returns a CAS-claiming batch router over the
-// fault-free network (set Workers for the engine-seam goroutine count).
-func NewConcurrentRouter(g *Graph) *ConcurrentRouter { return route.NewConcurrentRouter(g) }
 
 // NewRouter returns a greedy circuit router over the fault-free network.
 func NewRouter(g *Graph) *Router { return route.NewRouter(g) }

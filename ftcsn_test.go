@@ -167,9 +167,7 @@ func TestEngineSeamFacade(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = RouteRequest{In: nw.Inputs()[i], Out: nw.Outputs()[(i+1)%n]}
 	}
-	cr := NewConcurrentRouter(nw.G)
-	cr.Workers = 2
-	engines := []Engine{NewRouter(nw.G), cr, NewShardedEngine(nw.G, 4)}
+	engines := []Engine{NewRouter(nw.G), NewShardedEngine(nw.G, 4)}
 	for ei, eng := range engines {
 		res := eng.ConnectBatch(reqs, nil)
 		st := eng.Stats()

@@ -23,7 +23,7 @@
 //     through their same-package callees.
 //   - seamcontract: edge admission inside route/core goes through
 //     graph.SlotAdmits or the shared traversal bytes, never by indexing
-//     fault masks directly; the CAS claim array is written only by
+//     fault masks directly; the claim array is written only by
 //     functions annotated //ftcsn:claimowner.
 //
 // # Annotation grammar
@@ -34,7 +34,7 @@
 //
 //	//ftcsn:claimowner [prose]
 //	    on a function's doc comment: this function is an audited writer
-//	    of the CAS claim array; checked by seamcontract.
+//	    of the claim array; checked by seamcontract.
 //
 //	//ftlint:ignore <analyzer> <reason>
 //	    suppresses <analyzer>'s findings on the comment's line and the

@@ -14,13 +14,13 @@ import (
 // traversal bytes. Reading a fault mask directly — indexing a []bool
 // whose name marks it as a vertex/edge admission mask (vertexOK, edgeOK,
 // usable) or indexing a []fault.State — re-derives admission locally and
-// silently forks the rule the three hunters must share. Writes are the
+// silently forks the rule the hunters must share. Writes are the
 // mask maintainers' job and are exempt; the handful of audited readers
 // (the reference slow-path BFS, the incremental mask maintainer itself)
 // carry //ftlint:ignore seamcontract suppressions that double as the
 // reader registry.
 //
-// Rule B — the CAS claim array is written only by audited owners. Any
+// Rule B — the claim array is written only by audited owners. Any
 // Store/Swap/CompareAndSwap/Add on an element of a slice named "claims"
 // (sync/atomic methods) inside a function not annotated
 // //ftcsn:claimowner is an error: unsanctioned claim writes are exactly
@@ -125,7 +125,7 @@ func checkClaimWrite(pass *Pass, call *ast.CallExpr) {
 	}
 	if strings.ToLower(baseName(ix.X)) == "claims" {
 		pass.Reportf(call.Pos(),
-			"%s on the claim array outside a //ftcsn:claimowner function: claim writes go through the CAS/commit helpers",
+			"%s on the claim array outside a //ftcsn:claimowner function: claim writes go through the commit/release helpers",
 			sel.Sel.Name)
 	}
 }

@@ -12,16 +12,16 @@ import (
 )
 
 // This file is the correctness gate for the batch-shaped churn seam: the
-// batched pipeline driving its churn through a route.Engine (including
-// the sharded speculate-then-commit engine at several shard counts) must
-// produce bit-identical per-trial outcomes to the legacy per-trial engine,
-// whose churn is the per-op ChurnWith loop. Families × ε × shard counts,
-// prefilter modes, and a fuzz harness over op streams.
+// block pipeline driving its churn through the sharded
+// speculate-then-commit engine at several shard counts must produce
+// bit-identical per-trial outcomes to the per-trial reference (refTrial,
+// whose churn runs on a sequential Router over its own masks). Families ×
+// ε × shard counts, prefilter modes, and a fuzz harness over op streams.
 
-// TestDifferentialShardedChurnVsPerOp runs the batched pipeline with
-// SetChurnEngine(ShardedEngine) against per-trial EvaluateInto reference
-// outcomes, across the structural families, fault rates spanning "no
-// failures" to "frequent rejects", and shard counts.
+// TestDifferentialShardedChurnVsPerOp runs the block pipeline with
+// SetChurnEngine(ShardedEngine) against refTrial outcomes, across the
+// structural families, fault rates spanning "no failures" to "frequent
+// rejects", and shard counts.
 func TestDifferentialShardedChurnVsPerOp(t *testing.T) {
 	pinProcs(t, 4)
 	const (
@@ -35,14 +35,7 @@ func TestDifferentialShardedChurnVsPerOp(t *testing.T) {
 	for name, nw := range diffFamilies(t) {
 		for _, eps := range epss {
 			m := fault.Symmetric(eps)
-
-			want := make([]TrialOutcome, trials)
-			lev := NewEvaluator(nw)
-			var r rng.RNG
-			for i := 0; i < trials; i++ {
-				r.ReseedStream(seed, uint64(i))
-				lev.EvaluateInto(&want[i], m, &r, churnOps)
-			}
+			want := refStream(nw, m, seed, trials, churnOps, false)
 
 			for _, shards := range shardGrid {
 				for _, pf := range []route.PrefilterMode{route.PrefilterAuto, route.PrefilterOn, route.PrefilterOff} {
@@ -58,7 +51,7 @@ func TestDifferentialShardedChurnVsPerOp(t *testing.T) {
 						for j := 0; j < n; j++ {
 							ev.EvaluateNextInto(&out, churnOps)
 							if out != want[first+j] {
-								t.Fatalf("%s: trial %d diverged:\nsharded %+v\nlegacy  %+v",
+								t.Fatalf("%s: trial %d diverged:\nsharded   %+v\nreference %+v",
 									label, first+j, out, want[first+j])
 							}
 						}
@@ -79,14 +72,7 @@ func TestDifferentialShardedChurnUnderHarness(t *testing.T) {
 		seed     = uint64(0x5EED)
 	)
 	m := fault.Symmetric(0.01)
-
-	want := make([]TrialOutcome, trials)
-	lev := NewEvaluator(nw)
-	var r rng.RNG
-	for i := 0; i < trials; i++ {
-		r.ReseedStream(seed, uint64(i))
-		lev.EvaluateInto(&want[i], m, &r, churnOps)
-	}
+	want := refStream(nw, m, seed, trials, churnOps, false)
 
 	got := make([]TrialOutcome, trials)
 	montecarlo.RunWith(
@@ -101,7 +87,7 @@ func TestDifferentialShardedChurnUnderHarness(t *testing.T) {
 		})
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("trial %d diverged under harness:\nsharded %+v\nlegacy  %+v", i, got[i], want[i])
+			t.Fatalf("trial %d diverged under harness:\nsharded   %+v\nreference %+v", i, got[i], want[i])
 		}
 	}
 }
@@ -132,25 +118,24 @@ func TestEvaluatorShardedChurnAllocFree(t *testing.T) {
 }
 
 // FuzzBatchChurnVsPerOp fuzzes the op-stream space: arbitrary (seed, ε,
-// ops, shards, prefilter) tuples must keep the batch-shaped churn driver
-// bit-identical to the per-op reference through the full trial pipeline.
+// ops, shards, prefilter) tuples must keep the sharded block pipeline
+// bit-identical to the per-trial reference.
 func FuzzBatchChurnVsPerOp(f *testing.F) {
 	pinProcs(f, 4)
 	f.Add(uint64(1), uint16(0), uint8(40), uint8(1), uint8(0))
 	f.Add(uint64(2), uint16(800), uint8(90), uint8(2), uint8(1))
 	f.Add(uint64(99), uint16(2500), uint8(255), uint8(3), uint8(2))
 	nw := buildNetwork(f, Params{Nu: 1, Gamma: 0, M: 4, DQ: 2, Seed: 2})
+	rf := newRefTrial(nw)
 	f.Fuzz(func(t *testing.T, seed uint64, epsMil uint16, ops, shards, pf uint8) {
 		eps := float64(epsMil%3000) / 10000.0 // 0 .. 0.3
 		m := fault.Symmetric(eps)
 		churnOps := int(ops)
 		S := int(shards%4) + 1
 
-		var want TrialOutcome
-		lev := NewEvaluator(nw)
 		var r rng.RNG
 		r.ReseedStream(seed, 0)
-		lev.EvaluateInto(&want, m, &r, churnOps)
+		want := rf.run(m, &r, churnOps, false)
 
 		ev := NewEvaluator(nw)
 		se := route.NewShardedEngine(nw.G, S)
@@ -160,7 +145,7 @@ func FuzzBatchChurnVsPerOp(f *testing.F) {
 		var got TrialOutcome
 		ev.EvaluateNextInto(&got, churnOps)
 		if got != want {
-			t.Fatalf("diverged (eps=%v ops=%d shards=%d pf=%d):\nsharded %+v\nlegacy  %+v",
+			t.Fatalf("diverged (eps=%v ops=%d shards=%d pf=%d):\nsharded   %+v\nreference %+v",
 				eps, churnOps, S, pf%3, got, want)
 		}
 	})

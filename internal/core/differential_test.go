@@ -11,17 +11,93 @@ import (
 	"ftcsn/internal/hammock"
 	"ftcsn/internal/hyperx"
 	"ftcsn/internal/montecarlo"
+	"ftcsn/internal/netsim"
 	"ftcsn/internal/rng"
+	"ftcsn/internal/route"
 	"ftcsn/internal/superconc"
 )
 
-// This file is the correctness gate for the batched fault-injection
-// engine: for a seeded grid of (network family, ε, worker count, block
-// size) it runs the batched block engine (StartBlock + EvaluateNextInto)
-// against the legacy per-trial engine (EvaluateInto) and requires
-// bit-identical per-trial outcomes and aggregate statistics. Both the
-// harness-stream seeding (StartBlock) and the sequential Evaluate seeding
-// (StartBlockSeq) are covered.
+// This file is the correctness gate for the block trial pipeline: for a
+// seeded grid of (network family, ε, worker count, block size) it runs
+// the Evaluator (StartBlock + EvaluateNextInto) against refTrial, an
+// independent per-trial reference, and requires bit-identical per-trial
+// outcomes and aggregate statistics. Both the harness-stream seeding
+// (StartBlock) and the sequential Evaluate seeding (StartBlockSeq) are
+// covered.
+
+// refTrial is the per-trial reference. It shares none of the pipeline's
+// incremental machinery: every trial redraws the instance from scratch
+// (fault.InjectInto), scans every switch for the shorting witness
+// (ShortedTerminalsWith), rebuilds the masks from scratch
+// (RepairMasksInto), certifies with the per-terminal BFS, and churns on a
+// sequential Router that derives its own traversal bytes from the masks.
+type refTrial struct {
+	nw    *Network
+	inst  *fault.Instance
+	fsc   *fault.Scratch
+	ac    *AccessChecker
+	rt    *route.Router
+	cd    netsim.ChurnDriver
+	masks Masks
+	rep   MajorityReport
+}
+
+func newRefTrial(nw *Network) *refTrial {
+	rt := route.NewRouter(nw.G)
+	rt.EnablePathReuse()
+	return &refTrial{
+		nw:   nw,
+		inst: fault.NewInstance(nw.G),
+		fsc:  fault.NewScratch(nw.G),
+		ac:   NewAccessChecker(nw),
+		rt:   rt,
+	}
+}
+
+// run evaluates one trial drawing its faults from r, with churn continuing
+// on r. certOnly mirrors EvaluateNextCertInto: no witness, no churn, and
+// Success is the certificate alone.
+func (rf *refTrial) run(m fault.Model, r *rng.RNG, churnOps int, certOnly bool) TrialOutcome {
+	fault.InjectInto(rf.inst, m, r)
+	out := TrialOutcome{
+		FailedSwitches: rf.inst.NumFailed(),
+		OpenSwitches:   rf.inst.NumOpen(),
+		ClosedSwitches: rf.inst.NumClosed(),
+	}
+	if !certOnly {
+		a, _ := rf.inst.ShortedTerminalsWith(rf.fsc)
+		out.Shorted = a >= 0
+	}
+	RepairMasksInto(rf.inst, &rf.masks)
+	rf.nw.majorityAccessBFS(rf.ac, rf.masks, &rf.rep)
+	out.MajorityAccess = rf.rep.OK
+	out.MinInputAccess = minOf(rf.rep.InputAccess)
+	out.MinOutputAccess = minOf(rf.rep.OutputAccess)
+	if certOnly {
+		out.Success = out.MajorityAccess
+		return out
+	}
+	if churnOps > 0 {
+		rf.rt.SetMasks(rf.masks.VertexOK, rf.masks.EdgeOK)
+		out.ChurnConnects, out.ChurnFailures, out.ChurnPathTotal =
+			rf.cd.Run(rf.rt, rf.nw.Inputs(), rf.nw.Outputs(), churnOps, r)
+	}
+	out.Success = !out.Shorted && out.MajorityAccess && out.ChurnFailures == 0
+	return out
+}
+
+// refStream returns the reference outcomes of trials 0..n-1 under the
+// harness seeding: trial i draws from rng.Stream(seed, i).
+func refStream(nw *Network, m fault.Model, seed uint64, n, churnOps int, certOnly bool) []TrialOutcome {
+	rf := newRefTrial(nw)
+	want := make([]TrialOutcome, n)
+	var r rng.RNG
+	for i := range want {
+		r.ReseedStream(seed, uint64(i))
+		want[i] = rf.run(m, &r, churnOps, certOnly)
+	}
+	return want
+}
 
 // diffFamilies returns the networks the differential grid runs over:
 // distinct structural families of 𝒩 (paper-default rows, tall grids with
@@ -98,6 +174,8 @@ func (s *batchedDiffScratch) StartBlock(seed, first uint64, n int) {
 	}
 }
 
+// TestDifferentialBatchedVsLegacy runs the block pipeline under the
+// montecarlo harness against refTrial, per trial and in aggregate.
 func TestDifferentialBatchedVsLegacy(t *testing.T) {
 	const (
 		trials   = 40
@@ -112,14 +190,7 @@ func TestDifferentialBatchedVsLegacy(t *testing.T) {
 		for _, eps := range epss {
 			m := fault.Symmetric(eps)
 
-			// Legacy per-trial engine: the reference outcomes.
-			want := make([]TrialOutcome, trials)
-			lev := NewEvaluator(nw)
-			var r rng.RNG
-			for i := 0; i < trials; i++ {
-				r.ReseedStream(seed, uint64(i))
-				lev.EvaluateInto(&want[i], m, &r, churnOps)
-			}
+			want := refStream(nw, m, seed, trials, churnOps, false)
 
 			for _, workers := range workerGrid {
 				for _, block := range blockGrid {
@@ -136,7 +207,7 @@ func TestDifferentialBatchedVsLegacy(t *testing.T) {
 						})
 					for i := range got {
 						if got[i] != want[i] {
-							t.Fatalf("%s: trial %d diverged:\nbatched %+v\nlegacy  %+v", label, i, got[i], want[i])
+							t.Fatalf("%s: trial %d diverged:\nbatched   %+v\nreference %+v", label, i, got[i], want[i])
 						}
 					}
 					for _, out := range got {
@@ -151,7 +222,7 @@ func TestDifferentialBatchedVsLegacy(t *testing.T) {
 						}
 					}
 					if succ != wantSucc {
-						t.Fatalf("%s: aggregate success %d != legacy %d", label, succ, wantSucc)
+						t.Fatalf("%s: aggregate success %d != reference %d", label, succ, wantSucc)
 					}
 					_ = scs
 				}
@@ -161,7 +232,7 @@ func TestDifferentialBatchedVsLegacy(t *testing.T) {
 }
 
 // TestDifferentialCertificatePath is the grid for the certificate-only
-// fast path (EvaluateCertificateInto vs EvaluateNextCertInto).
+// fast path (EvaluateNextCertInto vs the reference's certificate).
 func TestDifferentialCertificatePath(t *testing.T) {
 	const (
 		trials = 60
@@ -173,13 +244,7 @@ func TestDifferentialCertificatePath(t *testing.T) {
 	}
 	for _, eps := range []float64{0.001, 0.02} {
 		m := fault.Symmetric(eps)
-		want := make([]TrialOutcome, trials)
-		lev := NewEvaluator(nw)
-		var r rng.RNG
-		for i := 0; i < trials; i++ {
-			r.ReseedStream(seed, uint64(i))
-			lev.EvaluateCertificateInto(&want[i], m, &r)
-		}
+		want := refStream(nw, m, seed, trials, 0, true)
 		for _, block := range []int{5, 32} {
 			got := make([]TrialOutcome, trials)
 			montecarlo.RunWith(
@@ -192,7 +257,7 @@ func TestDifferentialCertificatePath(t *testing.T) {
 				})
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("eps=%v block=%d: certificate trial %d diverged:\nbatched %+v\nlegacy  %+v",
+					t.Fatalf("eps=%v block=%d: certificate trial %d diverged:\nbatched   %+v\nreference %+v",
 						eps, block, i, got[i], want[i])
 				}
 			}
@@ -346,8 +411,9 @@ func TestEvaluatorCertAllocFree(t *testing.T) {
 }
 
 // TestDifferentialSeqSeeding covers the StartBlockSeq convention used by
-// E7/E9: trial i seeded rng.New(seedBase+i), churn continuing in-stream —
-// against the legacy Evaluate(seedBase+i).
+// E7/E9 and by Evaluate: trial i seeded rng.New(seedBase+i), churn
+// continuing in-stream — against the reference, both as blocks under the
+// harness and as one-trial Evaluate calls.
 func TestDifferentialSeqSeeding(t *testing.T) {
 	const (
 		trials   = 30
@@ -360,9 +426,13 @@ func TestDifferentialSeqSeeding(t *testing.T) {
 	}
 	m := fault.Symmetric(0.01)
 	want := make([]TrialOutcome, trials)
-	lev := NewEvaluator(nw)
-	for i := 0; i < trials; i++ {
-		want[i] = lev.Evaluate(m, seedBase+uint64(i), churnOps)
+	rf := newRefTrial(nw)
+	ev := NewEvaluator(nw)
+	for i := range want {
+		want[i] = rf.run(m, rng.New(seedBase+uint64(i)), churnOps, false)
+		if got := ev.Evaluate(m, seedBase+uint64(i), churnOps); got != want[i] {
+			t.Fatalf("Evaluate(seed %d) diverged:\nevaluate  %+v\nreference %+v", i, got, want[i])
+		}
 	}
 	for _, block := range []int{3, 16} {
 		got := make([]TrialOutcome, trials)
@@ -376,15 +446,16 @@ func TestDifferentialSeqSeeding(t *testing.T) {
 			})
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("block=%d: seq-seeded trial %d diverged:\nbatched %+v\nlegacy  %+v", block, i, got[i], want[i])
+				t.Fatalf("block=%d: seq-seeded trial %d diverged:\nbatched   %+v\nreference %+v", block, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-// TestEvaluatorModeMixing checks that an Evaluator recovers exact batched
-// semantics after its instance was mutated by a legacy per-trial call
-// between blocks (the resync path).
+// TestEvaluatorModeMixing: a one-trial Evaluate between blocks leaves the
+// later blocks exact (the injector keeps diffing from whatever trial was
+// applied last), and Evaluate with trials of a block still pending
+// panics instead of silently dropping them.
 func TestEvaluatorModeMixing(t *testing.T) {
 	nw, err := Build(DefaultParams(1))
 	if err != nil {
@@ -393,23 +464,31 @@ func TestEvaluatorModeMixing(t *testing.T) {
 	m := fault.Symmetric(0.02)
 	const churnOps = 40
 	ev := NewEvaluator(nw)
-	ref := NewEvaluator(nw)
-	var got, want TrialOutcome
+	rf := newRefTrial(nw)
+	var got TrialOutcome
 	var r rng.RNG
 	for round := 0; round < 3; round++ {
-		// Legacy call dirties the instance…
-		r.ReseedStream(77, uint64(1000+round))
-		ev.EvaluateInto(&got, m, &r, churnOps)
-		// …then a batched block must still match the reference evaluator.
+		seed := uint64(1000 + round)
+		if got, want := ev.Evaluate(m, seed, churnOps), rf.run(m, rng.New(seed), churnOps, false); got != want {
+			t.Fatalf("round %d: Evaluate diverged:\nevaluate  %+v\nreference %+v", round, got, want)
+		}
 		first := uint64(round * 4)
 		ev.StartBlock(m, 99, first, 4)
 		for j := 0; j < 4; j++ {
 			ev.EvaluateNextInto(&got, churnOps)
 			r.ReseedStream(99, first+uint64(j))
-			ref.EvaluateInto(&want, m, &r, churnOps)
-			if got != want {
-				t.Fatalf("round %d trial %d: mixed-mode outcome diverged:\nbatched %+v\nlegacy  %+v", round, j, got, want)
+			if want := rf.run(m, &r, churnOps, false); got != want {
+				t.Fatalf("round %d trial %d: block after Evaluate diverged:\nbatched   %+v\nreference %+v", round, j, got, want)
 			}
 		}
 	}
+
+	ev.StartBlock(m, 99, 0, 2)
+	ev.EvaluateNextInto(&got, churnOps)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Evaluate mid-block did not panic")
+		}
+	}()
+	ev.Evaluate(m, 1, churnOps)
 }

@@ -54,11 +54,15 @@ func (t TrialOutcome) AvgPathLen() float64 {
 }
 
 // Evaluator owns every per-trial buffer of the Theorem-2 pipeline — fault
-// instance, witness scratch, repair masks, access checker, majority report,
-// pooled router, and churn scratch — so repeated trials on one network
-// allocate nothing in steady state. It is the Monte-Carlo fast path: give
-// each worker its own Evaluator (montecarlo.RunBoolWith / RunWith) and call
-// EvaluateInto per trial. An Evaluator is not safe for concurrent use.
+// instance, block injector, incremental repair masks, access checker,
+// majority report, churn engine, and churn scratch — so repeated trials on
+// one network allocate nothing in steady state. Trials run in blocks:
+// StartBlock (or StartBlockSeq) draws a block's failure lists, and each
+// EvaluateNextInto / EvaluateNextCertInto call advances the fault instance
+// by a diff and repairs only the changed stage-neighborhoods, so per-trial
+// overhead is O(#failure changes), not O(E). Give each Monte-Carlo worker
+// its own Evaluator (montecarlo.RunWith with a BlockStarter scratch). An
+// Evaluator is not safe for concurrent use.
 type Evaluator struct {
 	nw    *Network
 	inst  *fault.Instance
@@ -66,17 +70,16 @@ type Evaluator struct {
 	masks Masks
 	ac    *AccessChecker
 	rep   MajorityReport
-	rt    *route.Router
 	r     rng.RNG
 
-	// Churn engine seam: the batched pipeline (EvaluateNextInto) drives
-	// its churn phase through eng — by default the evaluator's own
-	// sequential router, swappable for any route.Engine with
-	// sequential-batch semantics via SetChurnEngine (the sharded engine's
-	// guided probes make n=64 trials markedly faster; decisions and paths
-	// are bit-identical either way). cd generates the batch-shaped op
-	// stream; engDirty tracks whether the shared traversal bytes were
-	// edited in place since the engine last derived state from them.
+	// Churn engine seam: the churn phase runs on eng — by default the
+	// evaluator's own sequential router, swappable for any route.Engine
+	// via SetChurnEngine (the sharded engine's guided probes make n=64
+	// trials markedly faster; decisions and paths are bit-identical
+	// either way). eng always shares the evaluator's masks. cd generates
+	// the batch-shaped op stream; engDirty tracks whether the shared
+	// traversal bytes were edited in place since the engine last derived
+	// state from them.
 	eng      route.Engine
 	cd       netsim.ChurnDriver
 	engDirty bool
@@ -96,13 +99,11 @@ type Evaluator struct {
 	pendEpoch        uint32
 	pendFull         bool
 
-	// Batched-block engine: the injector advances inst between trials by
-	// diffs, the mask updater keeps masks (and the engines' shared view of
-	// them) current from those diffs, and synced tracks whether the
-	// inst/masks/engine triple is in that incrementally-maintained state.
-	batch  *fault.BatchInjector
-	mu     *MaskUpdater
-	synced bool
+	// The injector advances inst between trials by diffs, and the mask
+	// updater keeps masks (and the engine's shared view of them) current
+	// from those diffs. Nothing else mutates inst.
+	batch *fault.BatchInjector
+	mu    *MaskUpdater
 
 	// Pool bookkeeping (see EvaluatorPool): the arena backing this
 	// evaluator's buffers, returned by Release.
@@ -125,11 +126,9 @@ func NewEvaluatorIn(nw *Network, a *arena.Arena) *Evaluator {
 		inst:  fault.NewInstanceIn(nw.G, a),
 		fsc:   fault.NewScratchIn(nw.G, a),
 		ac:    NewAccessCheckerIn(nw, a),
-		rt:    rt,
 		batch: fault.NewBatchInjectorIn(nw.G, a),
 		mu:    NewMaskUpdaterIn(nw.G, a),
 	}
-	ev.eng = rt
 	nV, nE := nw.G.NumVertices(), nw.G.NumEdges()
 	ev.masks.VertexOK = a.Bools(nV)
 	ev.masks.EdgeOK = a.Bools(nE)
@@ -139,75 +138,44 @@ func NewEvaluatorIn(nw *Network, a *arena.Arena) *Evaluator {
 	ev.pendE = a.I32(nE)[:0]
 	ev.pendVEp = a.U32(nV)
 	ev.pendEEp = a.U32(nE)
-	ev.pendEpoch = 1
+	ev.mu.Init(ev.inst, &ev.masks)
+	ev.SetChurnEngine(rt)
 	return ev
 }
 
-// SetChurnEngine replaces the engine the batched pipeline's churn phase
-// runs on (default: the evaluator's sequential router). The engine must
-// be over the evaluator's graph and have sequential-batch semantics
-// (route.Router, route.ShardedEngine) for outcomes to stay bit-identical;
-// it is adopted lazily — the next StartBlock hands it the shared masks.
-// On a pooled evaluator the engine borrows arena-backed mask slices, so
-// Release detaches them (SetMasksShared(nil, nil, nil)): using the engine
-// after the evaluator's Release fails loudly instead of reading recycled
-// memory.
+// SetChurnEngine replaces the engine the churn phase runs on (default:
+// the evaluator's sequential router) and hands it the evaluator's current
+// shared masks. The engine must be over the evaluator's graph; every
+// route.Engine has sequential-batch semantics, so outcomes stay
+// bit-identical. On a pooled evaluator the engine borrows arena-backed
+// mask slices, so Release detaches them (SetMasksShared(nil, nil, nil)):
+// using the engine after the evaluator's Release fails loudly instead of
+// reading recycled memory.
 func (ev *Evaluator) SetChurnEngine(eng route.Engine) {
 	ev.eng = eng
-	ev.synced = false
+	eng.SetMasksShared(ev.masks.VertexOK, ev.masks.EdgeOK, ev.masks.OutAllowed)
+	ev.engDirty = false
+	ev.clearPending()
 }
 
-// Evaluate runs one trial seeded like Network.Evaluate: switch states and
-// churn randomness both come from rng.New(seed). Results are bit-for-bit
-// identical to Network.Evaluate for the same arguments.
+// Evaluate runs one trial as a one-trial block: switch states and churn
+// randomness both come from rng.New(seed) — StartBlockSeq(m, seed, 0, 1)
+// followed by EvaluateNextInto. Call it between blocks only: with trials
+// of a block still pending it panics (the injector refuses the refill).
 func (ev *Evaluator) Evaluate(m fault.Model, seed uint64, churnOps int) TrialOutcome {
-	ev.r.Reseed(seed)
+	ev.StartBlockSeq(m, seed, 0, 1)
 	var out TrialOutcome
-	ev.EvaluateInto(&out, m, &ev.r, churnOps)
+	ev.EvaluateNextInto(&out, churnOps)
 	return out
 }
 
-// EvaluateInto runs one trial with caller-supplied randomness, writing the
-// outcome into out. It redraws the evaluator's fault instance in place,
-// repairs, certifies, and (for churnOps > 0) drives greedy churn on the
-// evaluator's pooled router — all without allocating.
-func (ev *Evaluator) EvaluateInto(out *TrialOutcome, m fault.Model, r *rng.RNG, churnOps int) {
-	ev.synced = false
-	fault.InjectInto(ev.inst, m, r)
-	ev.evaluateInst(ev.inst, churnOps, r, out)
-}
-
-// EvaluateCertificateInto runs inject → discard repair → majority-access
-// certificate only, skipping the Lemma-7 shorting witness and churn — the
-// fast path for experiments that read just the certificate fields (E5, the
-// E10 ablations). Shorted is reported false and Success reflects only the
-// certificate.
-func (ev *Evaluator) EvaluateCertificateInto(out *TrialOutcome, m fault.Model, r *rng.RNG) {
-	ev.synced = false
-	fault.InjectInto(ev.inst, m, r)
-	*out = TrialOutcome{
-		FailedSwitches: ev.inst.NumFailed(),
-		OpenSwitches:   ev.inst.NumOpen(),
-		ClosedSwitches: ev.inst.NumClosed(),
-	}
-	RepairMasksInto(ev.inst, &ev.masks)
-	ev.nw.MajorityAccessInto(ev.ac, ev.masks, &ev.rep)
-	out.MajorityAccess = ev.rep.OK
-	out.MinInputAccess = minOf(ev.rep.InputAccess)
-	out.MinOutputAccess = minOf(ev.rep.OutputAccess)
-	out.Success = out.MajorityAccess
-}
-
-// StartBlock readies the evaluator for a block of batched trials under
-// model m: trial first+j draws its faults from rng.Stream(seed, first+j),
-// exactly as EvaluateInto does under the montecarlo harness. Consume the
-// block with EvaluateNextInto / EvaluateNextCertInto — each call advances
-// the fault instance by a diff and repairs only the changed
-// stage-neighborhoods, so per-trial overhead is O(#failure changes), not
-// O(E). Outcomes are bit-identical to the per-trial engine at any block
-// size (see the differential harness).
+// StartBlock readies the evaluator for a block of trials under model m:
+// trial first+j draws its faults from rng.Stream(seed, first+j), the
+// seeding of the montecarlo harness. Consume the block with
+// EvaluateNextInto / EvaluateNextCertInto; outcomes never depend on the
+// block size. Starting a block before the previous one is consumed
+// panics.
 func (ev *Evaluator) StartBlock(m fault.Model, seed, first uint64, n int) {
-	ev.resync()
 	ev.batch.FillStream(m, seed, first, n)
 }
 
@@ -215,33 +183,7 @@ func (ev *Evaluator) StartBlock(m fault.Model, seed, first uint64, n int) {
 // Evaluate: trial first+j draws its faults from rng.New(seedBase+first+j),
 // with churn continuing on the same generator.
 func (ev *Evaluator) StartBlockSeq(m fault.Model, seedBase, first uint64, n int) {
-	ev.resync()
 	ev.batch.FillSeq(m, seedBase, first, n)
-}
-
-// requireSynced guards the batched entry points: a legacy Evaluate* call
-// between StartBlock and block consumption would leave the injector's
-// applied list out of step with the instance, so diffs would be computed
-// against a wrong baseline — fail loudly instead of corrupting outcomes.
-func (ev *Evaluator) requireSynced() {
-	if !ev.synced {
-		panic("core: EvaluateNext* after a per-trial Evaluate* call; call StartBlock to resynchronize")
-	}
-}
-
-// resync puts the inst/masks/router triple into the incrementally
-// maintained state, from scratch if a per-trial Evaluate* call mutated the
-// instance behind the injector's back.
-func (ev *Evaluator) resync() {
-	if ev.synced {
-		return
-	}
-	ev.batch.Rebase(ev.inst)
-	ev.mu.Init(ev.inst, &ev.masks)
-	ev.eng.SetMasksShared(ev.masks.VertexOK, ev.masks.EdgeOK, ev.masks.OutAllowed)
-	ev.engDirty = false
-	ev.clearPending()
-	ev.synced = true
 }
 
 // noteMaskEdits merges the latest mu.Apply's change lists (edges: its
@@ -270,7 +212,7 @@ func (ev *Evaluator) noteMaskEdits(edges []int32) {
 }
 
 // clearPending forgets the accumulated diff after the engine consumed it
-// (or resync handed the engine a fresh full view). O(1): epoch bump; the
+// (or SetChurnEngine handed a new engine the current masks). O(1): epoch bump; the
 // stamp arrays are cleared only on the ~4-billion-epoch wraparound.
 func (ev *Evaluator) clearPending() {
 	ev.pendV = ev.pendV[:0]
@@ -284,14 +226,15 @@ func (ev *Evaluator) clearPending() {
 	}
 }
 
-// EvaluateNextInto runs the next trial of the current block — the batched
-// counterpart of EvaluateInto, bit-identical to it for the same trial
-// stream. Churn randomness resumes the trial's own stream from its
-// post-injection state.
+// EvaluateNextInto runs the next trial of the current block: advance the
+// fault instance, repair incrementally, check the Lemma-7 shorting
+// witness and the majority-access certificate, and (for churnOps > 0)
+// drive greedy churn on the churn engine. Churn randomness resumes the
+// trial's own stream from its post-injection state. Calling it with the
+// block exhausted panics.
 //
 //ftcsn:hotpath per-trial pipeline core; 0 allocs/trial pinned by BenchmarkEvaluatorBatchTrial
 func (ev *Evaluator) EvaluateNextInto(out *TrialOutcome, churnOps int) {
-	ev.requireSynced()
 	diff := ev.batch.ApplyNext(ev.inst)
 	ev.noteMaskEdits(ev.mu.Apply(ev.inst, &ev.masks, diff))
 	ev.r.SetState(ev.batch.RNGState(ev.batch.Applied()))
@@ -313,9 +256,7 @@ func (ev *Evaluator) EvaluateNextInto(out *TrialOutcome, churnOps int) {
 		// Masks are shared and already current: drop circuits, let the
 		// engine refresh anything it derives from the edited bytes (the
 		// sharded engine's routing guide), and drive the batch-shaped op
-		// stream — bit-identical to per-op ChurnWith on the router (see
-		// netsim.ChurnDriver and the differential harness). The refresh is
-		// incremental — the accumulated change lists bound the engine's
+		// stream (netsim.ChurnDriver). The refresh is incremental — the accumulated change lists bound the engine's
 		// work to the diff's reverse cone — unless an untracked edit (a
 		// certificate-only trial in between) forces the full rebuild; the
 		// two are bit-identical either way.
@@ -335,13 +276,14 @@ func (ev *Evaluator) EvaluateNextInto(out *TrialOutcome, churnOps int) {
 	out.Success = !out.Shorted && out.MajorityAccess && out.ChurnFailures == 0
 }
 
-// EvaluateNextCertInto is EvaluateNextInto restricted to the
-// majority-access certificate — the batched counterpart of
-// EvaluateCertificateInto, bit-identical to it for the same trial stream.
+// EvaluateNextCertInto is EvaluateNextInto restricted to inject →
+// discard repair → majority-access certificate, skipping the Lemma-7
+// shorting witness and churn — the fast path for experiments that read
+// just the certificate fields (E5, the E10 ablations). Shorted is reported
+// false and Success reflects only the certificate.
 //
 //ftcsn:hotpath per-trial certificate pipeline; 0 allocs/trial pinned by BenchmarkEvaluatorBatchCertTrial
 func (ev *Evaluator) EvaluateNextCertInto(out *TrialOutcome) {
-	ev.requireSynced()
 	diff := ev.batch.ApplyNext(ev.inst)
 	// Record the edit without its lists: the certificate path never pays
 	// a churn phase itself, so it skips per-trial diff bookkeeping; a
@@ -362,51 +304,13 @@ func (ev *Evaluator) EvaluateNextCertInto(out *TrialOutcome) {
 	out.Success = out.MajorityAccess
 }
 
-// evaluateInst is the shared post-injection pipeline; inst must be over the
-// evaluator's own graph (its buffers are sized for it).
-func (ev *Evaluator) evaluateInst(inst *fault.Instance, churnOps int, r *rng.RNG, out *TrialOutcome) {
-	*out = TrialOutcome{
-		FailedSwitches: inst.NumFailed(),
-		OpenSwitches:   inst.NumOpen(),
-		ClosedSwitches: inst.NumClosed(),
-	}
-	if a, _ := inst.ShortedTerminalsWith(ev.fsc); a >= 0 {
-		out.Shorted = true
-	}
-	RepairMasksInto(inst, &ev.masks)
-	ev.nw.MajorityAccessInto(ev.ac, ev.masks, &ev.rep)
-	out.MajorityAccess = ev.rep.OK
-	out.MinInputAccess = minOf(ev.rep.InputAccess)
-	out.MinOutputAccess = minOf(ev.rep.OutputAccess)
-
-	if churnOps > 0 {
-		// SetMasks resets the router (no live circuits), the precondition
-		// of the batched driver. ChurnDriver is bit-identical to the
-		// per-op ChurnWith reference here (sequential batch semantics),
-		// so this legacy path and the batched EvaluateNextInto pipeline
-		// share one production churn entry.
-		ev.rt.SetMasks(ev.masks.VertexOK, ev.masks.EdgeOK)
-		out.ChurnConnects, out.ChurnFailures, out.ChurnPathTotal =
-			ev.cd.Run(ev.rt, ev.nw.Inputs(), ev.nw.Outputs(), churnOps, r)
-	}
-	out.Success = !out.Shorted && out.MajorityAccess && out.ChurnFailures == 0
-}
-
 // Evaluate runs one trial: draw switch states from model m with the given
 // seed, repair, verify, and run churnOps random connect/disconnect
 // operations. churnOps = 0 skips the routing phase. It is a convenience
 // wrapper that builds a one-shot Evaluator; Monte-Carlo loops should hold
-// an Evaluator per worker and call EvaluateInto instead.
+// an Evaluator per worker and run blocks instead.
 func (nw *Network) Evaluate(m fault.Model, seed uint64, churnOps int) TrialOutcome {
 	return NewEvaluator(nw).Evaluate(m, seed, churnOps)
-}
-
-// EvaluateInstance is Evaluate for a pre-drawn fault instance; churn
-// randomness comes from r.
-func (nw *Network) EvaluateInstance(inst *fault.Instance, churnOps int, r *rng.RNG) TrialOutcome {
-	var out TrialOutcome
-	NewEvaluator(nw).evaluateInst(inst, churnOps, r, &out)
-	return out
 }
 
 func minOf(xs []int) int {
@@ -420,63 +324,4 @@ func minOf(xs []int) int {
 		}
 	}
 	return m
-}
-
-type churnCircuit struct{ in, out int32 }
-
-// ChurnScratch holds the request-generator state ChurnWith reuses across
-// runs: the live-circuit list and the idle terminal pools.
-type ChurnScratch struct {
-	live    []churnCircuit
-	idleIn  []int32
-	idleOut []int32
-}
-
-// ChurnWith is the per-op churn REFERENCE — differential use only, not a
-// production entry. It drives a router with ops random operations: with
-// probability 1/2 (or always, when no circuit exists; never, when all
-// terminals are busy) it connects a uniformly chosen idle input to a
-// uniformly chosen idle output, otherwise it disconnects a uniformly
-// chosen existing circuit, returning attempted connects, failed connects,
-// and the summed path length of successes — the operational
-// strictly-nonblocking test. Every production path (the trial pipeline,
-// cmd/ftroute, the experiments) runs the batch-shaped
-// netsim.ChurnDriver instead; TestChurnDriverMatchesPerOp pins the two
-// bit-identical on every sequential-batch engine, which is the only
-// reason this function stays: it is the oracle that differential
-// harnesses and fuzzers replay op by op.
-func ChurnWith(rt *route.Router, inputs, outputs []int32, ops int, r *rng.RNG, sc *ChurnScratch) (connects, failures, pathTotal int) {
-	sc.live = sc.live[:0]
-	sc.idleIn = append(sc.idleIn[:0], inputs...)
-	sc.idleOut = append(sc.idleOut[:0], outputs...)
-	for op := 0; op < ops; op++ {
-		doConnect := len(sc.live) == 0 || (len(sc.idleIn) > 0 && r.Bernoulli(0.5))
-		if doConnect && len(sc.idleIn) > 0 && len(sc.idleOut) > 0 {
-			ii := r.Intn(len(sc.idleIn))
-			oo := r.Intn(len(sc.idleOut))
-			in, outT := sc.idleIn[ii], sc.idleOut[oo]
-			connects++
-			path, err := rt.Connect(in, outT)
-			if err != nil {
-				failures++
-				continue
-			}
-			pathTotal += len(path) - 1
-			sc.idleIn[ii] = sc.idleIn[len(sc.idleIn)-1]
-			sc.idleIn = sc.idleIn[:len(sc.idleIn)-1]
-			sc.idleOut[oo] = sc.idleOut[len(sc.idleOut)-1]
-			sc.idleOut = sc.idleOut[:len(sc.idleOut)-1]
-			sc.live = append(sc.live, churnCircuit{in, outT})
-		} else if len(sc.live) > 0 {
-			ci := r.Intn(len(sc.live))
-			c := sc.live[ci]
-			if err := rt.Disconnect(c.in, c.out); err == nil {
-				sc.idleIn = append(sc.idleIn, c.in)
-				sc.idleOut = append(sc.idleOut, c.out)
-			}
-			sc.live[ci] = sc.live[len(sc.live)-1]
-			sc.live = sc.live[:len(sc.live)-1]
-		}
-	}
-	return connects, failures, pathTotal
 }

@@ -16,44 +16,52 @@ func buildSmall(t testing.TB) *Network {
 	return nw
 }
 
-// TestEvaluatorMatchesNetworkEvaluate: the reusable evaluator must be
-// bit-for-bit compatible with the legacy one-shot pipeline, including the
-// churn phase, across many seeds on one shared evaluator.
+// TestEvaluatorMatchesNetworkEvaluate: a reused evaluator, the one-shot
+// Network.Evaluate, and the per-trial reference agree bit for bit,
+// including the churn phase, across many seeds.
 func TestEvaluatorMatchesNetworkEvaluate(t *testing.T) {
 	nw := buildSmall(t)
 	ev := NewEvaluator(nw)
+	rf := newRefTrial(nw)
 	m := fault.Symmetric(0.01)
 	for seed := uint64(0); seed < 40; seed++ {
-		want := nw.Evaluate(m, seed, 80)
-		got := ev.Evaluate(m, seed, 80)
-		if got != want {
-			t.Fatalf("seed %d: evaluator %+v != legacy %+v", seed, got, want)
+		want := rf.run(m, rng.New(seed), 80, false)
+		if got := ev.Evaluate(m, seed, 80); got != want {
+			t.Fatalf("seed %d: evaluator %+v != reference %+v", seed, got, want)
+		}
+		if got := nw.Evaluate(m, seed, 80); got != want {
+			t.Fatalf("seed %d: Network.Evaluate %+v != reference %+v", seed, got, want)
 		}
 	}
 }
 
-// TestEvaluatorAllocFree: steady-state trials on a warmed evaluator —
-// injection, repair, certificate, and churn — must not allocate.
+// TestEvaluatorAllocFree: steady-state trials on a warmed evaluator with
+// its default Router — injection, repair, certificate, and churn — must
+// not allocate, whether run as one-trial Evaluate calls or from a block.
 func TestEvaluatorAllocFree(t *testing.T) {
 	nw := buildSmall(t)
 	ev := NewEvaluator(nw)
 	m := fault.Symmetric(0.005)
-	var out TrialOutcome
-	var r rng.RNG
 	seed := uint64(0)
-	trial := func() {
-		r.Reseed(seed)
-		ev.EvaluateInto(&out, m, &r, 60)
-	}
 	for ; seed < 30; seed++ {
-		trial()
+		ev.Evaluate(m, seed, 60)
 	}
-	avg := testing.AllocsPerRun(100, func() {
+	if avg := testing.AllocsPerRun(100, func() {
 		seed++
-		trial()
-	})
-	if avg > 0 {
-		t.Fatalf("Evaluator trial allocates %.2f allocs/op in steady state, want 0", avg)
+		ev.Evaluate(m, seed, 60)
+	}); avg > 0 {
+		t.Fatalf("Evaluate allocates %.2f allocs/op in steady state, want 0", avg)
+	}
+
+	var out TrialOutcome
+	ev.StartBlock(m, 0xA110C, 0, 400)
+	for i := 0; i < 40; i++ {
+		ev.EvaluateNextInto(&out, 60)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		ev.EvaluateNextInto(&out, 60)
+	}); avg > 0 {
+		t.Fatalf("EvaluateNextInto allocates %.2f allocs/op in steady state, want 0", avg)
 	}
 }
 

@@ -93,17 +93,14 @@ func (ev *Evaluator) Release() {
 	ev.pool, ev.a = nil, nil
 	// Drop the buffer references so any use-after-release fails loudly
 	// (nil deref) instead of corrupting a neighbor's arena. The churn
-	// engine needs the same treatment: resync handed it the arena-backed
-	// mask slices via SetMasksShared, and an externally installed engine
+	// engine needs the same treatment: it holds the arena-backed mask
+	// slices (SetMasksShared), and an externally installed engine
 	// (SetChurnEngine) outlives the evaluator — detach them so a later
 	// ConnectBatch panics instead of silently probing whoever owns the
 	// recycled slabs next.
-	if ev.eng != nil && ev.synced {
-		ev.eng.SetMasksShared(nil, nil, nil)
-	}
-	ev.inst, ev.fsc, ev.ac, ev.rt, ev.batch, ev.mu = nil, nil, nil, nil, nil, nil
+	ev.eng.SetMasksShared(nil, nil, nil)
+	ev.inst, ev.fsc, ev.ac, ev.batch, ev.mu = nil, nil, nil, nil, nil
 	ev.eng = nil
 	ev.masks = Masks{}
-	ev.synced = false
 	pool.Put(a)
 }

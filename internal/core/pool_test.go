@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ftcsn/internal/fault"
-	"ftcsn/internal/rng"
 	"ftcsn/internal/route"
 )
 
@@ -81,11 +80,8 @@ func TestPoolConcurrentGet(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			evs[w] = pool.NewEvaluator(nw)
-			var out TrialOutcome
-			var r rng.RNG
 			for i := 0; i < 5; i++ {
-				r.ReseedStream(uint64(w), uint64(i))
-				evs[w].EvaluateInto(&out, fault.Symmetric(0.05), &r, 30)
+				evs[w].Evaluate(fault.Symmetric(0.05), uint64(w*5+i), 30)
 			}
 		}(w)
 	}
@@ -116,10 +112,7 @@ func TestReleaseUnpooledNoop(t *testing.T) {
 	nw := buildNetwork(t, Params{Nu: 1, Gamma: 0, M: 4, DQ: 2, Seed: 2})
 	ev := NewEvaluator(nw)
 	ev.Release()
-	var out TrialOutcome
-	var r rng.RNG
-	r.ReseedStream(3, 0)
-	ev.EvaluateInto(&out, fault.Symmetric(0.01), &r, 20) // must not panic
+	ev.Evaluate(fault.Symmetric(0.01), 3, 20) // must not panic
 }
 
 // TestReleaseDetachesChurnEngine: an externally installed churn engine

@@ -88,11 +88,11 @@ func TestQuickFaultPipelineSound(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := rng.New(0xFA17)
+	ev := NewEvaluator(nw)
 	f := func(tick uint32) bool {
 		r := root.Split(uint64(tick))
 		eps := []float64{0, 0.001, 0.01, 0.05}[r.Intn(4)]
-		inst := fault.Inject(nw.G, fault.Symmetric(eps), r)
-		out := nw.EvaluateInstance(inst, 60, r.Split(1))
+		out := ev.Evaluate(fault.Symmetric(eps), r.Uint64(), 60)
 		if eps == 0 && !out.Success {
 			return false
 		}

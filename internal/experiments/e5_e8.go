@@ -189,9 +189,7 @@ func E7Theorem2(mode Mode) Result {
 		a := core.Accounting(p)
 		for _, eps := range []float64{0.0005, 0.002, 0.01} {
 			// Per-worker batched evaluators; StartBlockSeq keeps the
-			// historical per-trial seed 0xE70000+nu*1000+i, so outcomes
-			// match the sequential per-trial harness bit-for-bit, only
-			// computed by block diffs on the fast path.
+			// historical per-trial seed 0xE70000+nu*1000+i.
 			seedBase := uint64(0xE70000 + nu*1000)
 			scs := montecarlo.RunWith(montecarlo.Config{Trials: trialsN, Seed: seedBase},
 				batchEvalScratchFor(pool, nw, fault.Symmetric(eps), true),

@@ -15,7 +15,7 @@ import (
 // E9Routing reproduces the §4 routing claim: on the repaired network,
 // greedy path-finding suffices (zero blocked requests while the
 // majority-access certificate holds), and measures the throughput of the
-// sequential router against the concurrent CAS-claiming router.
+// sequential router against the sharded speculate-then-commit engine.
 func E9Routing(mode Mode) Result {
 	res := Result{
 		ID:    "E9",
@@ -58,9 +58,9 @@ func E9Routing(mode Mode) Result {
 	}
 	res.Tables = append(res.Tables, tab)
 
-	// Throughput shape: sequential router vs concurrent CAS router vs the
-	// sharded speculate-then-commit engine, saturating the network with a
-	// full permutation repeatedly. Quick mode — committed to EXPERIMENTS.md
+	// Throughput shape: sequential router vs the sharded
+	// speculate-then-commit engine, saturating the network with a full
+	// permutation repeatedly. Quick mode — committed to EXPERIMENTS.md
 	// and regenerated bit-identically by the CI determinism gate — reports
 	// only the deterministic columns (established counts); wall-clock rates
 	// belong to the benchmark baseline (BENCH.json, BenchmarkShardedChurn)
@@ -91,8 +91,7 @@ func E9Routing(mode Mode) Result {
 		rounds := mode.trials(30, 200)
 		// Every engine runs the identical workload through the one Engine
 		// seam: rounds of the saturating permutation via ConnectBatch, torn
-		// down by Reset. ConcurrentRouter batch k derives its search RNGs
-		// from seed k, reproducing the historical per-round seeding.
+		// down by Reset.
 		runEngine := func(eng route.Engine) (done int, elapsed float64) {
 			var resBuf []route.Result
 			//ftlint:ignore determinism wall clock feeds only the req/s column, which prints in full mode only — never in the committed quick-mode tables
@@ -113,32 +112,13 @@ func E9Routing(mode Mode) Result {
 			name    string
 			workers int
 			eng     route.Engine
-			// parity: decisions are contractually bit-identical to the
-			// sequential router's, so "established" must reproduce the
-			// sequential count exactly.
-			parity bool
 		}
 		rt := route.NewRouter(nw.G)
 		rt.EnablePathReuse()
-		engines := []engineRow{{"sequential", 1, rt, false}}
-		// The CAS router's accepted count is scheduler-dependent once
-		// workers > 1 (a request can exhaust its retries against transient
-		// claims), so the committed quick-mode table keeps only the
-		// deterministic workers=1 row; the multi-worker rows appear in the
-		// full-mode artifact. The sharded engine needs no such carve-out:
-		// its decisions are deterministic at every shard count.
-		casWorkers := []int{1}
-		if full {
-			casWorkers = []int{1, 2, 4, 8}
-		}
-		for _, workers := range casWorkers {
-			cr := route.NewConcurrentRouter(nw.G)
-			cr.Workers = workers
-			engines = append(engines, engineRow{"concurrent (CAS)", workers, cr, false})
-		}
+		engines := []engineRow{{"sequential", 1, rt}}
 		for _, shards := range []int{1, 2, 4, 8} {
 			engines = append(engines,
-				engineRow{"sharded (speculate+commit)", shards, route.NewShardedEngine(nw.G, shards), true})
+				engineRow{"sharded (speculate+commit)", shards, route.NewShardedEngine(nw.G, shards)})
 		}
 		seqDone := 0
 		for i, row := range engines {
@@ -146,10 +126,12 @@ func E9Routing(mode Mode) Result {
 			if i == 0 {
 				seqDone = done
 			}
-			if row.parity && done != seqDone {
-				// Decision parity is load-bearing: a mismatch means the
-				// engine broke its contract, and the committed table would
-				// hide it. Make it visible in the artifact instead.
+			if done != seqDone {
+				// Decisions are contractually bit-identical to the
+				// sequential router's, so "established" must reproduce the
+				// sequential count exactly. A mismatch means the engine
+				// broke its contract, and the committed table would hide
+				// it. Make it visible in the artifact instead.
 				addRow(row.name+" BROKEN PARITY", row.workers, rounds*n, done, 0)
 				continue
 			}
@@ -159,7 +141,6 @@ func E9Routing(mode Mode) Result {
 	}
 	res.Notes = append(res.Notes,
 		"whenever the Lemma-6 certificate holds, greedy churn never blocks (blocked = 0): strict nonblockingness is operational, not just structural",
-		"the concurrent router's CAS claims preserve vertex-disjointness under contention (see route tests); speedup is workload-bound at these sizes",
 		"the sharded engine establishes exactly the sequential router's circuit set at every shard count — speculation and the word-parallel prefilter are decision-neutral; throughput is tracked in BENCH.json (BenchmarkShardedChurn), not here")
 	return res
 }

@@ -202,9 +202,7 @@ func (s *batchEvalScratch) StartBlock(seed, first uint64, n int) {
 // Every scratch churns through a ShardedEngine: decisions and paths are
 // contractually bit-identical to the default sequential router (locked by
 // the churn differential harness and the E9 parity rows), and the guided
-// probes make churn-heavy experiments markedly faster. Per-op ChurnWith
-// remains on the sequential router — that seam belongs to the differential
-// harness, not the experiment pipeline.
+// probes make churn-heavy experiments markedly faster.
 func batchEvalScratchFor(pool *core.EvaluatorPool, nw *core.Network, m fault.Model, seq bool) func() *batchEvalScratch {
 	return func() *batchEvalScratch {
 		ev := core.NewEvaluator(nw)

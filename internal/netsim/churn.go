@@ -1,18 +1,18 @@
 package netsim
 
 // ChurnDriver is the batch-shaped form of the Theorem-2 trial pipeline's
-// operational churn (core.ChurnWith): the same coin-flip op protocol —
-// with probability 1/2 connect a uniformly chosen idle input to a
-// uniformly chosen idle output, otherwise release a uniformly chosen live
-// circuit — but with runs of consecutive connect decisions served as ONE
-// route.Engine batch instead of one router call per op. That is the seam
-// that puts the sharded speculate-then-commit engine (and its word-parallel
-// routing guide) under the Monte-Carlo trial pipeline.
+// operational churn, a coin-flip op protocol — with probability 1/2
+// connect a uniformly chosen idle input to a uniformly chosen idle output,
+// otherwise release a uniformly chosen live circuit — with runs of
+// consecutive connect decisions served as ONE route.Engine batch instead
+// of one router call per op. That is the seam that puts the sharded
+// speculate-then-commit engine (and its word-parallel routing guide) under
+// the Monte-Carlo trial pipeline.
 //
-// The driver is bit-compatible with the per-op generator: for any engine
-// whose ConnectBatch has sequential-router semantics (route.Router,
-// route.ShardedEngine at every shard count), Run returns exactly the
-// (connects, failures, pathTotal) of core.ChurnWith on the same RNG, every
+// The driver is bit-compatible with the per-op generator (one router call
+// per op; the reference replay lives in churn_test.go): since every
+// route.Engine has sequential-batch semantics, Run returns exactly the
+// per-op (connects, failures, pathTotal) on the same RNG, every
 // established circuit takes the identical path, and the generator's final
 // RNG state matches — so Theorem-2 probability tables cannot move. Like
 // Workload above, the generator owns the idle/live bookkeeping; unlike
@@ -86,10 +86,10 @@ type ChurnDriver struct {
 // Run drives eng with ops operations of the coin-flip churn protocol over
 // the given terminal sets, batching connect runs, and returns the number
 // of attempted connects, failed connects, and the summed path length of
-// the successes — bit-identical to core.ChurnWith on the same RNG for any
-// sequential-semantics engine. The engine must start with no live circuit
-// on these terminals; circuits left live at the end belong to the caller
-// (typically released by the next trial's engine Reset).
+// the successes — bit-identical to the per-op protocol on the same RNG.
+// The engine must start with no live circuit on these terminals; circuits
+// left live at the end belong to the caller (typically released by the
+// next trial's engine Reset).
 //
 //ftcsn:hotpath the per-trial churn serve loop; runs once per trial inside the 0-alloc pipeline
 func (cd *ChurnDriver) Run(eng route.Engine, inputs, outputs []int32, ops int, r *rng.RNG) (connects, failures, pathTotal int) {

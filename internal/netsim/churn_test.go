@@ -28,8 +28,8 @@ func repairedMasks(t *testing.T, nw *core.Network, eps float64, seed uint64) cor
 // TestChurnDriverMatchesPerOp is the lockstep differential for the
 // batch-shaped churn generator: on fault-free and heavily faulted repaired
 // networks (the latter forcing endpoint and no-path rejections, i.e. the
-// rollback path), ChurnDriver.Run over every sequential-semantics engine
-// must reproduce core.ChurnWith bit for bit — aggregates, per-circuit
+// rollback path), ChurnDriver.Run over both engines
+// must reproduce the per-op ChurnWith bit for bit — aggregates, per-circuit
 // paths, and the generator's final RNG state.
 func TestChurnDriverMatchesPerOp(t *testing.T) {
 	nw := buildSmall(t)
@@ -42,7 +42,7 @@ func TestChurnDriverMatchesPerOp(t *testing.T) {
 		ref.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
 		const ops = 400
 		refR := rng.New(42)
-		wantC, wantF, wantP := core.ChurnWith(ref, nw.G.Inputs(), nw.G.Outputs(), ops, refR, &core.ChurnScratch{})
+		wantC, wantF, wantP := ChurnWith(ref, nw.G.Inputs(), nw.G.Outputs(), ops, refR, &ChurnScratch{})
 		wantState := refR.State()
 		wantPaths := pathSnapshot(ref, nw.G)
 
@@ -93,85 +93,6 @@ func pathSnapshot(eng route.Engine, g *graph.Graph) string {
 	return s
 }
 
-// engineChurnPerOp replays the coin-flip churn protocol one op at a time
-// through the Engine seam (size-1 ConnectBatch calls) — the per-op
-// reference for engines that have no route.Router counterpart, such as
-// the sequential-mode concurrent router.
-func engineChurnPerOp(eng route.Engine, inputs, outputs []int32, ops int, r *rng.RNG) (connects, failures, pathTotal int) {
-	type circuit struct{ in, out int32 }
-	var live []circuit
-	idleIn := append([]int32(nil), inputs...)
-	idleOut := append([]int32(nil), outputs...)
-	var res []route.Result
-	for op := 0; op < ops; op++ {
-		doConnect := len(live) == 0 || (len(idleIn) > 0 && r.Bernoulli(0.5))
-		if doConnect && len(idleIn) > 0 && len(idleOut) > 0 {
-			ii := r.Intn(len(idleIn))
-			oo := r.Intn(len(idleOut))
-			in, out := idleIn[ii], idleOut[oo]
-			connects++
-			res = eng.ConnectBatch([]route.Request{{In: in, Out: out}}, res)
-			if res[0].Path == nil {
-				failures++
-				continue
-			}
-			pathTotal += len(res[0].Path) - 1
-			idleIn[ii] = idleIn[len(idleIn)-1]
-			idleIn = idleIn[:len(idleIn)-1]
-			idleOut[oo] = idleOut[len(idleOut)-1]
-			idleOut = idleOut[:len(idleOut)-1]
-			live = append(live, circuit{in, out})
-		} else if len(live) > 0 {
-			ci := r.Intn(len(live))
-			c := live[ci]
-			if err := eng.Disconnect(c.in, c.out); err == nil {
-				idleIn = append(idleIn, c.in)
-				idleOut = append(idleOut, c.out)
-			}
-			live[ci] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-	}
-	return connects, failures, pathTotal
-}
-
-// TestChurnDriverConcurrentSequential: the concurrent router's Sequential
-// mode has the sequential-batch semantics ChurnDriver speculation
-// requires — batch-shaped churn on it must match the per-op protocol on a
-// second identically-configured router bit for bit (aggregates, final RNG
-// state, and every live circuit's path), including under heavy faults
-// where rejections force the rollback path.
-func TestChurnDriverConcurrentSequential(t *testing.T) {
-	nw := buildSmall(t)
-	for _, eps := range []float64{0, 0.08, 0.25} {
-		m := repairedMasks(t, nw, eps, 0xC0FFEE+uint64(eps*1000))
-
-		ref := route.NewConcurrentRouter(nw.G)
-		ref.Sequential = true
-		ref.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-		const ops = 400
-		refR := rng.New(42)
-		wantC, wantF, wantP := engineChurnPerOp(ref, nw.G.Inputs(), nw.G.Outputs(), ops, refR)
-
-		cr := route.NewConcurrentRouter(nw.G)
-		cr.Sequential = true
-		cr.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-		var cd netsim.ChurnDriver
-		r := rng.New(42)
-		gotC, gotF, gotP := cd.Run(cr, nw.G.Inputs(), nw.G.Outputs(), ops, r)
-		if gotC != wantC || gotF != wantF || gotP != wantP {
-			t.Fatalf("eps=%v: (connects,failures,pathTotal)=(%d,%d,%d), want (%d,%d,%d)",
-				eps, gotC, gotF, gotP, wantC, wantF, wantP)
-		}
-		if r.State() != refR.State() {
-			t.Fatalf("eps=%v: final RNG state diverged", eps)
-		}
-		if got, want := pathSnapshot(cr, nw.G), pathSnapshot(ref, nw.G); got != want {
-			t.Fatalf("eps=%v: live circuit paths diverged:\n%s\nwant:\n%s", eps, got, want)
-		}
-	}
-}
-
 // TestChurnDriverRollbackExercised pins down that the heavy-fault case
 // actually takes the rollback path (otherwise the differential above
 // proves less than it claims).
@@ -182,7 +103,7 @@ func TestChurnDriverRollbackExercised(t *testing.T) {
 	ref.EnablePathReuse()
 	ref.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
 	r := rng.New(42)
-	_, failures, _ := core.ChurnWith(ref, nw.G.Inputs(), nw.G.Outputs(), 400, r, &core.ChurnScratch{})
+	_, failures, _ := ChurnWith(ref, nw.G.Inputs(), nw.G.Outputs(), 400, r, &ChurnScratch{})
 	if failures == 0 {
 		t.Fatal("heavy-fault stream produced no failed connects; pick a harsher seed/eps")
 	}
@@ -268,7 +189,7 @@ func TestChurnDriverUnequalTerminalSets(t *testing.T) {
 	ref := route.NewRouter(nw.G)
 	ref.EnablePathReuse()
 	refR := rng.New(5)
-	wantC, wantF, wantP := core.ChurnWith(ref, ins, outs, 300, refR, &core.ChurnScratch{})
+	wantC, wantF, wantP := ChurnWith(ref, ins, outs, 300, refR, &ChurnScratch{})
 
 	eng := route.NewRouter(nw.G)
 	eng.EnablePathReuse()
@@ -278,4 +199,57 @@ func TestChurnDriverUnequalTerminalSets(t *testing.T) {
 	if gotC != wantC || gotF != wantF || gotP != wantP || r.State() != refR.State() {
 		t.Fatalf("unequal sets diverged: got (%d,%d,%d) want (%d,%d,%d)", gotC, gotF, gotP, wantC, wantF, wantP)
 	}
+}
+
+type churnCircuit struct{ in, out int32 }
+
+// ChurnScratch holds the request-generator state ChurnWith reuses across
+// runs: the live-circuit list and the idle terminal pools.
+type ChurnScratch struct {
+	live    []churnCircuit
+	idleIn  []int32
+	idleOut []int32
+}
+
+// ChurnWith is the per-op churn reference the differential tests replay
+// ChurnDriver against. It drives a router with ops random operations: with
+// probability 1/2 (or always, when no circuit exists; never, when all
+// terminals are busy) it connects a uniformly chosen idle input to a
+// uniformly chosen idle output, otherwise it disconnects a uniformly
+// chosen existing circuit, returning attempted connects, failed connects,
+// and the summed path length of successes.
+func ChurnWith(rt *route.Router, inputs, outputs []int32, ops int, r *rng.RNG, sc *ChurnScratch) (connects, failures, pathTotal int) {
+	sc.live = sc.live[:0]
+	sc.idleIn = append(sc.idleIn[:0], inputs...)
+	sc.idleOut = append(sc.idleOut[:0], outputs...)
+	for op := 0; op < ops; op++ {
+		doConnect := len(sc.live) == 0 || (len(sc.idleIn) > 0 && r.Bernoulli(0.5))
+		if doConnect && len(sc.idleIn) > 0 && len(sc.idleOut) > 0 {
+			ii := r.Intn(len(sc.idleIn))
+			oo := r.Intn(len(sc.idleOut))
+			in, outT := sc.idleIn[ii], sc.idleOut[oo]
+			connects++
+			path, err := rt.Connect(in, outT)
+			if err != nil {
+				failures++
+				continue
+			}
+			pathTotal += len(path) - 1
+			sc.idleIn[ii] = sc.idleIn[len(sc.idleIn)-1]
+			sc.idleIn = sc.idleIn[:len(sc.idleIn)-1]
+			sc.idleOut[oo] = sc.idleOut[len(sc.idleOut)-1]
+			sc.idleOut = sc.idleOut[:len(sc.idleOut)-1]
+			sc.live = append(sc.live, churnCircuit{in, outT})
+		} else if len(sc.live) > 0 {
+			ci := r.Intn(len(sc.live))
+			c := sc.live[ci]
+			if err := rt.Disconnect(c.in, c.out); err == nil {
+				sc.idleIn = append(sc.idleIn, c.in)
+				sc.idleOut = append(sc.idleOut, c.out)
+			}
+			sc.live[ci] = sc.live[len(sc.live)-1]
+			sc.live = sc.live[:len(sc.live)-1]
+		}
+	}
+	return connects, failures, pathTotal
 }

@@ -1,5 +1,5 @@
 // Package netsim models session traffic against the routing layer, at
-// two levels.
+// two levels, both deterministic and both driving a route.Engine.
 //
 // The traffic subsystem (source.go, serve.go) is the open-loop,
 // virtual-time layer: a Source emits a deterministic stream of
@@ -16,11 +16,6 @@
 // The closed-loop layer (workload.go, churn.go) is the Theorem-2 churn
 // protocol: Workload generates connect/release batches by coin flip with
 // engine feedback, and ChurnDriver drives the whole protocol against an
-// engine, bit-identical to the per-op reference core.ChurnWith.
-//
-// netsim.go is a third, concurrent layer: a CSP-style message-passing
-// simulator of the distributed probe/ack/release circuit protocol (its
-// file comment has the details). It validates the paper's greedy-routing
-// claim in a distributed setting and is deliberately outside the
-// deterministic serving path.
+// engine, bit-identical to a per-op replay of the same protocol (the
+// test-only reference in churn_test.go).
 package netsim

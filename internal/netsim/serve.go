@@ -75,8 +75,8 @@ type Loop struct {
 // schedule their departures at At+Hold, and every event is recorded in
 // slo. Batches are cut so that no scheduled departure falls strictly
 // inside one — engine state at each decision is exactly what a one-
-// event-at-a-time replay would produce, so for engines with sequential
-// batch semantics the decision stream is independent of MaxBatch. At
+// event-at-a-time replay would produce, so (route.Engine's sequential
+// batch semantics) the decision stream is independent of MaxBatch. At
 // equal virtual times departures commit before arrivals (a freed circuit
 // is reusable by a simultaneous request). Virtual time only: Serve never
 // reads the wall clock, so a (seed, config) pair reproduces the run bit

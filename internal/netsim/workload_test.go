@@ -2,7 +2,6 @@ package netsim_test
 
 import (
 	"testing"
-	"time"
 
 	"ftcsn/internal/core"
 	"ftcsn/internal/netsim"
@@ -97,42 +96,6 @@ func TestWorkloadCommitShortResults(t *testing.T) {
 		}
 	}()
 	w.Commit(decisions(reqs[:len(reqs)-1], func(int) bool { return true }))
-}
-
-// TestWorkloadDrivesSim wires the operational workload through the
-// link-level distributed simulator: connects are issued as protocol
-// requests, accepts become live circuits, releases tear them down. On the
-// fault-free network the protocol must keep up with sustained churn.
-func TestWorkloadDrivesSim(t *testing.T) {
-	nw := buildSmall(t)
-	s := netsim.New(nw.G)
-	defer s.Close()
-	w := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 11)
-	cids := map[[2]int32]int64{}
-	accepted := 0
-	for round := 0; round < 30; round++ {
-		reqs := w.NextConnects(2)
-		ok := make([]bool, len(reqs))
-		for i, rq := range reqs {
-			cid, err := s.Request(rq.In, rq.Out, 5*time.Second)
-			if err == nil {
-				ok[i] = true
-				accepted++
-				cids[[2]int32{rq.In, rq.Out}] = cid
-			}
-		}
-		w.Commit(decisions(reqs, func(i int) bool { return ok[i] }))
-		for _, rel := range w.NextReleases(2) {
-			key := [2]int32{rel.In, rel.Out}
-			s.Release(rel.In, cids[key])
-			delete(cids, key)
-			// Releases are asynchronous; the workload only needs the
-			// endpoints back, which it already took care of.
-		}
-	}
-	if accepted == 0 {
-		t.Fatal("distributed protocol accepted nothing under the operational workload")
-	}
 }
 
 // TestWorkloadAgreesAcrossEngines: the same workload stream fed to the

@@ -78,8 +78,7 @@ func (r *RNG) Split(index uint64) *RNG {
 // ReseedSplit re-initializes r in place to the exact state parent.Split
 // (index) would return, advancing parent identically — the allocation-free
 // form for callers that keep worker RNG values alive across batches but
-// must re-derive them per batch (route.ConcurrentRouter's cached worker
-// scratches).
+// must re-derive them per batch.
 func (r *RNG) ReseedSplit(parent *RNG, index uint64) {
 	x := parent.Uint64() ^ (index * 0xd1342543de82ef95)
 	r.Reseed(splitMix64(&x))

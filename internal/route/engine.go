@@ -1,24 +1,20 @@
 package route
 
-// Engine is the uniform seam over this package's three path-hunting
-// engines — the sequential Router, the CAS-claiming ConcurrentRouter, and
-// the speculate-then-commit ShardedEngine — so the layers above (core's
-// Theorem-2 churn pipeline, netsim's workload drivers, experiment E9) can
-// swap engines without hand-rolled per-engine call paths.
+// Engine is the uniform seam over this package's two path-hunting engines
+// — the sequential Router and the speculate-then-commit ShardedEngine —
+// so the layers above (core's Theorem-2 churn pipeline, netsim's workload
+// drivers and serving loop, experiment E9) can swap engines without
+// hand-rolled per-engine call paths.
 //
 // The shared contract:
 //
-//   - ConnectBatch serves a batch of connection requests and reports
-//     per-request results in input order. Router and ShardedEngine give
-//     sequential semantics: request i's decision and path are exactly what
-//     a sequential Router would produce processing the stream in order, so
-//     any prefix of the results depends only on the corresponding prefix
-//     of the requests. ConcurrentRouter is the deliberate exception: with
-//     Workers > 1 its accept set is scheduler-DEPENDENT (the seed fixes
-//     only the per-worker search RNGs, not the request-to-worker
-//     assignment or claim-retry timing), which is exactly what E9
-//     measures — and why multi-worker CAS rows never enter committed
-//     deterministic tables.
+//   - ConnectBatch serves a batch of connection requests with
+//     sequential-batch semantics and reports per-request results in input
+//     order: request i's decision and path are exactly what a sequential
+//     Router would produce processing the stream in order, so any prefix
+//     of the results depends only on the corresponding prefix of the
+//     requests. Every caller may rely on this — batching is never visible
+//     in decisions or paths.
 //   - Disconnect releases a circuit previously established by
 //     ConnectBatch; PathOf returns its path (pooled slices: valid only
 //     while the circuit is live). Reset releases every live circuit.
@@ -60,16 +56,29 @@ type EngineStats struct {
 	Rejected int64 // requests denied (no idle path, busy/unusable endpoint)
 }
 
-// Compile-time checks: all three engines implement the seam.
+// Request asks for a circuit from In to Out.
+type Request struct {
+	In, Out int32
+}
+
+// Result reports the outcome of one request.
+type Result struct {
+	Request
+	Path []int32 // nil when the request failed
+	// Attempts counts the path hunts the request took: 1 on the Router;
+	// on the ShardedEngine 0 for an endpoint reject, 1 for a snapshot
+	// decision, 2 for a commit-time fallback.
+	Attempts int
+}
+
+// Compile-time checks: both engines implement the seam.
 var (
 	_ Engine = (*Router)(nil)
-	_ Engine = (*ConcurrentRouter)(nil)
 	_ Engine = (*ShardedEngine)(nil)
 )
 
-// circuits is the per-input live-circuit registry shared by the batch
-// engines (ShardedEngine, ConcurrentRouter's Engine seam): at most one
-// live circuit per input terminal — an input stays claimed/busy while
+// circuits is the sharded engine's per-input live-circuit registry: at
+// most one live circuit per input terminal — an input stays claimed while
 // connected, so a second circuit cannot coexist — with O(1) install,
 // lookup, and swap-removal. Fields are parallel arrays indexed by vertex:
 // out[in] is the live circuit's output (-1 = none), path[in] its path, and
@@ -81,8 +90,6 @@ type circuits struct {
 	pos  []int32
 }
 
-func (c *circuits) ready() bool { return c.out != nil }
-
 func (c *circuits) init(n int) {
 	c.out = make([]int32, n)
 	c.path = make([][]int32, n)
@@ -92,9 +99,6 @@ func (c *circuits) init(n int) {
 		c.pos[v] = -1
 	}
 }
-
-// live reports whether input in has a live circuit.
-func (c *circuits) live(in int32) bool { return c.out[in] != -1 }
 
 // lookup returns the live path for (in, out), or nil.
 func (c *circuits) lookup(in, out int32) []int32 {

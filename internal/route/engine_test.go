@@ -1,10 +1,8 @@
 package route_test
 
-// Conformance tests for the route.Engine seam: all three engines must
-// serve the same workload through ConnectBatch / Disconnect / PathOf /
-// Reset / Stats coherently, the sequential-semantics engines must agree
-// bit for bit, and the concurrent engine's ConnectBatch must reproduce
-// its legacy ServeBatch exactly.
+// Conformance tests for the route.Engine seam: both engines must serve
+// the same workload through ConnectBatch / Disconnect / PathOf / Reset /
+// Stats coherently, and must agree bit for bit.
 
 import (
 	"testing"
@@ -24,9 +22,7 @@ func permReqs(t *testing.T, nu int) ([]route.Request, *route.Router, []route.Eng
 	}
 	rt := route.NewRouter(nw.G)
 	rt.EnablePathReuse()
-	cr := route.NewConcurrentRouter(nw.G)
-	cr.Workers = 1
-	return reqs, rt, []route.Engine{rt, cr, route.NewShardedEngine(nw.G, 3)}
+	return reqs, rt, []route.Engine{rt, route.NewShardedEngine(nw.G, 3)}
 }
 
 // TestEngineSeamConformance runs a connect/disconnect/reconnect workload
@@ -123,50 +119,5 @@ func TestSequentialEnginesAgree(t *testing.T) {
 		}
 		engA.Reset()
 		engB.Reset()
-	}
-}
-
-// TestConcurrentConnectBatchMatchesServeBatch: engine-seam batches must
-// reproduce the legacy ServeBatch results for the same derived seeds, so
-// wrapping the CAS router in the seam changed nothing about its behavior.
-func TestConcurrentConnectBatchMatchesServeBatch(t *testing.T) {
-	nw := buildNet(t, 2)
-	n := len(nw.Inputs())
-	perm := rng.New(11).Perm(n)
-	reqs := make([]route.Request, n)
-	for i := range reqs {
-		reqs[i] = route.Request{In: nw.Inputs()[i], Out: nw.Outputs()[perm[i]]}
-	}
-	for _, workers := range []int{1, 4} {
-		engine := route.NewConcurrentRouter(nw.G)
-		engine.Workers = workers
-		legacy := route.NewConcurrentRouter(nw.G)
-		var res []route.Result
-		for rep := 0; rep < 4; rep++ {
-			res = engine.ConnectBatch(reqs, res)
-			want := legacy.ServeBatch(reqs, workers, uint64(rep))
-			for i := range reqs {
-				ga, gb := res[i].Path, want[i].Path
-				if (ga == nil) != (gb == nil) || len(ga) != len(gb) {
-					if workers == 1 {
-						t.Fatalf("rep %d req %d: engine/legacy diverged with 1 worker", rep, i)
-					}
-					continue // multi-worker accept sets are scheduler-dependent
-				}
-				if workers == 1 {
-					for j := range ga {
-						if ga[j] != gb[j] {
-							t.Fatalf("rep %d req %d: paths differ", rep, i)
-						}
-					}
-				}
-			}
-			engine.Reset()
-			for _, r := range want {
-				if r.Path != nil {
-					legacy.Release(r.Path)
-				}
-			}
-		}
 	}
 }

@@ -64,8 +64,8 @@ func (lp *lanePass) sweep(se *ShardedEngine, reqs []Request, lanes []int32) uint
 		lp.outMask[rq.Out] |= 1 << uint(l)
 	}
 	start, _, heads := se.g.CSROut()
-	allowed := se.cr.allowed
-	claims := se.cr.claims
+	allowed := se.allowed
+	claims := se.claims
 	order := se.lv.Order()
 	// Level order (graph.Levels), so one pass visits every slot after its
 	// tail's word is final — plain ID order when the graph is level-sorted

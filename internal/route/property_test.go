@@ -142,22 +142,29 @@ func TestQuickConnectNeverUsesFailedSwitch(t *testing.T) {
 }
 
 // TestQuickConcurrentDisjointness: under arbitrary request batches and
-// worker counts, established concurrent paths are vertex-disjoint.
+// shard counts, the sharded engine's circuits are vertex-disjoint and
+// exactly claimed, and its decisions are the sequential router's.
 func TestQuickConcurrentDisjointness(t *testing.T) {
 	root := rng.New(0x42)
 	f := func(tick uint16) bool {
 		r := root.Split(uint64(tick))
 		g := randomStaged(r)
-		cr := NewConcurrentRouter(g)
+		se := NewShardedEngine(g, 1+r.Intn(3))
 		var reqs []Request
-		for i := 0; i < 12; i++ {
+		for i := 0; i < 24; i++ {
 			reqs = append(reqs, Request{
 				In:  g.Inputs()[r.Intn(len(g.Inputs()))],
 				Out: g.Outputs()[r.Intn(len(g.Outputs()))],
 			})
 		}
-		results := cr.ServeBatch(reqs, 1+r.Intn(6), r.Uint64())
-		return VerifyDisjoint(results)
+		results := se.ConnectBatch(reqs, nil)
+		want := NewRouter(g).ConnectBatch(reqs, nil)
+		for i := range results {
+			if (results[i].Path == nil) != (want[i].Path == nil) {
+				return false
+			}
+		}
+		return se.VerifyState() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -165,8 +172,8 @@ func TestQuickConcurrentDisjointness(t *testing.T) {
 }
 
 // TestSequentialAndConcurrentAgreeOnCapacity: when requests are disjoint
-// by construction (a partial matching), both engines establish them all on
-// a crossbar-complete network.
+// by construction (a partial matching), the sequential router and the
+// sharded engine establish them all on a crossbar-complete network.
 func TestSequentialAndConcurrentAgreeOnCapacity(t *testing.T) {
 	// Dense network: every input sees every middle, every middle every
 	// output, middles ≥ terminals: all matchings route.
@@ -208,13 +215,13 @@ func TestSequentialAndConcurrentAgreeOnCapacity(t *testing.T) {
 				seqOK++
 			}
 		}
-		// Concurrent.
-		cr := NewConcurrentRouter(g)
+		// Sharded.
+		se := NewShardedEngine(g, 4)
 		reqs := make([]Request, 4)
 		for i, p := range perm {
 			reqs[i] = Request{In: ins[i], Out: outs[p]}
 		}
-		results := cr.ServeBatch(reqs, 4, uint64(trial))
+		results := se.ConnectBatch(reqs, nil)
 		concOK := 0
 		for _, res := range results {
 			if res.Path != nil {
@@ -222,7 +229,7 @@ func TestSequentialAndConcurrentAgreeOnCapacity(t *testing.T) {
 			}
 		}
 		if seqOK != 4 || concOK != 4 {
-			t.Fatalf("trial %d: sequential %d/4, concurrent %d/4", trial, seqOK, concOK)
+			t.Fatalf("trial %d: sequential %d/4, sharded %d/4", trial, seqOK, concOK)
 		}
 	}
 }

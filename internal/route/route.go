@@ -11,11 +11,10 @@
 // fail; on weaker networks (Beneš without rearrangement, butterflies) its
 // failures are themselves measurements, which experiment E9 exploits.
 //
-// Two engines are provided: the sequential Router, and ConcurrentRouter,
-// which processes many connection requests in parallel with one goroutine
-// per request, claiming vertices with atomic compare-and-swap and retrying
-// on conflict — a software analogue of the distributed path-selection
-// setting of Arora, Leighton & Maggs [ALM].
+// Two engines are provided behind one Engine seam: the sequential Router,
+// and ShardedEngine, which splits each batch across shards that speculate
+// paths in parallel and then commits them in input order, so its decisions
+// and paths are bit-identical to the Router's.
 package route
 
 import (

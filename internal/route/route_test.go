@@ -232,58 +232,67 @@ func TestPathOf(t *testing.T) {
 	}
 }
 
-// --- concurrent router ---
+// --- sharded engine on the tiny crossbars ---
 
 func TestConcurrentBatchDisjoint(t *testing.T) {
 	g := crossbar()
-	cr := NewConcurrentRouter(g)
+	se := NewShardedEngine(g, 2)
 	reqs := []Request{
 		{g.Inputs()[0], g.Outputs()[0]},
 		{g.Inputs()[1], g.Outputs()[1]},
 	}
-	results := cr.ServeBatch(reqs, 2, 11)
+	results := se.ConnectBatch(reqs, nil)
 	for i, res := range results {
 		if res.Path == nil {
 			t.Fatalf("request %d failed", i)
 		}
 	}
-	if !VerifyDisjoint(results) {
-		t.Fatal("paths share vertices")
+	if err := se.VerifyState(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestConcurrentRelease(t *testing.T) {
 	g := crossbar()
-	cr := NewConcurrentRouter(g)
-	res := cr.ServeBatch([]Request{{g.Inputs()[0], g.Outputs()[0]}}, 1, 3)
+	se := NewShardedEngine(g, 2)
+	in, out := g.Inputs()[0], g.Outputs()[0]
+	res := se.ConnectBatch([]Request{{in, out}}, nil)
 	if res[0].Path == nil {
 		t.Fatal("connect failed")
 	}
 	mid := res[0].Path[1]
-	if !cr.Claimed(mid) {
+	if !se.claimed(mid) {
 		t.Fatal("middle vertex not claimed")
 	}
-	cr.Release(res[0].Path)
-	if cr.Claimed(mid) {
-		t.Fatal("release did not free vertex")
+	if err := se.Disconnect(in, out); err != nil {
+		t.Fatal(err)
+	}
+	if se.claimed(mid) {
+		t.Fatal("disconnect did not free vertex")
 	}
 }
 
 func TestConcurrentHighContention(t *testing.T) {
-	// Many goroutines compete for 2 inputs' worth of disjoint paths; safety
-	// (disjointness) must hold regardless of which requests win.
+	// 16 requests compete for 2 inputs' worth of disjoint paths — enough
+	// for both shards to speculate in parallel. Whatever the phase
+	// schedule, the decisions must be the sequential router's and the
+	// claim state consistent.
 	g := crossbar()
-	cr := NewConcurrentRouter(g)
+	se := NewShardedEngine(g, 2)
 	var reqs []Request
 	for i := 0; i < 16; i++ {
 		reqs = append(reqs, Request{g.Inputs()[i%2], g.Outputs()[(i/2)%2]})
 	}
-	results := cr.ServeBatch(reqs, 8, 17)
-	if !VerifyDisjoint(results) {
-		t.Fatal("contention broke disjointness")
+	results := se.ConnectBatch(reqs, nil)
+	if err := se.VerifyState(); err != nil {
+		t.Fatalf("contention broke the claim state: %v", err)
 	}
+	want := NewRouter(g).ConnectBatch(reqs, nil)
 	ok := 0
-	for _, res := range results {
+	for i, res := range results {
+		if (res.Path == nil) != (want[i].Path == nil) {
+			t.Fatalf("request %d: decision differs from the sequential router", i)
+		}
 		if res.Path != nil {
 			ok++
 		}
@@ -295,16 +304,19 @@ func TestConcurrentHighContention(t *testing.T) {
 	if ok == 0 {
 		t.Fatal("no circuit established at all")
 	}
+	if se.ShardedStats().ParallelBatches == 0 {
+		t.Fatal("batch never ran its phases on the workers")
+	}
 }
 
 func TestConcurrentRepairedRouter(t *testing.T) {
 	g := crossbar2()
 	inst := fault.NewInstance(g)
 	inst.SetState(g.OutEdges(g.Inputs()[0])[0], fault.Open)
-	cr := NewConcurrentRepairedRouter(inst)
-	res := cr.ServeBatch([]Request{{g.Inputs()[0], g.Outputs()[0]}}, 1, 5)
+	se := NewRepairedShardedEngine(inst, 2)
+	res := se.ConnectBatch([]Request{{g.Inputs()[0], g.Outputs()[0]}}, nil)
 	if res[0].Path == nil {
-		t.Fatal("repaired concurrent router found no alternate path")
+		t.Fatal("repaired sharded engine found no alternate path")
 	}
 	for _, v := range res[0].Path {
 		if faulty := inst.FaultyVertices(); faulty[v] && !g.IsTerminal(v) {
@@ -335,15 +347,6 @@ func TestEpochWraparound(t *testing.T) {
 		if err := rt.Disconnect(g.Inputs()[0], g.Outputs()[0]); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestServeBatchZeroWorkers(t *testing.T) {
-	g := crossbar()
-	cr := NewConcurrentRouter(g)
-	res := cr.ServeBatch([]Request{{g.Inputs()[0], g.Outputs()[0]}}, 0, 1)
-	if res[0].Path == nil {
-		t.Fatal("workers<1 should clamp to 1 and still work")
 	}
 }
 

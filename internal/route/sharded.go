@@ -21,11 +21,11 @@ package route
 //     requests have any idle path right now" in one lane sweep before any
 //     probing runs.
 //
-//   - Phase B (commit): requests commit in input order through the
-//     ConcurrentRouter's CAS claim protocol. A speculative path whose probe
-//     never touched a vertex claimed earlier in the batch is provably the
-//     exact path the sequential Router would have found (the probe's step
-//     sequence is unchanged by the missing claims), so it commits as-is. A
+//   - Phase B (commit): requests commit in input order into the engine's
+//     atomic claim array. A speculative path whose probe never touched a
+//     vertex claimed earlier in the batch is provably the exact path the
+//     sequential Router would have found (the probe's step sequence is
+//     unchanged by the missing claims), so it commits as-is. A
 //     probe that did touch one — a cross-shard (or cross-request) conflict
 //     — falls back to a fresh probe against the live claim state, which is
 //     exactly the sequential Router's view at that request's turn. The
@@ -41,7 +41,7 @@ package route
 //     maximal conflict-free prefix commits on the workers with no ordering
 //     at all (the accepted paths are pairwise disjoint, so the claim
 //     stores commute). Only the residue from the first conflicted request
-//     onward takes the ordered CAS walk. Decisions and paths are
+//     onward takes the ordered commit walk. Decisions and paths are
 //     bit-identical to the ordered walk — and hence to the sequential
 //     Router — by construction; see the proof at commitDisjoint.
 //
@@ -59,6 +59,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"ftcsn/internal/fault"
 	"ftcsn/internal/graph"
@@ -186,8 +187,21 @@ type specEntry struct {
 // concurrent use: ServeBatch/Disconnect/Reset calls must be serialized by
 // the caller (ServeBatch parallelizes internally).
 type ShardedEngine struct {
-	g  *graph.Graph
-	cr *ConcurrentRouter // claim protocol + shared traversal bytes
+	g *graph.Graph
+
+	// claims is the per-vertex claim array (0 = free, 1 = claimed): phase
+	// A reads it lock-free, only the commit phases write it. allowed is the
+	// CSR-slot-aligned traversal byte array the probes and sweeps read —
+	// one sequentially-read byte per slot in place of the usable-switch,
+	// usable-head and terminal-head lookups, exactly as the sequential
+	// Router does — either built from the masks at construction
+	// (graph.BuildOutAllowed, the single source of truth for the discard
+	// rule's traversal semantics) or adopted from a caller that maintains
+	// it incrementally (SetMasksShared). vertexOK gates endpoint admission
+	// only (nil = every vertex usable).
+	claims   []atomic.Int32
+	allowed  []uint8
+	vertexOK []bool
 
 	// Prefilter selects the feasibility-sweep policy (default
 	// PrefilterAuto). It may be changed between batches.
@@ -282,24 +296,31 @@ const parallelMinPerShard = 8
 // always a caller bug (an uninitialized or negated config value), and
 // silently clamping it to 1 would masquerade as "run sequentially".
 func NewShardedEngine(g *graph.Graph, shards int) *ShardedEngine {
-	return newShardedEngine(g, NewConcurrentRouter(g), shards)
+	return newShardedEngine(g, nil, g.BuildOutAllowed(nil, nil, nil), shards)
 }
 
 // NewRepairedShardedEngine returns an engine over the network repaired from
 // inst by the paper's discard rule. Panics if shards <= 0 (see
 // NewShardedEngine).
 func NewRepairedShardedEngine(inst *fault.Instance, shards int) *ShardedEngine {
-	return newShardedEngine(inst.G, NewConcurrentRepairedRouter(inst), shards)
+	usable := inst.Repair()
+	edgeOK := make([]bool, inst.G.NumEdges())
+	for e := range edgeOK {
+		edgeOK[e] = inst.RepairedEdgeUsable(usable, int32(e))
+	}
+	return newShardedEngine(inst.G, usable, inst.G.BuildOutAllowed(edgeOK, usable, nil), shards)
 }
 
-func newShardedEngine(g *graph.Graph, cr *ConcurrentRouter, shards int) *ShardedEngine {
+func newShardedEngine(g *graph.Graph, vertexOK []bool, allowed []uint8, shards int) *ShardedEngine {
 	if shards <= 0 {
 		panic(fmt.Sprintf("route: shard count must be >= 1, got %d", shards))
 	}
 	n := g.NumVertices()
 	se := &ShardedEngine{
 		g:         g,
-		cr:        cr,
+		claims:    make([]atomic.Int32, n),
+		allowed:   allowed,
+		vertexOK:  vertexOK,
 		shards:    make([]*shard, shards),
 		batchMark: make([]uint32, n),
 		specStamp: make([]uint32, n),
@@ -475,10 +496,12 @@ func (se *ShardedEngine) ConnectBatch(reqs []Request, res []Result) []Result {
 }
 
 // MasksChanged rebuilds the output-reachability guide from the adopted
-// traversal bytes (the Engine-seam name for RefreshGuide — see there).
-// The full-sweep fallback of MasksChangedDiff: callers that know the
-// exact change lists should prefer the diff form, which costs O(#changes)
-// instead of O(E·groups).
+// traversal bytes without touching claims or circuits — the call an
+// in-place mask maintainer (core.MaskUpdater) makes after editing the
+// shared bytes between batches: the probes read the bytes live, but a
+// stale guide prunes wrongly. It is the full-sweep fallback of
+// MasksChangedDiff: callers that know the exact change lists should
+// prefer the diff form, which costs O(#changes) instead of O(E·groups).
 func (se *ShardedEngine) MasksChanged() { se.rebuildGuide() }
 
 // MasksChangedDiff brings the guide up to date after an in-place edit of
@@ -524,7 +547,7 @@ func (se *ShardedEngine) MasksChangedDiff(vertices, edges []int32) {
 	start, _, heads := se.g.CSROut()
 	rstart, redges, tails := se.g.CSRIn()
 	outSlotOf := se.g.OutSlot
-	allowed := se.cr.allowed
+	allowed := se.allowed
 	scratch := se.rowScratch[:groups]
 	for v, ok := wl.Next(); ok; v, ok = wl.Next() {
 		// Re-derive v's row from the forward CSR — the same per-vertex
@@ -604,31 +627,48 @@ func (se *ShardedEngine) PathOf(in, out int32) []int32 {
 
 // SetMasksShared adopts the usable-vertex mask and the caller-maintained
 // CSR-slot traversal byte array — the same contract as
-// Router.SetMasksShared / ConcurrentRouter.SetMasksShared — releases every
-// committed circuit, and rebuilds the routing guide for the new mask
-// epoch. Callers that mutate the shared bytes in place (core.MaskUpdater)
-// MUST call this again before the next ServeBatch: unlike the routers,
-// which read the bytes live, the engine also derives the per-epoch guide
-// from them, and a stale guide would prune wrongly.
+// Router.SetMasksShared — releases every committed circuit (a mask change
+// invalidates established paths), and rebuilds the routing guide for the
+// new mask epoch. Per-switch usability is consumed only through the
+// traversal bytes (vertexOK gates endpoint admission). Slices are adopted
+// without copying; callers that edit the shared bytes in place
+// (core.MaskUpdater) notify the engine with MasksChanged or
+// MasksChangedDiff before the next batch.
+//
+//ftcsn:claimowner a mask swap invalidates every outstanding claim; the bulk reset is this owner's job
 func (se *ShardedEngine) SetMasksShared(vertexOK, edgeOK []bool, outAllowed []uint8) {
+	_ = edgeOK
 	se.dropCircuits()
-	se.cr.SetMasksShared(vertexOK, edgeOK, outAllowed)
+	se.vertexOK = vertexOK
+	se.allowed = outAllowed
+	for i := range se.claims {
+		se.claims[i].Store(0)
+	}
 	se.rebuildGuide()
 }
 
-// RefreshGuide rebuilds the output-reachability guide from the already
-// adopted traversal bytes without touching claims or circuits — the call
-// an incremental mask maintainer (core.MaskUpdater's in-place updates)
-// must make after mutating the shared bytes between batches, when the
-// repair change is known not to invalidate live circuits. Skipping it
-// after a byte change breaks the sequential-parity contract: the routers
-// read the bytes live, but a stale guide prunes wrongly.
-func (se *ShardedEngine) RefreshGuide() { se.rebuildGuide() }
+// usableVertex reports whether v survived repair (endpoint admission).
+func (se *ShardedEngine) usableVertex(v int32) bool {
+	//ftlint:ignore seamcontract audited endpoint-admission accessor: vertexOK gates terminals only; per-edge admission stays in the traversal bytes
+	return se.vertexOK == nil || se.vertexOK[v]
+}
+
+// claimed reports whether v is currently claimed.
+func (se *ShardedEngine) claimed(v int32) bool { return se.claims[v].Load() != 0 }
+
+// release frees the vertices of a committed path.
+//
+//ftcsn:claimowner the release half of the claim protocol
+func (se *ShardedEngine) release(path []int32) {
+	for _, v := range path {
+		se.claims[v].Store(0)
+	}
+}
 
 // Reset releases every committed circuit, keeping buffers and masks.
 func (se *ShardedEngine) Reset() {
 	se.circ.drain(func(_ int32, path []int32) {
-		se.cr.Release(path)
+		se.release(path)
 		se.retirePath(path)
 	})
 }
@@ -645,7 +685,7 @@ func (se *ShardedEngine) Disconnect(in, out int32) error {
 	if !ok {
 		return fmt.Errorf("route: no circuit (%d,%d)", in, out)
 	}
-	se.cr.Release(path)
+	se.release(path)
 	se.retirePath(path)
 	return nil
 }
@@ -716,7 +756,7 @@ func (se *ShardedEngine) ServeBatch(reqs []Request, res []Result) []Result {
 	// the maximal conflict-free prefix commits on the workers without
 	// ordering (commitDisjoint proves which requests the ordered walk
 	// would fast-path anyway); the residue — and every serial batch —
-	// takes the ordered CAS walk.
+	// takes the ordered commit walk.
 	se.bumpBatchEpoch()
 	se.commitSc.arena = se.commitSc.arena[:0]
 	first := 0
@@ -935,7 +975,7 @@ func (se *ShardedEngine) validateRange(lo, hi int) {
 //ftcsn:claimowner the disjoint-commit claim writer; disjointness is proven by validateRange before any store
 func (se *ShardedEngine) commitRange(reqs []Request, res []Result, lo, hi int) {
 	epoch := se.batchEpoch
-	claims := se.cr.claims
+	claims := se.claims
 	for i := lo; i < hi; i++ {
 		rq := reqs[i]
 		res[i] = Result{Request: rq}
@@ -962,19 +1002,18 @@ func (se *ShardedEngine) commitRange(reqs []Request, res []Result, lo, hi int) {
 
 // claimOrdered claims every vertex of a path that is known conflict-free
 // (validated trace, or a path just probed against the live claim state).
-// It is ConcurrentRouter.tryClaim specialized to the ordered commit phase:
-// commit is the only mutator of the claim array, so a plain atomic store
-// replaces the compare-and-swap, and failure is impossible — still fully
-// visible to the lock-free phase-A readers of the next batch. The claims
-// it writes are released through the same cr.Release as everything else.
+// Commit is the only mutator of the claim array, so a plain atomic store
+// suffices and failure is impossible — still fully visible to the
+// lock-free phase-A readers of the next batch. The claims it writes are
+// freed by release like every other claim.
 //
 //ftcsn:claimowner the ordered-commit claim writer; commit is the only claim mutator during a batch
 func (se *ShardedEngine) claimOrdered(path []int32) {
 	for _, v := range path {
-		if se.cr.claims[v].Load() != 0 {
+		if se.claims[v].Load() != 0 {
 			panic("route: ordered commit claim conflicted; trace validation broken")
 		}
-		se.cr.claims[v].Store(1)
+		se.claims[v].Store(1)
 	}
 }
 
@@ -1009,11 +1048,11 @@ func (sh *shard) speculate(se *ShardedEngine, reqs []Request) {
 	sweep := se.Prefilter == PrefilterOn ||
 		(se.Prefilter == PrefilterAuto && sh.engaged)
 	live := sh.surv[:0]
-	claims := se.cr.claims
+	claims := se.claims
 	for _, ri := range sh.idx {
 		rq := reqs[ri]
 		se.spec[ri] = specEntry{}
-		if !se.cr.usableVertex(rq.In) || !se.cr.usableVertex(rq.Out) ||
+		if !se.usableVertex(rq.In) || !se.usableVertex(rq.Out) ||
 			claims[rq.In].Load() != 0 || claims[rq.Out].Load() != 0 {
 			se.flags[ri] = flagRejectedEndpoint
 			sh.endpointRejects++
@@ -1056,7 +1095,7 @@ func (sh *shard) speculate(se *ShardedEngine, reqs []Request) {
 }
 
 // probe runs the same greedy depth-first idle-path hunt as Router.Connect,
-// reading the CAS claim array as the busy set and pruning descents the
+// reading the claim array as the busy set and pruning descents the
 // output-reachability guide proves hopeless (exact, so completeness is
 // unchanged). The found path is appended to sc.arena; the returned view
 // stays valid across arena growth. Returns nil when no idle path exists
@@ -1075,8 +1114,8 @@ func (se *ShardedEngine) probeRecorded(sc *probeScratch, in, out int32) (path, t
 }
 
 func (se *ShardedEngine) probeInto(sc *probeScratch, in, out int32, record bool) (path, trace []int32) {
-	claims := se.cr.claims
-	if !se.cr.usableVertex(in) || !se.cr.usableVertex(out) ||
+	claims := se.claims
+	if !se.usableVertex(in) || !se.usableVertex(out) ||
 		claims[in].Load() != 0 || claims[out].Load() != 0 {
 		return nil, nil
 	}
@@ -1086,7 +1125,7 @@ func (se *ShardedEngine) probeInto(sc *probeScratch, in, out int32, record bool)
 		sc.epoch = 1
 	}
 	start, edges, heads := se.g.CSROut()
-	allowed := se.cr.allowed
+	allowed := se.allowed
 	guide := se.reachOut
 	groups := se.guideGroups
 	var gslot int
@@ -1210,9 +1249,9 @@ func (se *ShardedEngine) retirePath(p []int32) {
 func (se *ShardedEngine) rebuildGuide() {
 	nOut := len(se.g.Outputs())
 	groups := (nOut + 63) >> 6
-	// se.cr.allowed == nil means the masks were detached (an owner released
+	// se.allowed == nil means the masks were detached (an owner released
 	// its arena-backed slices); there is nothing to derive a guide from.
-	if se.lv == nil || nOut == 0 || groups > se.guideLimit || se.cr.allowed == nil {
+	if se.lv == nil || nOut == 0 || groups > se.guideLimit || se.allowed == nil {
 		se.reachOut = nil
 		se.guideGroups = 0
 		return
@@ -1231,7 +1270,7 @@ func (se *ShardedEngine) rebuildGuide() {
 		se.rowScratch = make([]uint64, groups)
 	}
 	start, _, heads := se.g.CSROut()
-	allowed := se.cr.allowed
+	allowed := se.allowed
 	order := se.lv.Order()
 	// Reverse level order: every successor (strictly higher level, hence a
 	// later position) is finalized before v's row reads it.
@@ -1261,7 +1300,7 @@ func (se *ShardedEngine) rebuildGuide() {
 	}
 }
 
-// VerifyState checks that the CAS claim array is exactly the union of the
+// VerifyState checks that the claim array is exactly the union of the
 // committed circuits' vertices and that those circuits are vertex-disjoint
 // valid paths — the engine's analogue of Router.VerifyInvariants. Used by
 // tests and the stress harness.
@@ -1278,7 +1317,7 @@ func (se *ShardedEngine) VerifyState() error {
 				return fmt.Errorf("route: vertex %d on circuits of inputs %d and %d", v, prev, in)
 			}
 			owner[v] = in
-			if !se.cr.Claimed(v) {
+			if !se.claimed(v) {
 				return fmt.Errorf("route: committed path vertex %d not claimed", v)
 			}
 			if i > 0 {
@@ -1296,7 +1335,7 @@ func (se *ShardedEngine) VerifyState() error {
 		}
 	}
 	for v := 0; v < se.g.NumVertices(); v++ {
-		if se.cr.Claimed(int32(v)) {
+		if se.claimed(int32(v)) {
 			if _, ok := owner[int32(v)]; !ok {
 				return fmt.Errorf("route: vertex %d claimed but on no circuit", v)
 			}

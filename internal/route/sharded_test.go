@@ -200,7 +200,7 @@ func TestShardedInvarianceAcrossShardsAndPrefilter(t *testing.T) {
 		t.Error("prefilter never rejected anything; its exactness was not exercised")
 	}
 	if !sawFallbacks {
-		t.Error("CAS fallback never ran; conflict path was not exercised")
+		t.Error("commit-time fallback never ran; conflict path was not exercised")
 	}
 }
 
@@ -252,7 +252,7 @@ func TestShardedRaceStress(t *testing.T) {
 // TestShardedFastPathDominatesLightChurn: under light operational churn the
 // speculative fast path should serve nearly everything; under saturating
 // batches from an empty network, conflicts must push requests through the
-// CAS fallback instead. Both regimes must leave consistent claim state.
+// commit-time fallback instead. Both regimes must leave consistent claim state.
 func TestShardedFastPathDominatesLightChurn(t *testing.T) {
 	nw := buildNet(t, 3)
 	se := route.NewShardedEngine(nw.G, 4)
