@@ -30,6 +30,9 @@ func main() {
 	concurrent := flag.Bool("concurrent", false, "route one permutation batch on the sharded engine instead of churning")
 	workers := flag.Int("workers", 4, "shard count of the -concurrent batch")
 	flag.Parse()
+	if err := fault.Symmetric(*eps).Validate(); err != nil {
+		die(fmt.Errorf("-eps %g: %w", *eps, err))
+	}
 	if *concurrent && *workers < 1 {
 		die(fmt.Errorf("-workers must be >= 1, got %d", *workers))
 	}

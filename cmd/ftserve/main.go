@@ -7,6 +7,11 @@
 // rate, live-circuit gauge, offered load in Erlangs, and p50/p99/p999
 // connect latency in events-behind terms.
 //
+// With -engine=sharded the final report adds the engine's own counters:
+// the reject breakdown (busy or unusable endpoint, prefilter sweep, snapshot
+// probe, commit time), prefilter sweeps and policy transitions, and the
+// fast-path/fallback commit split.
+//
 // The report is a pure function of the flags: two runs with the same
 // flags are byte-identical (the CI smoke gate diffs them). The only
 // wall-clock read lives behind -wall and goes to stderr, keeping stdout
@@ -184,6 +189,9 @@ func run(c config) (string, int64, error) {
 	if c.hold <= 0 || c.rate <= 0 {
 		return "", 0, fmt.Errorf("rate %g and hold %g must be positive", c.rate, c.hold)
 	}
+	if err := fault.Symmetric(c.eps).Validate(); err != nil {
+		return "", 0, fmt.Errorf("-eps %g: %w", c.eps, err)
+	}
 	nw, err := core.Build(core.DefaultParams(c.nu))
 	if err != nil {
 		return "", 0, err
@@ -228,6 +236,12 @@ func run(c config) (string, int64, error) {
 	es := eng.Stats()
 	fmt.Fprintf(&b, "engine: batches=%d requests=%d accepted=%d rejected=%d\n",
 		es.Batches, es.Requests, es.Accepted, es.Rejected)
+	if se, ok := eng.(*route.ShardedEngine); ok {
+		st := se.ShardedStats()
+		fmt.Fprintf(&b, "sharded: rejects endpoint=%d prefilter=%d probe=%d commit=%d; prefilter sweeps=%d engages=%d disengages=%d; commits fastpath=%d fallbacks=%d\n",
+			st.EndpointRejects, st.PrefilterRejects, st.ProbeRejects, st.CommitRejects,
+			st.PrefilterSweeps, st.PrefilterEngages, st.PrefilterDisengages, st.FastPath, st.Fallbacks)
+	}
 	return b.String(), sn.Offered + sn.Departed, nil
 }
 

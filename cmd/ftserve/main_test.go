@@ -54,6 +54,9 @@ func TestRunDeterministic(t *testing.T) {
 			if !strings.Contains(r1, "t=") {
 				t.Fatalf("report missing windowed lines:\n%s", r1)
 			}
+			if got := strings.Contains(r1, "\nsharded: "); got != (c.engine == "sharded") {
+				t.Fatalf("engine=%s: sharded counter line present=%v:\n%s", c.engine, got, r1)
+			}
 		})
 	}
 }
@@ -74,6 +77,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		func(c *config) { c.pattern = "hotspot"; c.hotCount = 99 },
 		func(c *config) { c.pattern = "hotspot"; c.hotFrac = 1.5 },
 		func(c *config) { c.pattern = "hotspot"; c.hotFrac = -0.1 },
+		func(c *config) { c.eps = -0.1 },
+		func(c *config) { c.eps = 0.6 },
 	}
 	for i, tweak := range bad {
 		c := baseConfig()

@@ -72,15 +72,21 @@ import (
 type PrefilterMode uint8
 
 const (
-	// PrefilterAuto engages the sweep per shard while that shard's rejects
-	// are common (≥1/16 of its share of the previous batch): sweeping 64
-	// doomed requests costs one pass over the CSR, where 64 failing probes
-	// would each scan their whole reachable cone. The policy is per shard
-	// because rejects are often local — a fault cluster that dooms one
-	// input range's requests says nothing about the other shards — so a
-	// global rate either over-sweeps healthy shards or starves the sick
-	// one. A shard that served no requests keeps its previous state. Under
-	// light load the sweep stays out of the way everywhere. Engagement is
+	// PrefilterAuto engages the sweep per shard while it would pay: while
+	// the shard's snapshot no-path verdicts (prefilter plus probe rejects)
+	// in its previous batch were ≥1/16 of its requests that passed
+	// endpoint screening. Sweeping 64 doomed requests costs one pass over
+	// the CSR, where 64 failing probes would each scan their whole
+	// reachable cone. Other rejects do not count, since no sweep can catch
+	// them: endpoint rejects are screened out before the sweep runs, and
+	// commit-time rejects come from claims made earlier in the same batch,
+	// which a batch-start sweep cannot see. The policy
+	// is per shard because rejects are often local — a fault cluster that
+	// dooms one input range's requests says nothing about the other shards
+	// — so a global rate either over-sweeps healthy shards or starves the
+	// sick one. A shard with no screened requests keeps its previous
+	// state. Under light load, or under load whose rejects are all busy
+	// endpoints, the sweep stays out of the way everywhere. Engagement is
 	// a pure function of the served stream (the partition is by input
 	// terminal), so decisions remain deterministic — and the sweep itself
 	// is decision-neutral regardless.
@@ -119,8 +125,9 @@ type ShardedStats struct {
 	// which path served a batch.
 	ParallelBatches, DisjointCommits int64
 
-	// Adaptive-policy transitions: a shard's observed reject share crossed
-	// the engage threshold (Engages) or fell back under it (Disengages).
+	// Adaptive-policy transitions: a shard's snapshot no-path share (see
+	// PrefilterAuto) crossed the engage threshold (Engages) or fell back
+	// under it (Disengages).
 	// The state machine tracks in every mode — so a later switch to
 	// PrefilterAuto acts on fresh evidence — but only PrefilterAuto turns
 	// an engaged shard into actual sweeps. Engages-Disengages is the
@@ -163,8 +170,8 @@ type shard struct {
 	fp   *lanePass // lazily built word-parallel feasibility scratch
 
 	// engaged is this shard's adaptive-prefilter state (PrefilterAuto):
-	// sweep while the shard's own reject share of its previous batch was
-	// ≥ 1/16. Updated after each commit phase from the final decisions.
+	// sweep while the shard's own snapshot no-path share of its previous
+	// batch was ≥ 1/16. Updated in the serial fold after phase A.
 	engaged bool
 
 	// per-batch counters, folded into ShardedStats after the join so phase
@@ -744,7 +751,10 @@ func (se *ShardedEngine) ServeBatch(reqs []Request, res []Result) []Result {
 			sh.speculate(se, reqs)
 		}
 	}
+	// Fold the per-shard phase-A counters, each shard first taking its
+	// prefilter decision for the next batch from them.
 	for _, sh := range se.shards {
+		se.adapt(sh)
 		se.stats.EndpointRejects += sh.endpointRejects
 		se.stats.PrefilterRejects += sh.prefilterRejects
 		se.stats.ProbeRejects += sh.probeRejects
@@ -764,30 +774,27 @@ func (se *ShardedEngine) ServeBatch(reqs []Request, res []Result) []Result {
 		first = se.commitDisjoint(reqs, res)
 	}
 	se.commitOrdered(reqs, res, first)
-
-	// Adaptive prefilter: each shard re-decides from its own final reject
-	// share (engage at ≥1/16); shards that served nothing keep their state.
-	for _, sh := range se.shards {
-		if len(sh.idx) == 0 {
-			continue
-		}
-		rej := 0
-		for _, ri := range sh.idx {
-			if res[ri].Path == nil {
-				rej++
-			}
-		}
-		engage := rej*16 >= len(sh.idx)
-		if engage != sh.engaged {
-			if engage {
-				se.stats.PrefilterEngages++
-			} else {
-				se.stats.PrefilterDisengages++
-			}
-			sh.engaged = engage
-		}
-	}
 	return res
+}
+
+// adapt sets sh's adaptive-prefilter state for its next batch from this
+// batch's phase-A counters, which the fold zeroes right after (see
+// PrefilterAuto for the rule).
+func (se *ShardedEngine) adapt(sh *shard) {
+	screened := int64(len(sh.idx)) - sh.endpointRejects
+	if screened == 0 {
+		return
+	}
+	engage := (sh.prefilterRejects+sh.probeRejects)*16 >= screened
+	if engage == sh.engaged {
+		return
+	}
+	if engage {
+		se.stats.PrefilterEngages++
+	} else {
+		se.stats.PrefilterDisengages++
+	}
+	sh.engaged = engage
 }
 
 // commitOrdered is the ordered commit walk over requests [from, len(reqs)):
