@@ -27,6 +27,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -34,11 +35,24 @@ import (
 	"ftcsn/internal/experiments"
 )
 
-func main() {
-	mode := flag.String("mode", "quick", "experiment scale: quick or full")
-	only := flag.String("only", "", "comma-separated experiment IDs (e.g. E1,E7); empty = all")
-	out := flag.String("o", "", "output file (default stdout)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is ftbench with its arguments and streams passed in; it returns the
+// exit code: 2 for a bad flag, mode or experiment ID — all checked before
+// the output file is created, so a typo never truncates it — 1 when the
+// output file cannot be created.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ftbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	mode := fs.String("mode", "quick", "experiment scale: quick or full")
+	only := fs.String("only", "", "comma-separated experiment IDs (e.g. E1,E7); empty = all")
+	out := fs.String("o", "", "output file (default stdout)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	var m experiments.Mode
 	switch *mode {
@@ -47,23 +61,22 @@ func main() {
 	case "full":
 		m = experiments.Full
 	default:
-		fmt.Fprintf(os.Stderr, "ftbench: unknown mode %q\n", *mode)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "ftbench: unknown mode %q\n", *mode)
+		return 2
 	}
 
-	want := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			want[strings.ToUpper(id)] = true
-		}
+	want, unknown := selectIDs(*only)
+	if len(unknown) > 0 {
+		fmt.Fprintf(stderr, "ftbench: unknown experiment ID(s) %s\n", strings.Join(unknown, ", "))
+		return 2
 	}
 
-	w := os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftbench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "ftbench: %v\n", err)
+			return 1
 		}
 		defer f.Close()
 		w = f
@@ -83,6 +96,29 @@ func main() {
 		start := time.Now()
 		res := e.Run(m)
 		res.Render(w)
-		fmt.Fprintf(os.Stderr, "ftbench: %s done in %v\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "ftbench: %s done in %v\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
+	return 0
+}
+
+// selectIDs parses a comma-separated -only list (case-insensitive, blanks
+// ignored) into the set of requested registry IDs, and returns the
+// requested IDs the registry does not know, in the order given. An empty
+// list selects every experiment.
+func selectIDs(only string) (want map[string]bool, unknown []string) {
+	known := map[string]bool{}
+	for _, e := range experiments.Registry() {
+		known[e.ID] = true
+	}
+	want = map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.ToUpper(strings.TrimSpace(id)); id == "" {
+			continue
+		}
+		if !known[id] {
+			unknown = append(unknown, id)
+		}
+		want[id] = true
+	}
+	return want, unknown
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -79,6 +80,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		func(c *config) { c.pattern = "hotspot"; c.hotFrac = -0.1 },
 		func(c *config) { c.eps = -0.1 },
 		func(c *config) { c.eps = 0.6 },
+		func(c *config) { c.eps = math.NaN() },
 	}
 	for i, tweak := range bad {
 		c := baseConfig()

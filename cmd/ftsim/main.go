@@ -47,6 +47,9 @@ func main() {
 	for _, s := range strings.Split(*epsList, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 		die(err)
+		if err := fault.Symmetric(v).Validate(); err != nil {
+			die(fmt.Errorf("-eps %g: %w", v, err))
+		}
 		epss = append(epss, v)
 	}
 

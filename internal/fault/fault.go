@@ -64,9 +64,10 @@ type Model struct {
 // Symmetric returns the paper's symmetric model with ε₁ = ε₂ = ε.
 func Symmetric(eps float64) Model { return Model{OpenProb: eps, ClosedProb: eps} }
 
-// Validate checks 0 ≤ ε₁, ε₂ and ε₁+ε₂ ≤ 1.
+// Validate checks 0 ≤ ε₁, ε₂ and ε₁+ε₂ ≤ 1. The checks are phrased so that
+// a NaN probability, for which every comparison is false, fails them.
 func (m Model) Validate() error {
-	if m.OpenProb < 0 || m.ClosedProb < 0 || m.OpenProb+m.ClosedProb > 1 {
+	if !(m.OpenProb >= 0) || !(m.ClosedProb >= 0) || !(m.OpenProb+m.ClosedProb <= 1) {
 		return fmt.Errorf("fault: invalid model ε₁=%v ε₂=%v", m.OpenProb, m.ClosedProb)
 	}
 	return nil

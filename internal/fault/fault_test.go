@@ -40,14 +40,30 @@ func twoInputs() *graph.Graph {
 }
 
 func TestModelValidate(t *testing.T) {
-	if err := Symmetric(0.1).Validate(); err != nil {
-		t.Fatal(err)
+	for _, m := range []Model{Symmetric(0), Symmetric(0.1), Symmetric(0.5), {OpenProb: 1}, {ClosedProb: 1}} {
+		if err := m.Validate(); err != nil {
+			t.Errorf("%+v: %v", m, err)
+		}
 	}
-	if err := (Model{OpenProb: 0.7, ClosedProb: 0.7}).Validate(); err == nil {
-		t.Fatal("accepted ε₁+ε₂ > 1")
-	}
-	if err := (Model{OpenProb: -0.1}).Validate(); err == nil {
-		t.Fatal("accepted negative ε")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		why string
+		m   Model
+	}{
+		{"ε₁+ε₂ > 1", Model{OpenProb: 0.7, ClosedProb: 0.7}},
+		{"symmetric ε > 1/2", Symmetric(0.6)},
+		{"negative ε₁", Model{OpenProb: -0.1}},
+		{"negative ε₂", Model{ClosedProb: -0.1}},
+		{"NaN ε", Symmetric(nan)},
+		{"NaN ε₁", Model{OpenProb: nan}},
+		{"NaN ε₂", Model{ClosedProb: nan}},
+		{"+Inf ε", Symmetric(inf)},
+		{"-Inf ε", Symmetric(-inf)},
+		{"+Inf ε₁ against -Inf ε₂", Model{OpenProb: inf, ClosedProb: -inf}},
+	} {
+		if err := tc.m.Validate(); err == nil {
+			t.Errorf("accepted %s: %+v", tc.why, tc.m)
+		}
 	}
 }
 

@@ -166,6 +166,10 @@ type Graph struct {
 	levelsOnce sync.Once
 	levels     *Levels
 	levelsErr  error
+
+	// Lazily computed per-vertex output lane-word spans (see OutputSpans).
+	spansOnce sync.Once
+	spans     []WordSpan
 }
 
 // NumVertices returns the vertex count.

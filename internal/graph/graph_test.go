@@ -579,3 +579,84 @@ func TestLevelsMirrorDerived(t *testing.T) {
 	}
 	checkLevels(t, um, ulv)
 }
+
+// TestOutputSpansMatchReachability: on random DAGs with hundreds of
+// outputs (so spans run across several lane words), vertex IDs out of
+// level order, and some outputs with out-edges, every vertex's span is
+// exactly the hull of the lane words of the outputs it reaches (itself
+// included), and spans nest along every edge.
+func TestOutputSpansMatchReachability(t *testing.T) {
+	r := rng.New(0x5BA25)
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + r.Intn(400)
+		perm := r.Perm(n) // perm[i] is the vertex at topological rank i
+		b := NewBuilder(n, 3*n)
+		for i := 0; i < n; i++ {
+			b.AddVertex(NoStage)
+		}
+		for i := 3 * n * r.Intn(4) / 4; i > 0; i-- {
+			u := r.Intn(n - 1)
+			v := u + 1 + r.Intn(n-u-1)
+			b.AddEdge(int32(perm[u]), int32(perm[v]))
+		}
+		for v := 0; v < n; v++ {
+			if r.Intn(3) > 0 {
+				b.MarkOutput(int32(v))
+			} else {
+				b.MarkInput(int32(v))
+			}
+		}
+		g := b.Freeze()
+		spans := g.OutputSpans()
+		if len(spans) != n {
+			t.Fatalf("trial %d: %d spans for %d vertices", trial, len(spans), n)
+		}
+		word := make([]int, n)
+		for v := range word {
+			word[v] = -1
+		}
+		for i, v := range g.Outputs() {
+			word[v] = i >> 6
+		}
+		for v := int32(0); v < int32(n); v++ {
+			lo, hi := -1, -1
+			for w, ok := range g.ReachableFrom(v, nil) {
+				if ok && word[w] >= 0 {
+					if lo < 0 || word[w] < lo {
+						lo = word[w]
+					}
+					hi = max(hi, word[w]+1)
+				}
+			}
+			want := WordSpan{}
+			if lo >= 0 {
+				want = WordSpan{uint16(lo), uint16(hi)}
+			}
+			if spans[v] != want {
+				t.Fatalf("trial %d: vertex %d span %+v, reachable outputs span %+v", trial, v, spans[v], want)
+			}
+		}
+		for e := int32(0); e < int32(g.NumEdges()); e++ {
+			s, w := spans[g.EdgeFrom(e)], spans[g.EdgeTo(e)]
+			if w.Lo != w.Hi && (w.Lo < s.Lo || w.Hi > s.Hi) {
+				t.Fatalf("trial %d: edge %d: head span %+v not within tail span %+v", trial, e, w, s)
+			}
+		}
+		if again := g.OutputSpans(); &again[0] != &spans[0] {
+			t.Fatalf("trial %d: spans recomputed instead of cached", trial)
+		}
+	}
+}
+
+func TestOutputSpansCycleIsNil(t *testing.T) {
+	b := NewBuilder(2, 2)
+	x := b.AddVertex(NoStage)
+	y := b.AddVertex(NoStage)
+	b.AddEdge(x, y)
+	b.AddEdge(y, x)
+	b.MarkInput(x)
+	b.MarkOutput(y)
+	if spans := b.Freeze().OutputSpans(); spans != nil {
+		t.Fatalf("cyclic graph got spans %v", spans)
+	}
+}

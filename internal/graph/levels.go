@@ -197,3 +197,61 @@ func (lv *Levels) mirrored() *Levels {
 	}
 	return levelsFromAssignment(level)
 }
+
+// WordSpan is a half-open range [Lo, Hi) of 64-output lane words; Lo == Hi
+// is the empty span. 16-bit bounds keep a per-vertex span array at 4 bytes
+// per vertex.
+type WordSpan struct{ Lo, Hi uint16 }
+
+// maxSpanWords is the most lane words a WordSpan can address.
+const maxSpanWords = 1<<16 - 1
+
+// OutputSpans returns, per vertex v, the lane words that can ever hold an
+// output v reaches: output i (its position in Outputs) lives in word i>>6,
+// and every output reachable from v along a directed path — v itself
+// included — has its word in spans[v]. Faults only remove paths, so any
+// per-output reachability words derived from a mask of the graph (the
+// routing guide of route.ShardedEngine) stay inside these spans. Spans
+// nest along edges: for every edge v→w, spans[w] is empty or lies within
+// spans[v].
+//
+// Computed on first use in one O(E) pass in reverse level order and
+// cached (shared; do not mutate). Returns nil when the graph has no
+// leveling (a directed cycle) or more outputs than maxSpanWords lane
+// words hold.
+func (g *Graph) OutputSpans() []WordSpan {
+	g.spansOnce.Do(func() {
+		if lv, err := g.Levels(); err == nil && len(g.outputs) <= 64*maxSpanWords {
+			g.spans = computeOutputSpans(g, lv)
+		}
+	})
+	return g.spans
+}
+
+func computeOutputSpans(g *Graph, lv *Levels) []WordSpan {
+	spans := make([]WordSpan, len(g.stage))
+	for i, v := range g.outputs {
+		w := uint16(i >> 6)
+		spans[v] = spans[v].hull(WordSpan{w, w + 1})
+	}
+	// Reverse level order: every successor sits at a strictly higher
+	// level, so its span is final before v's absorbs it.
+	for p := int32(len(spans)) - 1; p >= 0; p-- {
+		v := lv.At(p)
+		for _, w := range g.outHeads[g.outStart[v]:g.outStart[v+1]] {
+			spans[v] = spans[v].hull(spans[w])
+		}
+	}
+	return spans
+}
+
+// hull returns the smallest span covering s and t.
+func (s WordSpan) hull(t WordSpan) WordSpan {
+	switch {
+	case t.Lo == t.Hi:
+		return s
+	case s.Lo == s.Hi:
+		return t
+	}
+	return WordSpan{min(s.Lo, t.Lo), max(s.Hi, t.Hi)}
+}

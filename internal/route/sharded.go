@@ -97,9 +97,10 @@ const (
 	PrefilterOn
 )
 
-// ShardedStats counts, cumulatively, how batches were served; it is the
-// observability hook the stress tests use to prove the fast path dominates
-// and the fallback is actually exercised.
+// ShardedStats counts, cumulatively, how batches were served and how the
+// routing guide was maintained; it is the observability hook the stress
+// tests use to prove the fast path dominates and the fallback is actually
+// exercised.
 type ShardedStats struct {
 	Batches, Requests, Accepted int64
 
@@ -133,6 +134,15 @@ type ShardedStats struct {
 	// an engaged shard into actual sweeps. Engages-Disengages is the
 	// number of shards currently engaged.
 	PrefilterEngages, PrefilterDisengages int64
+
+	// Guide maintenance: full rebuilds (construction, mask swaps, budget
+	// changes, MasksChanged, and MasksChangedDiff's cutover to a rebuild)
+	// and incremental MasksChangedDiff refreshes; then, over both, the rows
+	// the row kernel recomputed, those whose words changed, and the lane
+	// words it recomputed (one per row at ≤64 outputs, else the width of
+	// the row's static span).
+	GuideRebuilds, GuideRefreshes                               int64
+	GuideRowsRecomputed, GuideRowsChanged, GuideWordsRecomputed int64
 }
 
 // request flags written in phase A (per batch slot). Both reject flags
@@ -256,12 +266,19 @@ type ShardedEngine struct {
 	// Word-parallel routing guide, rebuilt per mask epoch: reachOut holds
 	// guideGroups lane words per vertex, bit (outIdx&63) of word
 	// (outIdx>>6) set iff an allowed-slot path leads from the vertex to
-	// that output, ignoring busy state. Probes prune descents the guide
-	// proves hopeless; pruning is exact, so decisions are unchanged. nil
-	// when the graph has no leveling or too many outputs.
+	// that output, ignoring busy state; a row's words outside its
+	// vertex's static span are zero under every mask. Probes prune
+	// descents the guide proves hopeless; pruning is exact, so decisions
+	// are unchanged. nil when the graph has no leveling or too many
+	// outputs.
 	reachOut    []uint64
 	guideGroups int
 	outIdx      []int32 // per-vertex output index, -1 = not an output
+	// spans is the graph's per-vertex static word span
+	// (graph.OutputSpans), the only words of a row that can ever be
+	// nonzero; nil when rows are one word wide (≤64 outputs), and for
+	// graphs OutputSpans does not cover, which route unguided.
+	spans []graph.WordSpan
 
 	// Incremental guide maintenance (MasksChangedDiff): a reverse-cone
 	// worklist over the leveling, a groups-wide row scratch, and the
@@ -346,6 +363,9 @@ func newShardedEngine(g *graph.Graph, vertexOK []bool, allowed []uint8, shards i
 		se.outIdx[v] = int32(i)
 	}
 	se.lv, _ = g.Levels()
+	if len(g.Outputs()) > 64 {
+		se.spans = g.OutputSpans()
+	}
 	se.guideLimit = maxGuideGroups
 	if se.lv != nil {
 		se.guideWl = graph.NewLevelWorklist(se.lv, n)
@@ -508,22 +528,23 @@ func (se *ShardedEngine) ConnectBatch(reqs []Request, res []Result) []Result {
 // shared bytes between batches: the probes read the bytes live, but a
 // stale guide prunes wrongly. It is the full-sweep fallback of
 // MasksChangedDiff: callers that know the exact change lists should
-// prefer the diff form, which costs O(#changes) instead of O(E·groups).
+// prefer the diff form, which costs O(#changes) instead of O(E·span).
 func (se *ShardedEngine) MasksChanged() { se.rebuildGuide() }
 
 // MasksChangedDiff brings the guide up to date after an in-place edit of
 // the shared traversal bytes, given the exact change lists a mask
 // maintainer already has (core.MaskUpdater.Apply returns the recomputed
 // edge IDs; ChangedVertices the usability flips): instead of the O(E·
-// groups) full sweep, it recomputes only the reverse cone of the diff.
+// span) full sweep, it recomputes only the reverse cone of the diff.
 // The worklist is seeded with the tails of the changed edges (a changed
 // slot byte affects exactly its tail's row) plus the changed vertices,
 // and drained in descending level order — every pending successor is
-// final before a row is recomputed — re-deriving each dirty row from the
-// forward CSR and waking a row's predecessors (reverse CSR) only when its
-// words actually changed. Rows outside the cone are untouched, so the
-// result is bit-identical to a full rebuild (locked by
-// TestIncrementalGuideMatchesRebuild and FuzzIncrementalGuide; soundness
+// final before a row is recomputed — re-deriving each dirty row with the
+// rebuild's row kernel (guideRow) and waking a row's predecessors
+// (reverse CSR) only when its words actually changed. Rows outside the
+// cone are untouched, so the result is bit-identical to a full rebuild
+// (locked by TestIncrementalGuideMatchesRebuild and FuzzIncrementalGuide,
+// which check both against a full-width reference; soundness
 // argument in DESIGN.md §2.13).
 //
 // The lists may safely over-approximate (extra entries recompute to
@@ -542,6 +563,7 @@ func (se *ShardedEngine) MasksChangedDiff(vertices, edges []int32) {
 		se.rebuildGuide()
 		return
 	}
+	se.stats.GuideRefreshes++
 	wl := se.guideWl
 	wl.Begin()
 	for _, e := range edges {
@@ -550,48 +572,15 @@ func (se *ShardedEngine) MasksChangedDiff(vertices, edges []int32) {
 	for _, v := range vertices {
 		wl.Push(v)
 	}
-	groups := se.guideGroups
-	start, _, heads := se.g.CSROut()
 	rstart, redges, tails := se.g.CSRIn()
 	outSlotOf := se.g.OutSlot
 	allowed := se.allowed
-	scratch := se.rowScratch[:groups]
 	for v, ok := wl.Next(); ok; v, ok = wl.Next() {
-		// Re-derive v's row from the forward CSR — the same per-vertex
-		// body as rebuildGuide, into scratch so the old row survives for
-		// the change test.
-		clear(scratch)
-		if oi := se.outIdx[v]; oi >= 0 {
-			scratch[int(oi)>>6] |= 1 << (uint(oi) & 63)
-		}
-		for idx := start[v]; idx < start[v+1]; idx++ {
-			c := allowed[idx]
-			w := heads[idx]
-			if c == 0 {
-				wrow := se.reachOut[int(w)*groups : int(w)*groups+groups]
-				for g := range scratch {
-					scratch[g] |= wrow[g]
-				}
-			} else if c == graph.AdjTerminal {
-				if oi := se.outIdx[w]; oi >= 0 {
-					scratch[int(oi)>>6] |= 1 << (uint(oi) & 63)
-				}
-			}
-		}
-		row := se.reachOut[int(v)*groups : int(v)*groups+groups]
-		changed := false
-		for g := range scratch {
-			if row[g] != scratch[g] {
-				changed = true
-				break
-			}
-		}
-		if !changed {
+		if !se.guideRow(v) {
 			// Early-out: predecessors read exactly these words, so the
 			// cone is pruned here.
 			continue
 		}
-		copy(row, scratch)
 		// Wake the predecessors that read v's row: tails of currently
 		// open (c == 0) slots into v. Blocked slots contribute nothing,
 		// and terminal slots read only v's static output bit — and any
@@ -1249,35 +1238,36 @@ func (se *ShardedEngine) retirePath(p []int32) {
 }
 
 // rebuildGuide recomputes the per-epoch output-reachability words from the
-// current traversal bytes: one pass over vertices in reverse level order
-// (graph.Levels; plain descending IDs on level-sorted graphs), OR-ing
-// successor words through allowed slots, with AdjTerminal slots
-// contributing the head's output bit. O(E·groups) word operations.
+// current traversal bytes: one guideRow pass over vertices in reverse
+// level order (graph.Levels; plain descending IDs on level-sorted graphs).
+// O(E·span) word operations, where span is a row's static width.
 func (se *ShardedEngine) rebuildGuide() {
 	nOut := len(se.g.Outputs())
 	groups := (nOut + 63) >> 6
 	// se.allowed == nil means the masks were detached (an owner released
 	// its arena-backed slices); there is nothing to derive a guide from.
-	if se.lv == nil || nOut == 0 || groups > se.guideLimit || se.allowed == nil {
+	if se.lv == nil || nOut == 0 || groups > se.guideLimit || se.allowed == nil ||
+		(groups > 1 && se.spans == nil) {
 		se.reachOut = nil
 		se.guideGroups = 0
 		return
 	}
 	n := se.g.NumVertices()
+	// Reused words need no clearing: guideRow rewrites every row over its
+	// span, and the words outside a span are zero from the allocation on,
+	// since no row ever writes them.
 	if cap(se.reachOut) < n*groups {
 		//ftlint:ignore hotpath first-build fallback: steady-state epochs reuse the guide's capacity
 		se.reachOut = make([]uint64, n*groups)
 	} else {
 		se.reachOut = se.reachOut[:n*groups]
-		clear(se.reachOut)
 	}
 	se.guideGroups = groups
 	if cap(se.rowScratch) < groups {
 		//ftlint:ignore hotpath first-build fallback: steady-state epochs reuse the row scratch's capacity
 		se.rowScratch = make([]uint64, groups)
 	}
-	start, _, heads := se.g.CSROut()
-	allowed := se.allowed
+	se.stats.GuideRebuilds++
 	order := se.lv.Order()
 	// Reverse level order: every successor (strictly higher level, hence a
 	// later position) is finalized before v's row reads it.
@@ -1286,25 +1276,84 @@ func (se *ShardedEngine) rebuildGuide() {
 		if order != nil {
 			v = order[p]
 		}
-		row := se.reachOut[int(v)*groups : int(v)*groups+groups]
-		if oi := se.outIdx[v]; oi >= 0 {
-			row[int(oi)>>6] |= 1 << (uint(oi) & 63)
+		se.guideRow(v)
+	}
+}
+
+// guideRow is the row kernel of both guide paths (rebuildGuide and
+// MasksChangedDiff): it re-derives v's row from v's own output bit and its
+// successors' current rows — OR-ing successor rows through open slots,
+// with AdjTerminal slots contributing the head's output bit — stores it,
+// and reports whether any word changed. Every successor's row must be
+// final. One-word rows (≤64 outputs, where row v is word v) take a scalar
+// body. Wider rows touch only the words of v's static span
+// (graph.OutputSpans): a row's words outside its vertex's span are zero
+// under every mask, and a successor's span nests inside v's, so reading
+// each successor over v's span reads every bit it holds.
+func (se *ShardedEngine) guideRow(v int32) bool {
+	start, _, heads := se.g.CSROut()
+	allowed, outIdx, guide := se.allowed, se.outIdx, se.reachOut
+	se.stats.GuideRowsRecomputed++
+	if se.guideGroups == 1 {
+		se.stats.GuideWordsRecomputed++
+		var word uint64
+		if oi := outIdx[v]; oi >= 0 {
+			word = 1 << (uint(oi) & 63)
 		}
 		for idx := start[v]; idx < start[v+1]; idx++ {
-			c := allowed[idx]
-			w := heads[idx]
-			if c == 0 {
-				wrow := se.reachOut[int(w)*groups : int(w)*groups+groups]
-				for g := range row {
-					row[g] |= wrow[g]
-				}
+			if c := allowed[idx]; c == 0 {
+				word |= guide[heads[idx]]
 			} else if c == graph.AdjTerminal {
-				if oi := se.outIdx[w]; oi >= 0 {
-					row[int(oi)>>6] |= 1 << (uint(oi) & 63)
+				if oi := outIdx[heads[idx]]; oi >= 0 {
+					word |= 1 << (uint(oi) & 63)
 				}
 			}
 		}
+		if guide[v] == word {
+			return false
+		}
+		guide[v] = word
+		se.stats.GuideRowsChanged++
+		return true
 	}
+	groups := se.guideGroups
+	sp := se.spans[v]
+	lo := int(sp.Lo)
+	width := int(sp.Hi) - lo
+	se.stats.GuideWordsRecomputed += int64(width)
+	if width == 0 {
+		return false
+	}
+	// Build into scratch so the old row survives for the change test.
+	scratch := se.rowScratch[:width]
+	clear(scratch)
+	if oi := outIdx[v]; oi >= 0 {
+		scratch[int(oi)>>6-lo] |= 1 << (uint(oi) & 63)
+	}
+	for idx := start[v]; idx < start[v+1]; idx++ {
+		c := allowed[idx]
+		w := heads[idx]
+		if c == 0 {
+			base := int(w)*groups + lo
+			for k, x := range guide[base : base+width] {
+				scratch[k] |= x
+			}
+		} else if c == graph.AdjTerminal {
+			if oi := outIdx[w]; oi >= 0 {
+				scratch[int(oi)>>6-lo] |= 1 << (uint(oi) & 63)
+			}
+		}
+	}
+	base := int(v)*groups + lo
+	row := guide[base : base+width]
+	for k, x := range scratch {
+		if row[k] != x {
+			copy(row, scratch)
+			se.stats.GuideRowsChanged++
+			return true
+		}
+	}
+	return false
 }
 
 // VerifyState checks that the claim array is exactly the union of the
