@@ -3,7 +3,7 @@
 GO ?= go
 
 .PHONY: build test race lint ftlint bench experiments experiments-full \
-	fuzz-smoke bench-ci bench-baseline bench-check ftserve-smoke
+	fuzz-smoke bench-ci bench-baseline bench-check ftserve-smoke cli-smoke
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,43 @@ ftserve-smoke:
 	cmp ftserve-a.out ftserve-b.out || { echo "ftserve report not deterministic"; exit 1; }; \
 	rm -f ftserve-a.out ftserve-b.out; \
 	echo "ftserve smoke: deterministic"
+
+# CLI input-validation smoke: every invocation below is a bad flag value
+# that must exit 1 with a message on stderr. A panic (exit 2) or a run
+# that never ends (timeout's 124) fails the target. ftsim and ftroute have
+# no tests of their own, so this is their gate. CI runs this in the test
+# job.
+CLI_BAD := \
+	"ftserve -rate NaN" \
+	"ftserve -rate +Inf" \
+	"ftserve -arrival mmpp -rate +Inf" \
+	"ftserve -hold NaN" \
+	"ftserve -hold +Inf" \
+	"ftserve -duration NaN" \
+	"ftserve -duration +Inf" \
+	"ftserve -arrival diurnal -duration NaN" \
+	"ftserve -pattern hotspot -hotfrac NaN" \
+	"ftserve -report NaN" \
+	"ftserve -report +Inf" \
+	"ftsim -nu 1 -trials -3" \
+	"ftsim -trials 0" \
+	"ftsim -kind benes -k 3 -trials -2" \
+	"ftsim -churn -5" \
+	"ftroute -ops -5"
+
+cli-smoke:
+	@set -e; bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
+	for c in ftserve ftsim ftroute; do $(GO) build -o "$$bin/$$c" ./cmd/$$c; done; \
+	bad=0; \
+	for inv in $(CLI_BAD); do \
+		st=0; timeout 20 "$$bin"/$$inv > /dev/null 2> "$$bin/stderr" || st=$$?; \
+		if [ $$st -ne 1 ] || [ ! -s "$$bin/stderr" ]; then \
+			echo "FAIL: $$inv exited $$st (want 1 with a message on stderr)"; \
+			cat "$$bin/stderr"; bad=1; \
+		fi; \
+	done; \
+	[ $$bad -eq 0 ]; \
+	echo "cli smoke: every bad invocation exits 1 with a message"
 
 # --- fuzz smoke -------------------------------------------------------------
 # Single source of truth for the fuzz-smoke set: CI invokes this target, so

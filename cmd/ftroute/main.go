@@ -33,6 +33,9 @@ func main() {
 	if err := fault.Symmetric(*eps).Validate(); err != nil {
 		die(fmt.Errorf("-eps %g: %w", *eps, err))
 	}
+	if *ops < 0 {
+		die(fmt.Errorf("-ops must be >= 0, got %d", *ops))
+	}
 	if *concurrent && *workers < 1 {
 		die(fmt.Errorf("-workers must be >= 1, got %d", *workers))
 	}

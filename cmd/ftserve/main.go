@@ -163,7 +163,7 @@ func buildSource(c config, nw *core.Network) (*netsim.TrafficSource, error) {
 		if n := len(nw.Outputs()); c.hotCount < 1 || c.hotCount > n {
 			return nil, fmt.Errorf("-hotcount must be in [1, %d], got %d", n, c.hotCount)
 		}
-		if c.hotFrac < 0 || c.hotFrac > 1 {
+		if !(c.hotFrac >= 0 && c.hotFrac <= 1) {
 			return nil, fmt.Errorf("-hotfrac must be in [0, 1], got %g", c.hotFrac)
 		}
 		pat = netsim.NewHotspotPattern(nw.Inputs(), nw.Outputs(), c.hotCount, c.hotFrac)
@@ -186,8 +186,15 @@ func writeWindow(w io.Writer, t float64, s *stats.SLO) {
 // run executes one serving session and returns the deterministic report
 // plus the total event count (for the stderr wall-clock summary).
 func run(c config) (string, int64, error) {
-	if c.hold <= 0 || c.rate <= 0 {
-		return "", 0, fmt.Errorf("rate %g and hold %g must be positive", c.rate, c.hold)
+	// Comparisons alone would let NaN through, and an infinite rate never
+	// advances virtual time. The horizon is checked here, ahead of
+	// netsim.Serve's own check, because the diurnal period derives from it
+	// while the source is built.
+	if !(c.rate > 0 && c.hold > 0) || math.IsInf(c.rate, 1) || math.IsInf(c.hold, 1) {
+		return "", 0, fmt.Errorf("-rate %g and -hold %g must be finite and positive", c.rate, c.hold)
+	}
+	if !(c.duration >= 0) || math.IsInf(c.duration, 1) {
+		return "", 0, fmt.Errorf("-duration %g must be finite and >= 0", c.duration)
 	}
 	if err := fault.Symmetric(c.eps).Validate(); err != nil {
 		return "", 0, fmt.Errorf("-eps %g: %w", c.eps, err)

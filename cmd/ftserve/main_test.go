@@ -63,7 +63,8 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 // TestRunRejectsBadFlags: unknown enum values and degenerate traffic
-// parameters error out instead of serving nonsense.
+// parameters error out instead of serving nonsense, panicking or serving
+// forever (NaN and infinite rates, holds, horizons and report intervals).
 func TestRunRejectsBadFlags(t *testing.T) {
 	bad := []func(*config){
 		func(c *config) { c.engine = "quantum" },
@@ -81,6 +82,17 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		func(c *config) { c.eps = -0.1 },
 		func(c *config) { c.eps = 0.6 },
 		func(c *config) { c.eps = math.NaN() },
+		func(c *config) { c.rate = math.NaN() },
+		func(c *config) { c.rate = math.Inf(1) },
+		func(c *config) { c.arrival = "mmpp"; c.rate = math.Inf(1) },
+		func(c *config) { c.hold = math.NaN() },
+		func(c *config) { c.hold = math.Inf(1) },
+		func(c *config) { c.duration = math.NaN() },
+		func(c *config) { c.duration = math.Inf(1) },
+		func(c *config) { c.arrival = "diurnal"; c.duration = math.NaN() },
+		func(c *config) { c.pattern = "hotspot"; c.hotFrac = math.NaN() },
+		func(c *config) { c.report = math.NaN() },
+		func(c *config) { c.report = math.Inf(1) },
 	}
 	for i, tweak := range bad {
 		c := baseConfig()

@@ -42,6 +42,12 @@ func main() {
 	if *workers < 0 {
 		die(fmt.Errorf("-workers must be >= 0, got %d", *workers))
 	}
+	if *trials < 1 {
+		die(fmt.Errorf("-trials must be >= 1, got %d", *trials))
+	}
+	if *churn < 0 {
+		die(fmt.Errorf("-churn must be >= 0, got %d", *churn))
+	}
 
 	var epss []float64
 	for _, s := range strings.Split(*epsList, ",") {

@@ -107,7 +107,8 @@ func (bi *BatchInjector) AppliedFailures() ([]int32, []State) {
 
 // FillStream draws the failure lists for trials first..first+n-1, trial
 // first+j from the pure per-index stream rng.Stream(seed, first+j) — the
-// seeding used by the montecarlo harness.
+// seeding used by the montecarlo harness. It panics if n < 0, which is
+// always a caller bug.
 func (bi *BatchInjector) FillStream(m Model, seed, first uint64, n int) {
 	bi.beginFill(m, n)
 	for j := 0; j < n; j++ {
@@ -128,6 +129,9 @@ func (bi *BatchInjector) FillSeq(m Model, seedBase, first uint64, n int) {
 }
 
 func (bi *BatchInjector) beginFill(m Model, n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("fault: BatchInjector fill of a negative trial count %d", n))
+	}
 	if bi.next != bi.Len() {
 		panic(fmt.Sprintf("fault: BatchInjector refilled with %d unapplied trials", bi.Remaining()))
 	}

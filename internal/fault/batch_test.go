@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"ftcsn/internal/graph"
@@ -248,5 +249,27 @@ func TestBatchApplyAllocFree(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Fatalf("batched injection allocates %.2f allocs/block in steady state, want 0", avg)
+	}
+}
+
+// TestBatchFillRejectsNegativeCount: a negative trial count is a caller
+// bug, so both fills panic with a message naming the count rather than
+// with a slice-bounds error from deep inside the block tables.
+func TestBatchFillRejectsNegativeCount(t *testing.T) {
+	g := bigEdgeGraph(64)
+	fills := map[string]func(*BatchInjector){
+		"FillStream": func(bi *BatchInjector) { bi.FillStream(Symmetric(0.01), 1, 0, -3) },
+		"FillSeq":    func(bi *BatchInjector) { bi.FillSeq(Symmetric(0.01), 1, 0, -3) },
+	}
+	for name, fill := range fills {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "negative trial count -3") {
+					t.Fatalf("panic %q, want one naming the negative count", msg)
+				}
+			}()
+			fill(NewBatchInjector(g))
+		})
 	}
 }

@@ -20,7 +20,7 @@ const DefaultMaxBatch = 64
 type ServeConfig struct {
 	// Horizon stops the run at this virtual time: arrivals after it are
 	// discarded and only departures due by it are drained. Zero means
-	// unbounded (MaxArrivals must then be set).
+	// unbounded (MaxArrivals must then be set); it must be finite.
 	Horizon float64
 	// MaxArrivals stops the run after ingesting this many arrivals.
 	// Zero means unbounded (Horizon must then be set). When the stream
@@ -30,7 +30,8 @@ type ServeConfig struct {
 	MaxBatch int
 	// ReportEvery, when positive with OnReport set, invokes OnReport at
 	// every multiple of this virtual-time interval (between batches, so
-	// a report boundary never splits a batch).
+	// a report boundary never splits a batch). Zero turns reports off; it
+	// must be finite.
 	ReportEvery float64
 	// OnReport receives the boundary's virtual time and the live SLO;
 	// callers typically take slo.Window() and print it.
@@ -89,8 +90,14 @@ func (l *Loop) Serve(eng route.Engine, src Source, cfg ServeConfig, slo *stats.S
 	if eng == nil || src == nil || slo == nil {
 		return errors.New("netsim: Serve with nil engine, source, or slo")
 	}
-	if cfg.Horizon < 0 || cfg.MaxArrivals < 0 || cfg.MaxBatch < 0 || cfg.ReportEvery < 0 {
+	if cfg.MaxArrivals < 0 || cfg.MaxBatch < 0 {
 		return errors.New("netsim: ServeConfig with negative field")
+	}
+	// NaN slips past a < 0 test, and an infinite horizon or report
+	// interval never ends the run; zero is the way to say unbounded or off.
+	if !finiteNonNeg(cfg.Horizon) || !finiteNonNeg(cfg.ReportEvery) {
+		return fmt.Errorf("netsim: ServeConfig Horizon %v and ReportEvery %v must be finite and >= 0",
+			cfg.Horizon, cfg.ReportEvery)
 	}
 	if cfg.Horizon == 0 && cfg.MaxArrivals == 0 {
 		return errors.New("netsim: ServeConfig needs Horizon or MaxArrivals")
@@ -115,6 +122,10 @@ func (l *Loop) Serve(eng route.Engine, src Source, cfg ServeConfig, slo *stats.S
 	l.run(eng, src, horizon, maxArr, maxBatch, cfg.ReportEvery, cfg.OnReport, slo)
 	return nil
 }
+
+// finiteNonNeg reports whether x is a finite, non-negative number (false
+// for NaN).
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // Serve runs one open-loop session with a fresh Loop; see Loop.Serve.
 func Serve(eng route.Engine, src Source, cfg ServeConfig, slo *stats.SLO) error {

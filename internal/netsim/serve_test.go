@@ -1,6 +1,7 @@
 package netsim_test
 
 import (
+	"math"
 	"testing"
 
 	"ftcsn/internal/core"
@@ -218,6 +219,33 @@ func TestServeConfigValidation(t *testing.T) {
 	}
 	if err := netsim.Serve(rt, src, netsim.ServeConfig{Horizon: -1, MaxArrivals: 5}, &slo); err == nil {
 		t.Fatal("negative horizon accepted")
+	}
+}
+
+// TestServeConfigRejectsNonFinite: NaN passes a < 0 test and an infinite
+// horizon or report interval never ends the run, so Serve refuses every
+// non-finite Horizon and ReportEvery up front, whether or not MaxArrivals
+// would bound the run.
+func TestServeConfigRejectsNonFinite(t *testing.T) {
+	nw, err := core.Build(core.Params{Nu: 1, Gamma: 0, M: 4, DQ: 2, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := route.NewRouter(nw.G)
+	src := openLoopSource(nw, 1, 1.0)
+	var slo stats.SLO
+	onReport := func(float64, *stats.SLO) {}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, cfg := range []netsim.ServeConfig{
+			{Horizon: x},
+			{Horizon: x, MaxArrivals: 5},
+			{Horizon: 10, ReportEvery: x, OnReport: onReport},
+			{MaxArrivals: 5, ReportEvery: x},
+		} {
+			if err := netsim.Serve(rt, src, cfg, &slo); err == nil {
+				t.Fatalf("config %+v accepted", cfg)
+			}
+		}
 	}
 }
 

@@ -126,10 +126,12 @@ type Poisson struct {
 }
 
 // NewPoisson builds a Poisson process with the given arrival rate
-// (events per unit virtual time). Panics unless rate > 0.
+// (events per unit virtual time). Panics unless rate is finite and > 0:
+// an infinite rate draws only zero gaps, so virtual time would never
+// advance.
 func NewPoisson(rate float64) Poisson {
-	if !(rate > 0) {
-		panic(fmt.Sprintf("netsim: NewPoisson rate %v, want > 0", rate))
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		panic(fmt.Sprintf("netsim: NewPoisson rate %v, want finite and > 0", rate))
 	}
 	return Poisson{rate: rate}
 }
@@ -357,7 +359,7 @@ func NewHotspotPattern(inputs, outputs []int32, hotCount int, hotFrac float64) *
 	if hotCount <= 0 || hotCount > len(outputs) {
 		panic(fmt.Sprintf("netsim: NewHotspotPattern hotCount %d, want in [1, %d]", hotCount, len(outputs)))
 	}
-	if hotFrac < 0 || hotFrac > 1 {
+	if !(hotFrac >= 0 && hotFrac <= 1) {
 		panic(fmt.Sprintf("netsim: NewHotspotPattern hotFrac %v, want in [0, 1]", hotFrac))
 	}
 	p := &HotspotPattern{ins: make([]int32, len(inputs)), outs: make([]int32, len(outputs)), hotCount: hotCount, hotFrac: hotFrac}

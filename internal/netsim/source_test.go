@@ -191,6 +191,8 @@ func TestSourceConstructorValidation(t *testing.T) {
 	cases := map[string]func(){
 		"nil-component":      func() { netsim.NewTrafficSource(1, nil, netsim.NewExpHolding(1), netsim.NewUniformPattern(ins, outs)) },
 		"poisson-rate":       func() { netsim.NewPoisson(0) },
+		"poisson-rate-nan":   func() { netsim.NewPoisson(math.NaN()) },
+		"poisson-rate-inf":   func() { netsim.NewPoisson(math.Inf(1)) },
 		"mmpp-rates":         func() { netsim.NewMMPP(0, 0, 1, 1) },
 		"mmpp-sojourn":       func() { netsim.NewMMPP(1, 2, 0, 1) },
 		"diurnal-depth":      func() { netsim.NewDiurnal(1, 1.5, 10) },
@@ -200,6 +202,7 @@ func TestSourceConstructorValidation(t *testing.T) {
 		"uniform-empty":      func() { netsim.NewUniformPattern(nil, outs) },
 		"hotspot-count":      func() { netsim.NewHotspotPattern(ins, outs, len(outs)+1, 0.5) },
 		"hotspot-frac":       func() { netsim.NewHotspotPattern(ins, outs, 1, 1.5) },
+		"hotspot-frac-nan":   func() { netsim.NewHotspotPattern(ins, outs, 1, math.NaN()) },
 		"permutation-excess": func() { netsim.NewPermutationPattern(outs, ins[:1]) },
 	}
 	for name, fn := range cases {

@@ -56,10 +56,12 @@ type Router struct {
 	allowed      []uint8
 	allowedOwned []uint8
 
-	// BFS scratch, epoch-stamped to avoid clearing per request.
+	// BFS scratch, epoch-stamped to avoid clearing per request. pred[w]
+	// is the vertex whose slot discovered w, so a found path is rebuilt
+	// from this array alone.
 	seenEpoch []uint32
 	epoch     uint32
-	prevEdge  []int32
+	pred      []int32
 	queue     []int32
 	rev       []int32 // path-reconstruction scratch
 
@@ -113,7 +115,7 @@ func newRouterIn(g *graph.Graph, vertexOK, edgeOK []bool, a *arena.Arena) *Route
 		busy:      a.Bools(n),
 		circuits:  make(map[int64][]int32),
 		seenEpoch: a.U32(n),
-		prevEdge:  a.I32(n),
+		pred:      a.I32(n),
 		queue:     a.I32(256)[:0],
 	}
 	rt.allowedOwned = g.BuildOutAllowed(edgeOK, vertexOK, a.Bytes(g.NumEdges()))
@@ -205,15 +207,17 @@ func (rt *Router) Connect(in, out int32) ([]int32, error) {
 	// same length, so path-length statistics are search-order independent.
 	// The hot loop reads one byte per CSR slot (graph.AdjBlocked /
 	// AdjTerminal) in place of the usable-switch, usable-head and
-	// terminal-head lookups, with heads read sequentially.
-	start, edges, heads := rt.g.CSROut()
+	// terminal-head lookups, with heads read sequentially. Discovery
+	// records the expanded vertex as the new vertex's predecessor, so the
+	// hunt never reads the CSR edge IDs or the edge-tail table.
+	start, _, heads := rt.g.CSROut()
 	allowed := rt.allowed
-	seen, busy, epoch := rt.seenEpoch, rt.busy, rt.epoch
+	seen, busy, pred, epoch := rt.seenEpoch, rt.busy, rt.pred, rt.epoch
 	// Levels-aware pruning: every edge steps to a strictly higher level
 	// (graph.Levels), so a non-output vertex at level(out) or above can
 	// reach only vertices above level(out) — never out. Skipping such a
 	// vertex is exact: neither it nor anything in its (entirely prunable)
-	// descent cone can discover out, so the pop order and prevEdge chain
+	// descent cone can discover out, so the pop order and predecessor
 	// of every surviving vertex — hence decisions AND paths — are
 	// bit-identical to the unpruned hunt. On networks whose outputs all
 	// sit on the last level the cut is vacuous; it pays on families with
@@ -240,7 +244,7 @@ func (rt *Router) Connect(in, out int32) ([]int32, error) {
 				continue
 			}
 			seen[w] = epoch
-			rt.prevEdge[w] = edges[idx]
+			pred[w] = v
 			if w == out {
 				found = true
 				break
@@ -251,14 +255,15 @@ func (rt *Router) Connect(in, out int32) ([]int32, error) {
 	if !found {
 		return nil, ErrNoPath
 	}
-	// Reconstruct and claim the path.
+	// Reconstruct the path from the predecessors just written, and claim
+	// it.
 	rt.rev = rt.rev[:0]
 	for v := out; ; {
 		rt.rev = append(rt.rev, v)
 		if v == in {
 			break
 		}
-		v = rt.g.EdgeFrom(rt.prevEdge[v])
+		v = pred[v]
 	}
 	path := rt.newPath(len(rt.rev))
 	for i, v := range rt.rev {

@@ -158,13 +158,15 @@ const (
 )
 
 // probeScratch is one worker's depth-first search state: epoch-stamped
-// visited marks, a reconstruction buffer, and an arena that speculative
-// paths and probe traces are appended into so a whole batch of probes
-// allocates nothing in steady state.
+// visited marks, each discovered vertex's predecessor (the vertex whose
+// slot discovered it, from which the found path is rebuilt), a
+// reconstruction buffer, and an arena that speculative paths and probe
+// traces are appended into so a whole batch of probes allocates nothing
+// in steady state.
 type probeScratch struct {
 	seenEpoch []uint32
 	epoch     uint32
-	prevEdge  []int32
+	pred      []int32
 	stack     []int32
 	rev       []int32
 	arena     []int32 // paths + visit traces; views stay valid across growth
@@ -378,7 +380,7 @@ func (se *ShardedEngine) newProbeScratch() probeScratch {
 	n := se.g.NumVertices()
 	return probeScratch{
 		seenEpoch: make([]uint32, n),
-		prevEdge:  make([]int32, n),
+		pred:      make([]int32, n),
 		stack:     make([]int32, 0, 256),
 	}
 }
@@ -1120,7 +1122,7 @@ func (se *ShardedEngine) probeInto(sc *probeScratch, in, out int32, record bool)
 		clear(sc.seenEpoch)
 		sc.epoch = 1
 	}
-	start, edges, heads := se.g.CSROut()
+	start, _, heads := se.g.CSROut()
 	allowed := se.allowed
 	guide := se.reachOut
 	groups := se.guideGroups
@@ -1145,18 +1147,18 @@ func (se *ShardedEngine) probeInto(sc *probeScratch, in, out int32, record bool)
 		lvl = se.lv.PerVertex()
 		outLvl = lvl[out]
 	}
-	seen, epoch := sc.seenEpoch, sc.epoch
+	seen, pred, epoch := sc.seenEpoch, sc.pred, sc.epoch
 	seen[in] = epoch
 	sc.stack = append(sc.stack[:0], in)
 	// The recorded trace holds every vertex the search EXPANDED (popped and
 	// slot-scanned), plus the endpoints. That set suffices for the commit
 	// phase's step-identity argument: a vertex that was merely discovered
 	// and stamped, but never popped before the path completed, influences
-	// neither which vertices get expanded nor the prevEdge chain of the
-	// found path — a later claim on it leaves a live re-run of this search
-	// identical. (A claim on a discovered-only vertex makes the live search
-	// skip it at discovery; since it never reached the stack top, the pop
-	// sequence and the found path are unchanged.)
+	// neither which vertices get expanded nor the predecessor chain of
+	// the found path — a later claim on it leaves a live re-run of this
+	// search identical. (A claim on a discovered-only vertex makes the
+	// live search skip it at discovery; since it never reached the stack
+	// top, the pop sequence and the found path are unchanged.)
 	sc.rev = sc.rev[:0]
 	found := false
 	for len(sc.stack) > 0 && !found {
@@ -1181,7 +1183,7 @@ func (se *ShardedEngine) probeInto(sc *probeScratch, in, out int32, record bool)
 				continue
 			}
 			seen[w] = epoch
-			sc.prevEdge[w] = edges[idx]
+			pred[w] = v
 			if w == out {
 				found = true
 				break
@@ -1197,14 +1199,17 @@ func (se *ShardedEngine) probeInto(sc *probeScratch, in, out int32, record bool)
 	}
 	// Lay out [path][trace] contiguously in the arena; both views stay
 	// valid because later appends only write past them (or reallocate).
-	// The stack is free after the search, so it holds the reversed path.
+	// The stack is free after the search, so it holds the reversed path,
+	// walked back through the predecessors the search just wrote rather
+	// than through the edge-tail table, which on a large network costs one
+	// serial cache miss per hop.
 	sc.stack = sc.stack[:0]
 	for v := out; ; {
 		sc.stack = append(sc.stack, v)
 		if v == in {
 			break
 		}
-		v = se.g.EdgeFrom(sc.prevEdge[v])
+		v = pred[v]
 	}
 	base := len(sc.arena)
 	for i := len(sc.stack) - 1; i >= 0; i-- {
@@ -1358,15 +1363,23 @@ func (se *ShardedEngine) guideRow(v int32) bool {
 
 // VerifyState checks that the claim array is exactly the union of the
 // committed circuits' vertices and that those circuits are vertex-disjoint
-// valid paths — the engine's analogue of Router.VerifyInvariants. Used by
-// tests and the stress harness.
+// paths the current masks admit: both endpoints usable, and every hop
+// through a CSR slot whose traversal byte admits it toward the circuit's
+// output (graph.SlotAdmits) — the engine's analogue of
+// Router.VerifyInvariants. A mask edit that blocks a live circuit's hop
+// therefore fails it until the circuit is released. Used by tests and the
+// stress harness.
 func (se *ShardedEngine) VerifyState() error {
+	start, _, heads := se.g.CSROut()
 	owner := make(map[int32]int32, len(se.circ.ins)*8)
 	for _, in := range se.circ.ins {
 		path := se.circ.path[in]
 		out := se.circ.out[in]
 		if len(path) < 2 || path[0] != in || path[len(path)-1] != out {
 			return fmt.Errorf("route: malformed committed path for (%d,%d)", in, out)
+		}
+		if !se.usableVertex(in) || !se.usableVertex(out) {
+			return fmt.Errorf("route: committed circuit (%d,%d) has an unusable endpoint", in, out)
 		}
 		for i, v := range path {
 			if prev, dup := owner[v]; dup {
@@ -1376,17 +1389,15 @@ func (se *ShardedEngine) VerifyState() error {
 			if !se.claimed(v) {
 				return fmt.Errorf("route: committed path vertex %d not claimed", v)
 			}
-			if i > 0 {
-				ok := false
-				for _, e := range se.g.OutEdges(path[i-1]) {
-					if se.g.EdgeTo(e) == v {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					return fmt.Errorf("route: no switch %d->%d on committed path", path[i-1], v)
-				}
+			if i == 0 {
+				continue
+			}
+			u, ok := path[i-1], false
+			for idx := start[u]; idx < start[u+1] && !ok; idx++ {
+				ok = heads[idx] == v && graph.SlotAdmits(se.allowed[idx], v, out)
+			}
+			if !ok {
+				return fmt.Errorf("route: no admitting slot %d->%d on committed path to %d", u, v, out)
 			}
 		}
 	}

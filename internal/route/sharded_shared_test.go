@@ -114,3 +114,69 @@ func TestShardedSharedMasksTrackUpdates(t *testing.T) {
 		t.Fatalf("restored path %v does not return through vertex %d", res[0].Path, victim)
 	}
 }
+
+// TestVerifyStateFlagsBlockedLiveCircuit: VerifyState checks each
+// committed hop against the current traversal bytes, not just the
+// topology. Failing a switch on a live circuit's path through the shared
+// masks (Apply, with no Reset) leaves the circuit crossing blocked slots,
+// which VerifyState must report; releasing it restores the invariant. A
+// live circuit whose endpoint the shared vertex mask drops fails it too.
+func TestVerifyStateFlagsBlockedLiveCircuit(t *testing.T) {
+	nw := buildNet(t, 1)
+	inst := fault.NewInstance(nw.G)
+	mu := core.NewMaskUpdater(nw.G)
+	var m core.Masks
+	mu.Init(inst, &m)
+
+	se := route.NewShardedEngine(nw.G, 1)
+	se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
+	reqs := []route.Request{{In: nw.Inputs()[0], Out: nw.Outputs()[0]}}
+	connect := func() []int32 {
+		t.Helper()
+		path := se.ConnectBatch(reqs, nil)[0].Path
+		if path == nil {
+			t.Fatal("connect failed")
+		}
+		if err := se.VerifyState(); err != nil {
+			t.Fatalf("fresh circuit %v: %v", path, err)
+		}
+		return path
+	}
+	path := connect()
+	if len(path) < 4 {
+		t.Fatalf("path %v has no interior switch", path)
+	}
+
+	// Fail the switch between the path's two first interior vertices: the
+	// discard rule drops both, blocking the slots the circuit runs through.
+	u, v := path[1], path[2]
+	e := int32(-1)
+	for _, f := range nw.G.OutEdges(u) {
+		if nw.G.EdgeTo(f) == v {
+			e = f
+			break
+		}
+	}
+	if e < 0 {
+		t.Fatalf("no switch %d->%d", u, v)
+	}
+	diff := []fault.DiffEntry{{Edge: e, Old: inst.Edge[e], New: fault.Open}}
+	inst.SetState(e, fault.Open)
+	se.MasksChangedDiff(mu.ChangedVertices(), mu.Apply(inst, &m, diff))
+	if err := se.VerifyState(); err == nil {
+		t.Fatalf("live circuit %v across failed switch %d->%d passed VerifyState", path, u, v)
+	}
+	se.Reset()
+	if err := se.VerifyState(); err != nil {
+		t.Fatalf("after releasing the severed circuit: %v", err)
+	}
+
+	se.MasksChangedDiff(mu.ChangedVertices(), mu.Revert(inst, &m, diff))
+	path = connect()
+	out := path[len(path)-1]
+	m.VertexOK[out] = false
+	if err := se.VerifyState(); err == nil {
+		t.Fatalf("live circuit %v to unusable output %d passed VerifyState", path, out)
+	}
+	m.VertexOK[out] = true
+}
