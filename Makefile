@@ -113,33 +113,23 @@ fuzz-smoke:
 
 # --- benchmark regression gate ----------------------------------------------
 # The tier-1 gated benchmark set: every hot path with a committed number in
-# BENCH.json. bench-ci measures it (-count=6, folded by min per cpu count
-# in benchdiff), bench-check gates against the committed baseline (>15%
-# ns/op regression at any cpu count, or any allocs/op increase at cpu=1,
-# fails), bench-baseline refreshes the baseline.
+# BENCH.json. bench-ci measures it (-count=6 at -cpu=1, folded by min in
+# benchdiff), bench-check gates against the committed baseline (>15%
+# ns/op regression, or any allocs/op increase, fails), bench-baseline
+# refreshes the baseline.
 
 BENCH_GATED := BenchmarkShardedChurn|BenchmarkShardedChurnParallel|BenchmarkGreedyConnect|BenchmarkEvaluatorBatchTrial|BenchmarkEvaluatorBatchCertTrial|BenchmarkEvaluatorShardedChurnTrial|BenchmarkZooBatchCertTrial|BenchmarkZooShardedChurnTrial|BenchmarkMonteCarloTheorem2Engine|BenchmarkMonteCarloCertificateEngine|BenchmarkPooledE8WitnessSweep|BenchmarkPooledE10CertSweep|BenchmarkWitnessChecks|BenchmarkOpenLoopServe|BenchmarkIncrementalGuideEpoch
-# The multi-core tier: scale-out benchmarks additionally measured at
-# -cpu=$(BENCH_CPUS_MULTI), gated per cpu count on ns/op only (parallel
-# schedules jitter allocation counts; the alloc gate stays -cpu=1-pinned).
-BENCH_GATED_MULTI := BenchmarkShardedChurn|BenchmarkShardedChurnParallel
-BENCH_CPUS_MULTI ?= 4,8
 BENCH_COUNT ?= 6
 BENCH_TIME ?= 0.6s
 
-# -cpu=1 pins the main gated pass to one P: worker-pool benchmarks
-# otherwise allocate (and scale) with GOMAXPROCS, which would make the
-# allocs/op gate depend on the runner's core count instead of the code.
-# The multi-core pass appends cpu-suffixed lines (BenchmarkFoo-4) to the
-# same bench.out; benchdiff keys entries per (benchmark, cpu). No pipe: a
+# -cpu=1 pins the gated pass to one P: worker-pool benchmarks otherwise
+# allocate (and scale) with GOMAXPROCS, which would make the allocs/op
+# gate depend on the runner's core count instead of the code. No pipe: a
 # failed benchmark run must fail the target, not hand benchdiff a
 # truncated file.
 bench-ci:
 	$(GO) test -run=NONE -bench '^($(BENCH_GATED))$$' -count=$(BENCH_COUNT) \
 		-benchtime=$(BENCH_TIME) -benchmem -cpu=1 . > bench.out || \
-		{ cat bench.out; exit 1; }
-	$(GO) test -run=NONE -bench '^($(BENCH_GATED_MULTI))$$' -count=$(BENCH_COUNT) \
-		-benchtime=$(BENCH_TIME) -benchmem -cpu=$(BENCH_CPUS_MULTI) . >> bench.out || \
 		{ cat bench.out; exit 1; }
 	@cat bench.out
 

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	ftroute -nu 2 -eps 0.002 -ops 40 [-concurrent -workers 4]
+//	ftroute -nu 2 -eps 0.002 -ops 40 [-concurrent]
 package main
 
 import (
@@ -27,17 +27,13 @@ func main() {
 	eps := flag.Float64("eps", 0.002, "switch failure rate ε (open = closed = ε)")
 	ops := flag.Int("ops", 40, "churn operations")
 	seed := flag.Uint64("seed", 7, "seed")
-	concurrent := flag.Bool("concurrent", false, "route one permutation batch on the sharded engine instead of churning")
-	workers := flag.Int("workers", 4, "shard count of the -concurrent batch")
+	concurrent := flag.Bool("concurrent", false, "route one permutation batch on the guided engine instead of churning")
 	flag.Parse()
 	if err := fault.Symmetric(*eps).Validate(); err != nil {
 		die(fmt.Errorf("-eps %g: %w", *eps, err))
 	}
 	if *ops < 0 {
 		die(fmt.Errorf("-ops must be >= 0, got %d", *ops))
-	}
-	if *concurrent && *workers < 1 {
-		die(fmt.Errorf("-workers must be >= 1, got %d", *workers))
 	}
 
 	p := core.Params{Nu: *nu, Gamma: 0, M: *m, DQ: *dq, Seed: 1}
@@ -74,7 +70,7 @@ func main() {
 		for i := range reqs {
 			reqs[i] = route.Request{In: nw.Inputs()[i], Out: nw.Outputs()[perm[i]]}
 		}
-		se := route.NewRepairedShardedEngine(inst, *workers)
+		se := route.NewRepairedShardedEngine(inst, 1)
 		results := se.ConnectBatch(reqs, nil)
 		okCount := 0
 		for _, res := range results {
@@ -82,7 +78,7 @@ func main() {
 				okCount++
 			}
 		}
-		fmt.Printf("concurrent batch: %d/%d circuits established with %d shards\n", okCount, n, *workers)
+		fmt.Printf("concurrent batch: %d/%d circuits established\n", okCount, n)
 		if err := se.VerifyState(); err != nil {
 			fmt.Printf("INVARIANT VIOLATION: %v\n", err)
 			os.Exit(1)

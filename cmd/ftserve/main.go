@@ -8,9 +8,9 @@
 // connect latency in events-behind terms.
 //
 // With -engine=sharded the final report adds the engine's own counters:
-// the reject breakdown (busy or unusable endpoint, prefilter sweep, snapshot
-// probe, commit time), prefilter sweeps and policy transitions, and the
-// fast-path/fallback commit split.
+// the reject breakdown (endpoint not a terminal, busy or unusable; no idle
+// path) and the routing guide's maintenance (full rebuilds, incremental
+// refreshes, rows recomputed and changed, lane words recomputed).
 //
 // The report is a pure function of the flags: two runs with the same
 // flags are byte-identical (the CI smoke gate diffs them). The only
@@ -19,7 +19,7 @@
 //
 // Usage:
 //
-//	ftserve -engine=sharded -shards=4 -nu=2 -eps=0.002 -seed=7 \
+//	ftserve -engine=sharded -nu=2 -eps=0.002 -seed=7 \
 //	        -rate=8 -hold=4 -duration=200 -pattern=hotspot -report=50
 package main
 
@@ -42,7 +42,6 @@ import (
 
 type config struct {
 	engine string
-	shards int
 
 	nu        int
 	eps       float64
@@ -66,7 +65,6 @@ func parseFlags(args []string) (config, error) {
 	var c config
 	fs := flag.NewFlagSet("ftserve", flag.ContinueOnError)
 	fs.StringVar(&c.engine, "engine", "sharded", "engine: router|sharded")
-	fs.IntVar(&c.shards, "shards", 4, "shard count (engine=sharded)")
 	fs.IntVar(&c.nu, "nu", 2, "ν (n = 4^ν terminals)")
 	fs.Float64Var(&c.eps, "eps", 0, "switch failure rate ε; > 0 serves on the repaired faulty network")
 	fs.Uint64Var(&c.faultSeed, "faultseed", 1, "fault-draw seed (eps > 0)")
@@ -112,13 +110,10 @@ func buildEngine(c config, nw *core.Network) (route.Engine, error) {
 		rt.EnablePathReuse()
 		return rt, nil
 	case "sharded":
-		if c.shards < 1 {
-			return nil, fmt.Errorf("-shards must be >= 1, got %d", c.shards)
-		}
 		if inst != nil {
-			return route.NewRepairedShardedEngine(inst, c.shards), nil
+			return route.NewRepairedShardedEngine(inst, 1), nil
 		}
-		return route.NewShardedEngine(nw.G, c.shards), nil
+		return route.NewShardedEngine(nw.G, 1), nil
 	default:
 		return nil, fmt.Errorf("unknown engine %q (want router|sharded)", c.engine)
 	}
@@ -213,8 +208,8 @@ func run(c config) (string, int64, error) {
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "ftserve: engine=%s n=%d switches=%d eps=%g\n",
-		c.engine, len(nw.Inputs()), nw.G.NumVertices(), c.eps)
+	fmt.Fprintf(&b, "ftserve: engine=%s n=%d vertices=%d switches=%d eps=%g\n",
+		c.engine, len(nw.Inputs()), nw.G.NumVertices(), nw.G.NumEdges(), c.eps)
 	fmt.Fprintf(&b, "traffic: arrival=%s rate=%g hold=%s mean=%g pattern=%s seed=%#x\n",
 		c.arrival, c.rate, c.holdDist, c.hold, c.pattern, c.seed)
 	fmt.Fprintf(&b, "config: horizon=%g max-arrivals=%d batch=%d report=%g\n",
@@ -245,9 +240,9 @@ func run(c config) (string, int64, error) {
 		es.Batches, es.Requests, es.Accepted, es.Rejected)
 	if se, ok := eng.(*route.ShardedEngine); ok {
 		st := se.ShardedStats()
-		fmt.Fprintf(&b, "sharded: rejects endpoint=%d prefilter=%d probe=%d commit=%d; prefilter sweeps=%d engages=%d disengages=%d; commits fastpath=%d fallbacks=%d\n",
-			st.EndpointRejects, st.PrefilterRejects, st.ProbeRejects, st.CommitRejects,
-			st.PrefilterSweeps, st.PrefilterEngages, st.PrefilterDisengages, st.FastPath, st.Fallbacks)
+		fmt.Fprintf(&b, "sharded: rejects endpoint=%d probe=%d; guide rebuilds=%d refreshes=%d rows=%d changed=%d words=%d\n",
+			st.EndpointRejects, st.ProbeRejects, st.GuideRebuilds, st.GuideRefreshes,
+			st.GuideRowsRecomputed, st.GuideRowsChanged, st.GuideWordsRecomputed)
 	}
 	return b.String(), sn.Offered + sn.Departed, nil
 }

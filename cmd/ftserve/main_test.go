@@ -1,9 +1,12 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"ftcsn/internal/core"
 )
 
 func baseConfig() config {
@@ -20,7 +23,7 @@ func baseConfig() config {
 func TestRunDeterministic(t *testing.T) {
 	cases := map[string]func(*config){
 		"router":       func(c *config) { c.engine = "router" },
-		"sharded":      func(c *config) { c.engine = "sharded"; c.shards = 4 },
+		"sharded":      func(c *config) { c.engine = "sharded" },
 		"faulty":       func(c *config) { c.eps = 0.002 },
 		"mmpp-hotspot": func(c *config) { c.arrival = "mmpp"; c.pattern = "hotspot" },
 		"diurnal-pareto": func(c *config) {
@@ -55,8 +58,20 @@ func TestRunDeterministic(t *testing.T) {
 			if !strings.Contains(r1, "t=") {
 				t.Fatalf("report missing windowed lines:\n%s", r1)
 			}
-			if got := strings.Contains(r1, "\nsharded: "); got != (c.engine == "sharded") {
+			if got := strings.Contains(r1, "\nsharded: rejects endpoint="); got != (c.engine == "sharded") {
 				t.Fatalf("engine=%s: sharded counter line present=%v:\n%s", c.engine, got, r1)
+			}
+			if c.engine == "sharded" &&
+				!(strings.Contains(r1, " probe=") && strings.Contains(r1, "; guide rebuilds=1 refreshes=0 rows=")) {
+				t.Fatalf("sharded counter line lacks the reject or guide counters:\n%s", r1)
+			}
+			nw, err := core.Build(core.DefaultParams(c.nu))
+			if err != nil {
+				t.Fatal(err)
+			}
+			header := fmt.Sprintf(" vertices=%d switches=%d ", nw.G.NumVertices(), nw.G.NumEdges())
+			if !strings.Contains(r1, header) {
+				t.Fatalf("header lacks%q:\n%s", header, r1)
 			}
 		})
 	}
@@ -73,8 +88,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		func(c *config) { c.pattern = "tornado" },
 		func(c *config) { c.rate = 0 },
 		func(c *config) { c.engine = "cas" },
-		func(c *config) { c.shards = 0 },
-		func(c *config) { c.shards = -2 },
 		func(c *config) { c.pattern = "hotspot"; c.hotCount = 0 },
 		func(c *config) { c.pattern = "hotspot"; c.hotCount = 99 },
 		func(c *config) { c.pattern = "hotspot"; c.hotFrac = 1.5 },

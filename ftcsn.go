@@ -25,7 +25,8 @@
 //   - Symmetric / Inject: the random switch failure model;
 //   - NewRouter / NewRepairedRouter: greedy circuit routing (§4), and
 //     NewShardedEngine / NewRepairedShardedEngine: the same decisions and
-//     paths served in sharded batches — the two Engine implementations;
+//     paths, served in batches by a hunt a per-epoch output-reachability
+//     guide prunes — the two Engine implementations;
 //   - Evaluate: the end-to-end Theorem-2 pipeline
 //     (inject → discard repair → majority-access certificate → churn),
 //     which an Evaluator runs as blocks of trials.
@@ -89,10 +90,11 @@ type FaultInstance = fault.Instance
 // Router serves connect/disconnect requests with greedy path-finding.
 type Router = route.Router
 
-// ShardedEngine serves batches of connection requests across shards with
-// sequential-router semantics: accept/reject decisions and established
-// paths are bit-identical to Router processing the batch in order, at any
-// shard count. See internal/route and DESIGN.md §2.7.
+// ShardedEngine serves batches of connection requests in order against
+// live claims, pruning each hunt with a per-epoch output-reachability
+// guide: accept/reject decisions and established paths are bit-identical
+// to Router processing the batch in order. See internal/route and
+// DESIGN.md §2.7.
 type ShardedEngine = route.ShardedEngine
 
 // Engine is the uniform seam over the two path-hunting engines (Router,
@@ -179,19 +181,17 @@ func NewRouter(g *Graph) *Router { return route.NewRouter(g) }
 // by the paper's rule: discard every faulty non-terminal vertex.
 func NewRepairedRouter(inst *FaultInstance) *Router { return route.NewRepairedRouter(inst) }
 
-// NewShardedEngine returns a sharded batch-routing engine over the
-// fault-free network with the given shard count; panics if shards <= 0.
-// Engines with more than one shard lazily start persistent worker
-// goroutines on the first large batch; Close stops them (a finalizer
-// backstops engines that are simply dropped).
-func NewShardedEngine(g *Graph, shards int) *ShardedEngine {
-	return route.NewShardedEngine(g, shards)
+// NewShardedEngine returns the guided batch-routing engine over the
+// fault-free network: the Router's decisions and paths, each hunt pruned
+// by a per-epoch output-reachability guide.
+func NewShardedEngine(g *Graph) *ShardedEngine {
+	return route.NewShardedEngine(g, 1)
 }
 
 // NewRepairedShardedEngine is NewShardedEngine over the network repaired
-// from inst by the paper's discard rule. Panics if shards <= 0.
-func NewRepairedShardedEngine(inst *FaultInstance, shards int) *ShardedEngine {
-	return route.NewRepairedShardedEngine(inst, shards)
+// from inst by the paper's discard rule.
+func NewRepairedShardedEngine(inst *FaultInstance) *ShardedEngine {
+	return route.NewRepairedShardedEngine(inst, 1)
 }
 
 // NewBenes builds the Beneš rearrangeable network on 2^k terminals.

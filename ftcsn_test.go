@@ -167,7 +167,7 @@ func TestEngineSeamFacade(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = RouteRequest{In: nw.Inputs()[i], Out: nw.Outputs()[(i+1)%n]}
 	}
-	engines := []Engine{NewRouter(nw.G), NewShardedEngine(nw.G, 4)}
+	engines := []Engine{NewRouter(nw.G), NewShardedEngine(nw.G)}
 	for ei, eng := range engines {
 		res := eng.ConnectBatch(reqs, nil)
 		st := eng.Stats()
@@ -214,7 +214,7 @@ func TestOpenLoopFacade(t *testing.T) {
 	}
 	inst := Inject(nw.G, Symmetric(0.002), 11)
 	run := func() SLOSnapshot {
-		eng := NewRepairedShardedEngine(inst, 4)
+		eng := NewRepairedShardedEngine(inst)
 		src := NewTrafficSource(0xFACADE,
 			NewMMPP(1.0, 12.0, 40.0, 5.0),
 			NewLognormalHolding(1.0, 0.7),

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -20,11 +21,13 @@ import (
 // carry //ftlint:ignore seamcontract suppressions that double as the
 // reader registry.
 //
-// Rule B — the claim array is written only by audited owners. Any
-// Store/Swap/CompareAndSwap/Add on an element of a slice named "claims"
-// (sync/atomic methods) inside a function not annotated
-// //ftcsn:claimowner is an error: unsanctioned claim writes are exactly
-// how speculate-then-commit engines corrupt disjointness.
+// Rule B — the claim array is written only by audited owners. The claim
+// array is a slice named "owner" (vertex → owning input). Inside a
+// function not annotated //ftcsn:claimowner, any element write to it is
+// an error: an assignment, op-assignment, increment or decrement of
+// owner[v], a clear(owner), or a sync/atomic Store/Swap/CompareAndSwap/Add
+// on owner[v]. Unsanctioned claim writes are exactly how an engine
+// corrupts disjointness.
 var SeamContract = &Analyzer{
 	Name: "seamcontract",
 	Doc:  "forbids direct fault-mask admission reads and unsanctioned claim-array writes in route/core",
@@ -37,6 +40,9 @@ var maskNames = map[string]bool{"vertexok": true, "edgeok": true, "usable": true
 
 // atomicWrites are the sync/atomic methods that mutate.
 var atomicWrites = map[string]bool{"Store": true, "Swap": true, "CompareAndSwap": true, "Add": true}
+
+// claimArray is the name (lowercased) of the slice Rule B guards.
+const claimArray = "owner"
 
 func runSeamContract(pass *Pass) error {
 	for _, f := range pass.Files {
@@ -56,6 +62,13 @@ func runSeamContract(pass *Pass) error {
 				case *ast.AssignStmt:
 					for _, lhs := range n.Lhs {
 						writes[unparen(lhs)] = true
+						if !claimOwner {
+							checkClaimStore(pass, lhs)
+						}
+					}
+				case *ast.IncDecStmt:
+					if !claimOwner {
+						checkClaimStore(pass, n.X)
 					}
 				case *ast.IndexExpr:
 					if !writes[n] {
@@ -102,9 +115,26 @@ func checkMaskRead(pass *Pass, ix *ast.IndexExpr) {
 	}
 }
 
-// checkClaimWrite flags mutating sync/atomic calls on elements of a slice
-// named "claims" outside //ftcsn:claimowner functions.
+// checkClaimStore flags x when it is an element of the claim array, the
+// target of an assignment, op-assignment, increment or decrement outside
+// //ftcsn:claimowner functions.
+func checkClaimStore(pass *Pass, x ast.Expr) {
+	if ix, ok := unparen(x).(*ast.IndexExpr); ok && isClaimArray(pass, ix.X) {
+		pass.Reportf(x.Pos(),
+			"write to the claim array outside a //ftcsn:claimowner function: claim writes go through the claim/release helpers")
+	}
+}
+
+// checkClaimWrite flags, outside //ftcsn:claimowner functions, clear on
+// the claim array and mutating sync/atomic calls on its elements.
 func checkClaimWrite(pass *Pass, call *ast.CallExpr) {
+	if id, ok := unparen(call.Fun).(*ast.Ident); ok && len(call.Args) == 1 {
+		if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "clear" && isClaimArray(pass, call.Args[0]) {
+			pass.Reportf(call.Pos(),
+				"clear of the claim array outside a //ftcsn:claimowner function: claim writes go through the claim/release helpers")
+		}
+		return
+	}
 	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || !atomicWrites[sel.Sel.Name] {
 		return
@@ -114,24 +144,34 @@ func checkClaimWrite(pass *Pass, call *ast.CallExpr) {
 		return
 	}
 	recv := unparen(sel.X)
-	// The receiver is an element of the claim array either as claims[v]
-	// or via a pointer derived from &claims[v].
-	if u, ok := recv.(*ast.UnaryExpr); ok && u.Op.String() == "&" {
+	// The receiver is an element of the claim array either as owner[v]
+	// or via a pointer derived from &owner[v].
+	if u, ok := recv.(*ast.UnaryExpr); ok && u.Op == token.AND {
 		recv = unparen(u.X)
 	}
-	ix, ok := recv.(*ast.IndexExpr)
-	if !ok {
-		return
-	}
-	if strings.ToLower(baseName(ix.X)) == "claims" {
+	if ix, ok := recv.(*ast.IndexExpr); ok && isClaimArray(pass, ix.X) {
 		pass.Reportf(call.Pos(),
-			"%s on the claim array outside a //ftcsn:claimowner function: claim writes go through the commit/release helpers",
+			"%s on the claim array outside a //ftcsn:claimowner function: claim writes go through the claim/release helpers",
 			sel.Sel.Name)
 	}
 }
 
+// isClaimArray reports whether e is a slice named like the claim array
+// (maps and other types of that name are not claims).
+func isClaimArray(pass *Pass, e ast.Expr) bool {
+	if strings.ToLower(baseName(e)) != claimArray {
+		return false
+	}
+	t := pass.TypesInfo.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Slice)
+	return ok
+}
+
 // baseName returns the last identifier of an expression chain:
-// cr.claims → "claims", vertexOK → "vertexOK".
+// se.owner → "owner", vertexOK → "vertexOK".
 func baseName(e ast.Expr) string {
 	switch e := unparen(e).(type) {
 	case *ast.Ident:

@@ -14,7 +14,7 @@ type router struct {
 	vertexOK []bool
 	edgeOK   []bool
 	visited  []bool
-	claims   []atomic.Int32
+	owner    []int32
 	allowed  []uint8
 }
 
@@ -47,23 +47,69 @@ func (r *router) AuditedRead(v int32) bool {
 	return r.vertexOK[v]
 }
 
-func (r *router) BadClaimWrite(v int32) {
-	r.claims[v].Store(1) // want "outside a //ftcsn:claimowner"
+func (r *router) BadOwnerAssign(v, in int32) {
+	r.owner[v] = in // want "write to the claim array outside a //ftcsn:claimowner"
 }
 
-func (r *router) BadClaimCAS(v int32) bool {
-	return r.claims[v].CompareAndSwap(0, 1) // want "outside a //ftcsn:claimowner"
+func (r *router) BadOwnerOpAssign(v int32) {
+	r.owner[v] += 1 // want "write to the claim array outside a //ftcsn:claimowner"
+}
+
+func (r *router) BadOwnerIncDec(v int32) {
+	r.owner[v]++ // want "write to the claim array outside a //ftcsn:claimowner"
+	r.owner[v]-- // want "write to the claim array outside a //ftcsn:claimowner"
+}
+
+func (r *router) BadOwnerClear() {
+	clear(r.owner) // want "clear of the claim array outside a //ftcsn:claimowner"
+}
+
+//ftcsn:claimowner fixture: the sanctioned claim and release helpers
+func (r *router) GoodOwner(path []int32) {
+	for _, v := range path {
+		r.owner[v] = path[0]
+	}
+	r.owner[path[0]]++
+	clear(r.owner)
+}
+
+func (r *router) OwnerRead(v int32) bool {
+	return r.owner[v] >= 0 // reads are free
+}
+
+func (r *router) OwnerSliceSwap(owner []int32) {
+	r.owner = owner // adopting a whole slice writes no element
+}
+
+func LocalOwnerMap(v, in int32) map[int32]int32 {
+	owner := map[int32]int32{}
+	owner[v] = in // a map named owner is not the claim array
+	return owner
+}
+
+// atomicRouter keeps its claim array as atomics: Rule B covers the
+// sync/atomic mutators too.
+type atomicRouter struct {
+	owner []atomic.Int32
+}
+
+func (r *atomicRouter) BadClaimWrite(v int32) {
+	r.owner[v].Store(1) // want "Store on the claim array outside a //ftcsn:claimowner"
+}
+
+func (r *atomicRouter) BadClaimCAS(v int32) bool {
+	return r.owner[v].CompareAndSwap(0, 1) // want "CompareAndSwap on the claim array outside a //ftcsn:claimowner"
 }
 
 //ftcsn:claimowner fixture: the sanctioned claim helper
-func (r *router) GoodClaim(v int32) bool {
-	if !r.claims[v].CompareAndSwap(0, 1) {
+func (r *atomicRouter) GoodClaim(v int32) bool {
+	if !r.owner[v].CompareAndSwap(0, 1) {
 		return false
 	}
-	r.claims[v].Store(1)
+	r.owner[v].Store(1)
 	return true
 }
 
-func (r *router) ClaimRead(v int32) int32 {
-	return r.claims[v].Load() // reads are free: Load is not a mutator
+func (r *atomicRouter) ClaimRead(v int32) int32 {
+	return r.owner[v].Load() // reads are free: Load is not a mutator
 }

@@ -74,7 +74,7 @@ type Evaluator struct {
 
 	// Churn engine seam: the churn phase runs on eng — by default the
 	// evaluator's own sequential router, swappable for any route.Engine
-	// via SetChurnEngine (the sharded engine's guided probes make n=64
+	// via SetChurnEngine (the guided engine's pruned hunts make n=64
 	// trials markedly faster; decisions and paths are bit-identical
 	// either way). eng always shares the evaluator's masks. cd generates
 	// the batch-shaped op stream; engDirty tracks whether the shared
@@ -255,11 +255,12 @@ func (ev *Evaluator) EvaluateNextInto(out *TrialOutcome, churnOps int) {
 	if churnOps > 0 {
 		// Masks are shared and already current: drop circuits, let the
 		// engine refresh anything it derives from the edited bytes (the
-		// sharded engine's routing guide), and drive the batch-shaped op
-		// stream (netsim.ChurnDriver). The refresh is incremental — the accumulated change lists bound the engine's
-		// work to the diff's reverse cone — unless an untracked edit (a
-		// certificate-only trial in between) forces the full rebuild; the
-		// two are bit-identical either way.
+		// guided engine's routing guide), and drive the batch-shaped op
+		// stream (netsim.ChurnDriver). The refresh is incremental — the
+		// accumulated change lists bound the engine's work to the diff's
+		// reverse cone — unless an untracked edit (a certificate-only
+		// trial in between) forces the full rebuild; the two are
+		// bit-identical either way.
 		ev.eng.Reset()
 		if ev.engDirty {
 			if ev.pendFull {

@@ -123,7 +123,7 @@ func TestReleaseDetachesChurnEngine(t *testing.T) {
 	pool := NewEvaluatorPool()
 	nw := buildNetwork(t, Params{Nu: 1, Gamma: 0, M: 4, DQ: 2, Seed: 2})
 	ev := pool.NewEvaluator(nw)
-	se := route.NewShardedEngine(nw.G, 2)
+	se := route.NewShardedEngine(nw.G, 1)
 	ev.SetChurnEngine(se)
 	var out TrialOutcome
 	ev.StartBlock(fault.Symmetric(0.01), 5, 0, 4)
@@ -136,5 +136,5 @@ func TestReleaseDetachesChurnEngine(t *testing.T) {
 			t.Fatal("engine use after Release did not fail loudly")
 		}
 	}()
-	se.ServeBatch([]route.Request{{In: nw.Inputs()[0], Out: nw.Outputs()[0]}}, nil)
+	se.ConnectBatch([]route.Request{{In: nw.Inputs()[0], Out: nw.Outputs()[0]}}, nil)
 }

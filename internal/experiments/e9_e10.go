@@ -15,7 +15,7 @@ import (
 // E9Routing reproduces the §4 routing claim: on the repaired network,
 // greedy path-finding suffices (zero blocked requests while the
 // majority-access certificate holds), and measures the throughput of the
-// sequential router against the sharded speculate-then-commit engine.
+// sequential router against the guided engine.
 func E9Routing(mode Mode) Result {
 	res := Result{
 		ID:    "E9",
@@ -58,13 +58,13 @@ func E9Routing(mode Mode) Result {
 	}
 	res.Tables = append(res.Tables, tab)
 
-	// Throughput shape: sequential router vs the sharded
-	// speculate-then-commit engine, saturating the network with a full
-	// permutation repeatedly. Quick mode — committed to EXPERIMENTS.md
-	// and regenerated bit-identically by the CI determinism gate — reports
-	// only the deterministic columns (established counts); wall-clock rates
-	// belong to the benchmark baseline (BENCH.json, BenchmarkShardedChurn)
-	// and appear here in Full mode only.
+	// Throughput shape: sequential router vs the guided engine,
+	// saturating the network with a full permutation repeatedly. Quick
+	// mode — committed to EXPERIMENTS.md and regenerated bit-identically
+	// by the CI determinism gate — reports only the deterministic columns
+	// (established counts); wall-clock rates belong to the benchmark
+	// baseline (BENCH.json, BenchmarkShardedChurn) and appear here in Full
+	// mode only.
 	p := scaledParams(2)
 	nw, err := core.Build(p)
 	if err == nil {
@@ -115,10 +115,9 @@ func E9Routing(mode Mode) Result {
 		}
 		rt := route.NewRouter(nw.G)
 		rt.EnablePathReuse()
-		engines := []engineRow{{"sequential", 1, rt}}
-		for _, shards := range []int{1, 2, 4, 8} {
-			engines = append(engines,
-				engineRow{"sharded (speculate+commit)", shards, route.NewShardedEngine(nw.G, shards)})
+		engines := []engineRow{
+			{"sequential", 1, rt},
+			{"guided (live claims)", 1, route.NewShardedEngine(nw.G, 1)},
 		}
 		seqDone := 0
 		for i, row := range engines {
@@ -141,7 +140,7 @@ func E9Routing(mode Mode) Result {
 	}
 	res.Notes = append(res.Notes,
 		"whenever the Lemma-6 certificate holds, greedy churn never blocks (blocked = 0): strict nonblockingness is operational, not just structural",
-		"the sharded engine establishes exactly the sequential router's circuit set at every shard count — speculation and the word-parallel prefilter are decision-neutral; throughput is tracked in BENCH.json (BenchmarkShardedChurn), not here")
+		"the guided engine establishes exactly the sequential router's circuit set — its output-reachability guide prunes only hopeless descents, so it is decision-neutral; throughput is tracked in BENCH.json (BenchmarkShardedChurn), not here")
 	return res
 }
 

@@ -11,11 +11,6 @@ import (
 	"ftcsn/internal/route"
 )
 
-// churnShards is the shard count of the experiment pipeline's churn
-// engine. Sharded decisions are shard-count-independent, so the value
-// trades only speed, never output.
-const churnShards = 4
-
 // witnessScratch is the worker-local state for experiments that only need
 // fault injection plus the paper's failure witnesses: one reusable fault
 // instance and one witness-check scratch per Monte-Carlo worker.
@@ -199,17 +194,17 @@ func (s *batchEvalScratch) StartBlock(seed, first uint64, n int) {
 // (fold results with mergeBatchEval, then hand the arenas back with
 // releaseBatchEval).
 //
-// Every scratch churns through a ShardedEngine: decisions and paths are
-// contractually bit-identical to the default sequential router (locked by
-// the churn differential harness and the E9 parity rows), and the guided
-// probes make churn-heavy experiments markedly faster.
+// Every scratch churns through the guided ShardedEngine: decisions and
+// paths are contractually bit-identical to the default sequential router
+// (locked by the churn differential harness and the E9 parity rows), and
+// the guided probes make churn-heavy experiments markedly faster.
 func batchEvalScratchFor(pool *core.EvaluatorPool, nw *core.Network, m fault.Model, seq bool) func() *batchEvalScratch {
 	return func() *batchEvalScratch {
 		ev := core.NewEvaluator(nw)
 		if pool != nil {
 			ev = pool.NewEvaluator(nw)
 		}
-		ev.SetChurnEngine(route.NewShardedEngine(nw.G, churnShards))
+		ev.SetChurnEngine(route.NewShardedEngine(nw.G, 1))
 		return &batchEvalScratch{
 			evalScratch: evalScratch{ev: ev, minFrac: math.Inf(1)},
 			model:       m,

@@ -132,12 +132,12 @@ func (b *Builder) Freeze() *Graph {
 		g.inSlot[e] = inNext[v]
 		inNext[v]++
 	}
-	g.isTerminal = make([]bool, n)
+	g.vertexRole = make([]uint8, n)
 	for _, v := range g.inputs {
-		g.isTerminal[v] = true
+		g.vertexRole[v] |= roleInput
 	}
 	for _, v := range g.outputs {
-		g.isTerminal[v] = true
+		g.vertexRole[v] |= roleOutput
 	}
 	return g
 }
@@ -158,7 +158,7 @@ type Graph struct {
 	inTails    []int32 // inTails[i] = EdgeFrom(inEdges[i])
 	outSlot    []int32 // outSlot[e] = position of e in outEdges
 	inSlot     []int32 // inSlot[e] = position of e in inEdges
-	isTerminal []bool
+	vertexRole []uint8 // per-vertex terminal role bits (roleInput, roleOutput)
 
 	// Lazily computed topological-level metadata (see Levels). Mirror
 	// pre-seeds levels/levelsErr with the assignment derived from the
@@ -184,8 +184,26 @@ func (g *Graph) Inputs() []int32 { return g.inputs }
 // Outputs returns the output terminal IDs (shared slice; do not mutate).
 func (g *Graph) Outputs() []int32 { return g.outputs }
 
+// Terminal role bits of Graph.vertexRole.
+const (
+	roleInput uint8 = 1 << iota
+	roleOutput
+)
+
 // IsTerminal reports whether v is an input or output.
-func (g *Graph) IsTerminal(v int32) bool { return g.isTerminal[v] }
+func (g *Graph) IsTerminal(v int32) bool { return g.vertexRole[v] != 0 }
+
+// IsInput reports whether v is an input terminal; an ID outside
+// [0, NumVertices()) is not.
+func (g *Graph) IsInput(v int32) bool {
+	return uint32(v) < uint32(len(g.vertexRole)) && g.vertexRole[v]&roleInput != 0
+}
+
+// IsOutput reports whether v is an output terminal; an ID outside
+// [0, NumVertices()) is not.
+func (g *Graph) IsOutput(v int32) bool {
+	return uint32(v) < uint32(len(g.vertexRole)) && g.vertexRole[v]&roleOutput != 0
+}
 
 // Stage returns the stage of v, or NoStage.
 func (g *Graph) Stage(v int32) int32 { return g.stage[v] }
@@ -245,9 +263,9 @@ const (
 // CSR slot toward head while hunting a path to out: the slot must be fully
 // allowed, or objectionable only because head is a terminal AND head is
 // the requested output — circuits may not pass through foreign terminals.
-// Every path hunt (route.Router.Connect, the concurrent prober, the
-// sharded engine's probes) shares this single admission rule so the
-// engines cannot drift apart; it inlines to two compares.
+// Every path hunt (route.Router.Connect and the guided engine's hunt)
+// shares this single admission rule so the engines cannot drift apart; it
+// inlines to two compares.
 func SlotAdmits(c uint8, head, out int32) bool {
 	return c == 0 || (c == AdjTerminal && head == out)
 }
@@ -264,7 +282,7 @@ func (g *Graph) BuildOutAllowed(edgeOK, vertexOK []bool, dst []uint8) []uint8 {
 		if (edgeOK != nil && !edgeOK[e]) || (vertexOK != nil && !vertexOK[w]) {
 			b = AdjBlocked
 		}
-		if g.isTerminal[w] {
+		if g.vertexRole[w] != 0 {
 			b |= AdjTerminal
 		}
 		dst[i] = b
@@ -282,7 +300,7 @@ func (g *Graph) BuildInAllowed(edgeOK, vertexOK []bool, dst []uint8) []uint8 {
 		if (edgeOK != nil && !edgeOK[e]) || (vertexOK != nil && !vertexOK[u]) {
 			b = AdjBlocked
 		}
-		if g.isTerminal[u] {
+		if g.vertexRole[u] != 0 {
 			b |= AdjTerminal
 		}
 		dst[i] = b

@@ -6,10 +6,10 @@ import "fmt"
 // gets a level, every edge steps from a strictly lower level to a strictly
 // higher one, and the vertices come with a level-sorted traversal order.
 // It is the contract behind every one-pass sweep in the repository — the
-// word-parallel access certifier (core.BatchAccessChecker), the routing
-// feasibility prefilter and the reachability guide (route.ShardedEngine):
-// visiting vertices in level order guarantees each vertex is expanded only
-// after every edge into it has been seen.
+// word-parallel access certifier (core.BatchAccessChecker) and the
+// routing reachability guide (route.ShardedEngine): visiting vertices in
+// level order guarantees each vertex is expanded only after every edge
+// into it has been seen.
 //
 // The assignment is chosen so that existing consumers keep their exact
 // historical behavior:

@@ -5,9 +5,9 @@ package netsim
 // connect a uniformly chosen idle input to a uniformly chosen idle output,
 // otherwise release a uniformly chosen live circuit — with runs of
 // consecutive connect decisions served as ONE route.Engine batch instead
-// of one router call per op. That is the seam that puts the sharded
-// speculate-then-commit engine (and its word-parallel routing guide) under
-// the Monte-Carlo trial pipeline.
+// of one router call per op. That is the seam that puts the guided engine
+// (route.ShardedEngine and its word-parallel routing guide) under the
+// Monte-Carlo trial pipeline.
 //
 // The driver is bit-compatible with the per-op generator (one router call
 // per op; the reference replay lives in churn_test.go): since every
@@ -60,11 +60,11 @@ import (
 	"ftcsn/internal/route"
 )
 
-// churnBatchCap bounds one speculative connect run. 64 matches the lane
-// width of the engines' word-parallel passes; the cap only splits batches,
-// it cannot change any op's outcome (after a full-accept capped batch the
-// next decision is drawn from exactly the state the uncapped run would
-// have seen).
+// churnBatchCap bounds one speculative connect run, and so the rollback
+// scratch. The cap only splits batches, it cannot change any op's outcome
+// (after a full-accept capped batch the next decision is drawn from
+// exactly the state the uncapped run would have seen); it does set the
+// batch shapes the trial pipeline serves.
 const churnBatchCap = 64
 
 // ChurnDriver holds the generator state and scratch; the zero value is

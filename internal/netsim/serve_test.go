@@ -29,7 +29,7 @@ func TestServeDeterministic(t *testing.T) {
 	}
 	engines := map[string]func() route.Engine{
 		"router":  func() route.Engine { rt := route.NewRouter(nw.G); rt.EnablePathReuse(); return rt },
-		"sharded": func() route.Engine { return route.NewShardedEngine(nw.G, 4) },
+		"sharded": func() route.Engine { return route.NewShardedEngine(nw.G, 1) },
 	}
 	for name, mk := range engines {
 		t.Run(name, func(t *testing.T) {
@@ -120,7 +120,7 @@ func TestServeBatchingDecisionNeutral(t *testing.T) {
 	rt := route.NewRouter(nw.G)
 	rt.EnablePathReuse()
 	one := run(rt, 1)
-	se := route.NewShardedEngine(nw.G, 4)
+	se := route.NewShardedEngine(nw.G, 1)
 	big := run(se, 64)
 	if one.Offered != big.Offered || one.Accepted != big.Accepted ||
 		one.Rejected != big.Rejected || one.Departed != big.Departed {
@@ -256,7 +256,7 @@ func TestOpenLoopServeAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se := route.NewShardedEngine(nw.G, 4)
+	se := route.NewShardedEngine(nw.G, 1)
 	src := openLoopSource(nw, 0xA110C, 8.0)
 	var l netsim.Loop
 	var slo stats.SLO

@@ -6,10 +6,10 @@ package netsim
 // connect batches and release picks whose composition depends on the
 // engine's own accept/reject decisions, the Theorem-2 churn protocol.
 // It is engine-agnostic — the same stream drives the sequential
-// route.Router and route.ShardedEngine — which is what the differential
-// harnesses lean on: identical decisions imply identical subsequent
-// workload, so decision streams of two engines can be compared step by
-// step under arbitrary churn.
+// route.Router and the guided route.ShardedEngine — which is what the
+// differential harnesses lean on: identical decisions imply identical
+// subsequent workload, so decision streams of two engines can be compared
+// step by step under arbitrary churn.
 //
 // The generator owns the idle/live bookkeeping: NextConnects draws
 // endpoint-distinct requests from the idle pools, Commit feeds decisions

@@ -104,14 +104,14 @@ func TestWorkloadCommitShortResults(t *testing.T) {
 func TestWorkloadAgreesAcrossEngines(t *testing.T) {
 	nw := buildSmall(t)
 	rt := route.NewRouter(nw.G)
-	se := route.NewShardedEngine(nw.G, 2)
+	se := route.NewShardedEngine(nw.G, 1)
 	wa := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 5)
 	wb := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 5)
 	var res []route.Result
 	for round := 0; round < 40; round++ {
 		ra := wa.NextConnects(3)
 		rb := wb.NextConnects(3)
-		res = se.ServeBatch(rb, res)
+		res = se.ConnectBatch(rb, res)
 		for i, rq := range ra {
 			_, err := rt.Connect(rq.In, rq.Out)
 			if (err == nil) != (res[i].Path != nil) {

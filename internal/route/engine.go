@@ -1,10 +1,10 @@
 package route
 
 // Engine is the uniform seam over this package's two path-hunting engines
-// — the sequential Router and the speculate-then-commit ShardedEngine —
-// so the layers above (core's Theorem-2 churn pipeline, netsim's workload
-// drivers and serving loop, experiment E9) can swap engines without
-// hand-rolled per-engine call paths.
+// — the sequential Router and the guided ShardedEngine — so the layers
+// above (core's Theorem-2 churn pipeline, netsim's workload drivers and
+// serving loop, experiment E9) can swap engines without hand-rolled
+// per-engine call paths.
 //
 // The shared contract:
 //
@@ -14,7 +14,8 @@ package route
 //     Router would produce processing the stream in order, so any prefix
 //     of the results depends only on the corresponding prefix of the
 //     requests. Every caller may rely on this — batching is never visible
-//     in decisions or paths.
+//     in decisions or paths. A request whose In is not an input terminal
+//     or whose Out is not an output terminal is refused.
 //   - Disconnect releases a circuit previously established by
 //     ConnectBatch; PathOf returns its path (pooled slices: valid only
 //     while the circuit is live). Reset releases every live circuit.
@@ -22,7 +23,7 @@ package route
 //     CSR-slot traversal bytes (core.MaskUpdater's slices); MasksChanged
 //     tells the engine those adopted bytes were edited in place between
 //     batches, so engines that derive per-epoch state from them (the
-//     sharded engine's routing guide) can refresh. MasksChangedDiff is
+//     guided engine's routing guide) can refresh. MasksChangedDiff is
 //     the same notification carrying the exact change lists the maintainer
 //     already computed (core.MaskUpdater.Apply's recomputed edges and
 //     ChangedVertices' usability flips): engines with derived state
@@ -34,8 +35,7 @@ package route
 //     treat both as no-ops.
 //   - Stats reports cumulative serving counters in engine-neutral form.
 //
-// Engines are not safe for concurrent use; ConnectBatch may parallelize
-// internally but calls must be serialized by the caller.
+// Engines are not safe for concurrent use.
 type Engine interface {
 	ConnectBatch(reqs []Request, res []Result) []Result
 	Disconnect(in, out int32) error
@@ -53,7 +53,7 @@ type EngineStats struct {
 	Batches  int64 // ConnectBatch calls
 	Requests int64 // requests served across all batches
 	Accepted int64 // circuits established
-	Rejected int64 // requests denied (no idle path, busy/unusable endpoint)
+	Rejected int64 // requests denied (no idle path, busy/unusable/non-terminal endpoint)
 }
 
 // Request asks for a circuit from In to Out.
@@ -66,8 +66,8 @@ type Result struct {
 	Request
 	Path []int32 // nil when the request failed
 	// Attempts counts the path hunts the request took: 1 on the Router;
-	// on the ShardedEngine 0 for an endpoint reject, 1 for a snapshot
-	// decision, 2 for a commit-time fallback.
+	// on the ShardedEngine 0 for an endpoint reject and 1 for every probed
+	// request.
 	Attempts int
 }
 
@@ -77,7 +77,7 @@ var (
 	_ Engine = (*ShardedEngine)(nil)
 )
 
-// circuits is the sharded engine's per-input live-circuit registry: at
+// circuits is the guided engine's per-input live-circuit registry: at
 // most one live circuit per input terminal — an input stays claimed while
 // connected, so a second circuit cannot coexist — with O(1) install,
 // lookup, and swap-removal. Fields are parallel arrays indexed by vertex:
@@ -157,8 +157,8 @@ func growResults(res []Result, n int) []Result {
 // ConnectBatch serves the requests strictly in order through Connect,
 // reusing res (grown as needed) — the sequential reference implementation
 // of the Engine seam. Attempts is 1 for every request; Path is nil on
-// rejection (busy or unusable endpoint, duplicate circuit, or no idle
-// path — the same outcomes Connect reports as errors).
+// rejection (non-terminal, busy or unusable endpoint, duplicate circuit,
+// or no idle path — the same outcomes Connect reports as errors).
 func (rt *Router) ConnectBatch(reqs []Request, res []Result) []Result {
 	res = growResults(res, len(reqs))
 	rt.stats.Batches++

@@ -5,6 +5,7 @@ package route_test
 // Stats coherently, and must agree bit for bit.
 
 import (
+	"errors"
 	"testing"
 
 	"ftcsn/internal/rng"
@@ -22,7 +23,7 @@ func permReqs(t *testing.T, nu int) ([]route.Request, *route.Router, []route.Eng
 	}
 	rt := route.NewRouter(nw.G)
 	rt.EnablePathReuse()
-	return reqs, rt, []route.Engine{rt, route.NewShardedEngine(nw.G, 3)}
+	return reqs, rt, []route.Engine{rt, route.NewShardedEngine(nw.G, 1)}
 }
 
 // TestEngineSeamConformance runs a connect/disconnect/reconnect workload
@@ -101,7 +102,7 @@ func TestSequentialEnginesAgree(t *testing.T) {
 	nw := buildNet(t, 2)
 	engA := route.NewRouter(nw.G)
 	engA.EnablePathReuse()
-	engB := route.NewShardedEngine(nw.G, 4)
+	engB := route.NewShardedEngine(nw.G, 1)
 	var resA, resB []route.Result
 	for round := 0; round < 5; round++ {
 		resA = engA.ConnectBatch(reqs, resA)
@@ -119,5 +120,64 @@ func TestSequentialEnginesAgree(t *testing.T) {
 		}
 		engA.Reset()
 		engB.Reset()
+	}
+}
+
+// TestEnginesRefuseNonTerminalEndpoints: both engines refuse a request
+// whose In is not an input terminal or whose Out is not an output
+// terminal, IDs outside the network included, before any other screening.
+// The Router reports ErrNotTerminal; the guided engine counts an endpoint
+// reject without probing. A valid request still routes afterwards.
+func TestEnginesRefuseNonTerminalEndpoints(t *testing.T) {
+	nw := buildNet(t, 1)
+	g := nw.G
+	ins, outs := g.Inputs(), g.Outputs()
+	interior := int32(-1)
+	for v := int32(0); v < int32(g.NumVertices()); v++ {
+		if !g.IsTerminal(v) && g.OutDegree(v) > 0 {
+			interior = v
+			break
+		}
+	}
+	if interior < 0 {
+		t.Fatal("network has no interior vertex")
+	}
+	n := int32(g.NumVertices())
+	cases := []struct {
+		name string
+		rq   route.Request
+	}{
+		{"interior-in", route.Request{In: interior, Out: outs[0]}},
+		{"output-as-in", route.Request{In: outs[1], Out: outs[0]}},
+		{"input-as-out", route.Request{In: ins[0], Out: ins[1]}},
+		{"in=-1", route.Request{In: -1, Out: outs[0]}},
+		{"out=-1", route.Request{In: ins[0], Out: -1}},
+		{"in=NumVertices", route.Request{In: n, Out: outs[0]}},
+		{"out=NumVertices", route.Request{In: ins[0], Out: n}},
+	}
+	for _, tc := range cases {
+		rq := tc.rq
+		t.Run(tc.name, func(t *testing.T) {
+			rt := route.NewRouter(g)
+			if _, err := rt.Connect(rq.In, rq.Out); !errors.Is(err, route.ErrNotTerminal) {
+				t.Fatalf("Router.Connect: err %v, want ErrNotTerminal", err)
+			}
+			se := route.NewShardedEngine(g, 1)
+			for _, eng := range []route.Engine{route.NewRouter(g), se} {
+				res := eng.ConnectBatch([]route.Request{rq, {In: ins[0], Out: outs[0]}}, nil)
+				if res[0].Path != nil {
+					t.Fatalf("%T established %v", eng, res[0].Path)
+				}
+				if res[1].Path == nil {
+					t.Fatalf("%T: valid request after the refused one was rejected", eng)
+				}
+			}
+			if st := se.ShardedStats(); st.EndpointRejects != 1 || st.ProbeRejects != 0 {
+				t.Fatalf("engine counted %+v, want one endpoint reject", st)
+			}
+			if err := se.VerifyState(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -7,9 +7,8 @@ package route_test
 // a full-rebuild engine must both be bit-identical to referenceGuide's
 // independent full-width derivation, and the engines' decisions and paths
 // bit-identical to the sequential Router's, across the topology zoo
-// (guides of 1, 2, 4 and 8 words per row) and shard counts. External test
-// package: the realistic diff source is core.MaskUpdater, and core depends
-// on route.
+// (guides of 1, 2, 4 and 8 words per row). External test package: the
+// realistic diff source is core.MaskUpdater, and core depends on route.
 
 import (
 	"fmt"
@@ -189,7 +188,7 @@ func lockstepBatch(t *testing.T, step string, inc, ref *route.ShardedEngine, seq
 }
 
 // TestIncrementalGuideMatchesRebuild: randomized fault/churn/revert
-// sequences on every zoo family × shard count, at a fault rate of about
+// sequences on every zoo family, three seeds each, at a fault rate of about
 // one failed switch per trial and at ε=0.03, whose diffs cross the
 // rebuild cutover. At every step the incremental guide and a full
 // rebuild's must both equal the full-width reference word for word, and
@@ -199,12 +198,12 @@ func lockstepBatch(t *testing.T, step string, inc, ref *route.ShardedEngine, seq
 func TestIncrementalGuideMatchesRebuild(t *testing.T) {
 	const trials = 12
 	for _, fam := range guideZoo(t) {
-		for _, shards := range []int{1, 2, 3} {
-			t.Run(fmt.Sprintf("%s/shards=%d", fam.name, shards), func(t *testing.T) {
+		t.Run(fam.name, func(t *testing.T) {
+			for variant := uint64(1); variant <= 3; variant++ {
 				g := fam.g
-				seed := uint64(0x641DE) + uint64(len(fam.name))*uint64(shards)
+				seed := uint64(0x641DE) + uint64(len(fam.name))*variant
 				sparse := 0.5 / float64(g.NumEdges())
-				st := guideSequence(t, g, shards, sparse, trials, seed)
+				st := guideSequence(t, g, sparse, trials, seed)
 				// On the multi-word families the sparse diffs stay under
 				// the cutover, so cone walks must have run: every full
 				// rebuild recomputes each row once, and the walks account
@@ -215,22 +214,22 @@ func TestIncrementalGuideMatchesRebuild(t *testing.T) {
 					t.Fatalf("ε=%g: no cone walk recomputed a row (%d refreshes, %d rebuilds)",
 						sparse, st.GuideRefreshes, st.GuideRebuilds)
 				}
-				st = guideSequence(t, g, shards, 0.03, trials, seed)
+				st = guideSequence(t, g, 0.03, trials, seed)
 				if st.GuideRebuilds <= 2 {
 					t.Fatalf("ε=0.03: no diff crossed the rebuild cutover (%d refreshes)", st.GuideRefreshes)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // guideSequence runs TestIncrementalGuideMatchesRebuild's fault/churn/
 // revert sequence on g under the symmetric fault model at rate eps and
 // returns the incrementally maintained engine's counters.
-func guideSequence(t *testing.T, g *graph.Graph, shards int, eps float64, trials int, seed uint64) route.ShardedStats {
+func guideSequence(t *testing.T, g *graph.Graph, eps float64, trials int, seed uint64) route.ShardedStats {
 	t.Helper()
-	inc := route.NewShardedEngine(g, shards)
-	ref := route.NewShardedEngine(g, shards)
+	inc := route.NewShardedEngine(g, 1)
+	ref := route.NewShardedEngine(g, 1)
 	seq := route.NewRouter(g)
 
 	inst := fault.NewInstance(g)
@@ -402,13 +401,13 @@ func block(se *route.ShardedEngine, g *graph.Graph, allowed []uint8, edges []int
 // the full-width reference word for word at every step (part of the
 // Makefile fuzz-smoke set).
 func FuzzIncrementalGuide(f *testing.F) {
-	f.Add(uint64(1), uint16(20), uint8(6), uint8(2))
-	f.Add(uint64(42), uint16(80), uint8(10), uint8(1))
-	f.Add(uint64(7), uint16(5), uint8(3), uint8(3))
-	f.Add(uint64(9), uint16(4), uint8(6), uint8(2))
-	f.Add(uint64(10), uint16(2), uint8(5), uint8(3))
-	f.Add(uint64(11), uint16(1), uint8(4), uint8(1))
-	f.Fuzz(func(t *testing.T, seed uint64, epsMil uint16, trials, shards uint8) {
+	f.Add(uint64(1), uint16(20), uint8(6))
+	f.Add(uint64(42), uint16(80), uint8(10))
+	f.Add(uint64(7), uint16(5), uint8(3))
+	f.Add(uint64(9), uint16(4), uint8(6))
+	f.Add(uint64(10), uint16(2), uint8(5))
+	f.Add(uint64(11), uint16(1), uint8(4))
+	f.Fuzz(func(t *testing.T, seed uint64, epsMil uint16, trials uint8) {
 		var g *graph.Graph
 		switch seed % 6 {
 		case 0:
@@ -434,10 +433,9 @@ func FuzzIncrementalGuide(f *testing.F) {
 		}
 		nTrials := int(trials%16) + 1
 		eps := float64(epsMil%200) / 1000
-		sh := int(shards%4) + 1
 
-		inc := route.NewShardedEngine(g, sh)
-		ref := route.NewShardedEngine(g, sh)
+		inc := route.NewShardedEngine(g, 1)
+		ref := route.NewShardedEngine(g, 1)
 		inst := fault.NewInstance(g)
 		mu := core.NewMaskUpdater(g)
 		var m core.Masks
@@ -489,7 +487,7 @@ func TestIncrementalGuideAllocFree(t *testing.T) {
 		{"multibutterfly-n512", multibutterflyGraph(t, 9)},
 	} {
 		g := fam.g
-		se := route.NewShardedEngine(g, 2)
+		se := route.NewShardedEngine(g, 1)
 		inst := fault.NewInstance(g)
 		mu := core.NewMaskUpdater(g)
 		var m core.Masks

@@ -12,9 +12,11 @@
 // failures are themselves measurements, which experiment E9 exploits.
 //
 // Two engines are provided behind one Engine seam: the sequential Router,
-// and ShardedEngine, which splits each batch across shards that speculate
-// paths in parallel and then commits them in input order, so its decisions
-// and paths are bit-identical to the Router's.
+// and ShardedEngine, which runs the same hunt in input order against its
+// owner array, pruned by a per-epoch output-reachability guide, so its
+// decisions and paths are bit-identical to the Router's. Multi-core speed
+// comes from running independent trials in parallel (package montecarlo),
+// not from splitting a batch.
 package route
 
 import (
@@ -38,6 +40,11 @@ var ErrDiscardedTerminal = errors.New("route: terminal discarded by repair")
 
 // ErrDuplicateCircuit is returned when the requested circuit already exists.
 var ErrDuplicateCircuit = errors.New("route: circuit already exists")
+
+// ErrNotTerminal is returned when the requested input is not an input
+// terminal or the requested output is not an output terminal of the
+// network, IDs outside the network included.
+var ErrNotTerminal = errors.New("route: endpoint is not a terminal of the requested kind")
 
 // Router maintains a set of vertex-disjoint circuits on a (possibly
 // repaired) network and serves connect/disconnect requests greedily.
@@ -171,12 +178,17 @@ func (rt *Router) usableEdge(e int32) bool {
 
 // Connect establishes a circuit from input in to output out along a path
 // of idle usable vertices, returning the path (in … out). It fails with
-// ErrBusyTerminal if either endpoint is busy, ErrDiscardedTerminal if
-// repair discarded an endpoint, ErrDuplicateCircuit on a duplicate
-// request, and ErrNoPath if the greedy search finds no idle route.
+// ErrNotTerminal unless in is an input terminal and out an output
+// terminal (checked first), ErrBusyTerminal if either endpoint is busy,
+// ErrDiscardedTerminal if repair discarded an endpoint, ErrDuplicateCircuit
+// on a duplicate request, and ErrNoPath if the greedy search finds no idle
+// route.
 //
 //ftcsn:hotpath sequential reference router; 0 allocs/op pinned by BenchmarkGreedyConnect
 func (rt *Router) Connect(in, out int32) ([]int32, error) {
+	if !rt.g.IsInput(in) || !rt.g.IsOutput(out) {
+		return nil, ErrNotTerminal
+	}
 	if rt.busy[in] || rt.busy[out] {
 		return nil, ErrBusyTerminal
 	}

@@ -45,17 +45,15 @@ func TestRepairedShardedEngineMatchesSharedMasks(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = route.Request{In: nw.Inputs()[i], Out: nw.Outputs()[perm[i]]}
 	}
-	for _, shards := range []int{1, 4} {
-		owned := route.NewRepairedShardedEngine(inst, shards)
-		shared := route.NewShardedEngine(nw.G, shards)
-		shared.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-		want := route.NewRepairedRouter(inst).ConnectBatch(reqs, nil)
-		sameResults(t, "owned vs router", owned.ConnectBatch(reqs, nil), want)
-		sameResults(t, "shared vs router", shared.ConnectBatch(reqs, nil), want)
-		for _, se := range []*route.ShardedEngine{owned, shared} {
-			if err := se.VerifyState(); err != nil {
-				t.Fatalf("shards=%d: %v", shards, err)
-			}
+	owned := route.NewRepairedShardedEngine(inst, 1)
+	shared := route.NewShardedEngine(nw.G, 1)
+	shared.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
+	want := route.NewRepairedRouter(inst).ConnectBatch(reqs, nil)
+	sameResults(t, "owned vs router", owned.ConnectBatch(reqs, nil), want)
+	sameResults(t, "shared vs router", shared.ConnectBatch(reqs, nil), want)
+	for _, se := range []*route.ShardedEngine{owned, shared} {
+		if err := se.VerifyState(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -73,7 +71,7 @@ func TestShardedSharedMasksTrackUpdates(t *testing.T) {
 	var m core.Masks
 	mu.Init(inst, &m)
 
-	se := route.NewShardedEngine(nw.G, 2)
+	se := route.NewShardedEngine(nw.G, 1)
 	se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
 
 	reqs := []route.Request{{In: nw.Inputs()[0], Out: nw.Outputs()[0]}}
@@ -162,7 +160,8 @@ func TestVerifyStateFlagsBlockedLiveCircuit(t *testing.T) {
 	}
 	diff := []fault.DiffEntry{{Edge: e, Old: inst.Edge[e], New: fault.Open}}
 	inst.SetState(e, fault.Open)
-	se.MasksChangedDiff(mu.ChangedVertices(), mu.Apply(inst, &m, diff))
+	edges := mu.Apply(inst, &m, diff)
+	se.MasksChangedDiff(mu.ChangedVertices(), edges)
 	if err := se.VerifyState(); err == nil {
 		t.Fatalf("live circuit %v across failed switch %d->%d passed VerifyState", path, u, v)
 	}
@@ -171,7 +170,8 @@ func TestVerifyStateFlagsBlockedLiveCircuit(t *testing.T) {
 		t.Fatalf("after releasing the severed circuit: %v", err)
 	}
 
-	se.MasksChangedDiff(mu.ChangedVertices(), mu.Revert(inst, &m, diff))
+	edges = mu.Revert(inst, &m, diff)
+	se.MasksChangedDiff(mu.ChangedVertices(), edges)
 	path = connect()
 	out := path[len(path)-1]
 	m.VertexOK[out] = false
@@ -179,4 +179,36 @@ func TestVerifyStateFlagsBlockedLiveCircuit(t *testing.T) {
 		t.Fatalf("live circuit %v to unusable output %d passed VerifyState", path, out)
 	}
 	m.VertexOK[out] = true
+}
+
+// TestVerifyStateChecksGuide: VerifyState compares the guide with a
+// rebuild, so traversal bytes a shared core.MaskUpdater edited in place
+// without notifying the engine fail it, and MasksChangedDiff with the
+// diff's change lists restores it.
+func TestVerifyStateChecksGuide(t *testing.T) {
+	nw := buildNet(t, 1)
+	inst := fault.NewInstance(nw.G)
+	mu := core.NewMaskUpdater(nw.G)
+	var m core.Masks
+	mu.Init(inst, &m)
+	se := route.NewShardedEngine(nw.G, 1)
+	se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
+	if err := se.VerifyState(); err != nil {
+		t.Fatalf("fresh engine: %v", err)
+	}
+
+	// Fail every switch out of one input: its row loses every output.
+	var diff []fault.DiffEntry
+	for _, e := range nw.G.OutEdges(nw.Inputs()[0]) {
+		diff = append(diff, fault.DiffEntry{Edge: e, Old: inst.Edge[e], New: fault.Open})
+		inst.SetState(e, fault.Open)
+	}
+	edges := mu.Apply(inst, &m, diff)
+	if err := se.VerifyState(); err == nil {
+		t.Fatal("guide left stale by an unannounced mask edit passed VerifyState")
+	}
+	se.MasksChangedDiff(mu.ChangedVertices(), edges)
+	if err := se.VerifyState(); err != nil {
+		t.Fatalf("after MasksChangedDiff: %v", err)
+	}
 }

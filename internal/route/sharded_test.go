@@ -1,11 +1,11 @@
 package route_test
 
-// Differential, invariance, and stress harnesses for route.ShardedEngine.
-// The engine's contract is strong: accept/reject decisions AND established
+// Differential and stress harnesses for route.ShardedEngine. The
+// engine's contract is strong: accept/reject decisions AND established
 // paths are bit-identical to a sequential Router processing the same
-// request stream in order, for every shard count, batch size, and
-// prefilter mode. These tests drive identical netsim.Workload churn
-// streams through both engines and compare step by step.
+// request stream in order, for every batch size. These tests drive
+// identical netsim.Workload churn streams through both engines and
+// compare step by step.
 
 import (
 	"fmt"
@@ -58,7 +58,7 @@ func (d *churnDiff) round(batch, releases int) {
 	d.t.Helper()
 	d.rounds++
 	reqs := d.wl.NextConnects(batch)
-	d.res = d.se.ServeBatch(reqs, d.res)
+	d.res = d.se.ConnectBatch(reqs, d.res)
 	for i, rq := range reqs {
 		path, err := d.rt.Connect(rq.In, rq.Out)
 		got := d.res[i].Path
@@ -95,121 +95,44 @@ func (d *churnDiff) round(batch, releases int) {
 
 // TestShardedMatchesSequentialChurn locks the headline contract under
 // continuous churn (no resets): decisions and paths bit-identical to the
-// sequential router across fault rates, shard counts, and prefilter modes.
+// sequential router across fault rates and workload streams.
 func TestShardedMatchesSequentialChurn(t *testing.T) {
-	modes := []struct {
-		name string
-		pf   route.PrefilterMode
-	}{{"auto", route.PrefilterAuto}, {"on", route.PrefilterOn}, {"off", route.PrefilterOff}}
 	for _, nu := range []int{1, 2} {
 		nw := buildNet(t, nu)
 		for _, eps := range []float64{0, 0.01, 0.05} {
 			m := repairedMasks(t, nw, eps, uint64(0x5A0+nu))
-			for _, shards := range []int{1, 2, 4, 8} {
-				for _, md := range modes {
-					if md.pf != route.PrefilterAuto && shards != 4 {
-						continue // modes × one shard count keeps runtime sane
+			t.Run(fmt.Sprintf("nu=%d/eps=%g", nu, eps), func(t *testing.T) {
+				for _, stream := range []uint64{1, 2, 4, 8} {
+					rt := route.NewRouter(nw.G)
+					rt.EnablePathReuse()
+					se := route.NewShardedEngine(nw.G, 1)
+					if eps > 0 {
+						rt.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
+						se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
 					}
-					name := fmt.Sprintf("nu=%d/eps=%g/shards=%d/%s", nu, eps, shards, md.name)
-					t.Run(name, func(t *testing.T) {
-						rt := route.NewRouter(nw.G)
-						rt.EnablePathReuse()
-						se := route.NewShardedEngine(nw.G, shards)
-						se.Prefilter = md.pf
-						if eps > 0 {
-							rt.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-							se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-						}
-						d := &churnDiff{t: t, rt: rt, se: se,
-							wl: netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0xC0FFEE+uint64(shards))}
-						n := len(nw.Inputs())
-						for round := 0; round < 40; round++ {
-							d.round(n/2+1, n/4+1)
-						}
-						if err := se.VerifyState(); err != nil {
-							t.Fatal(err)
-						}
-						if d.accepts == 0 {
-							t.Fatal("workload never accepted a circuit; differential is vacuous")
-						}
-					})
+					d := &churnDiff{t: t, rt: rt, se: se,
+						wl: netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0xC0FFEE+stream)}
+					n := len(nw.Inputs())
+					for round := 0; round < 40; round++ {
+						d.round(n/2+1, n/4+1)
+					}
+					if err := se.VerifyState(); err != nil {
+						t.Fatal(err)
+					}
+					if d.accepts == 0 {
+						t.Fatal("workload never accepted a circuit; differential is vacuous")
+					}
 				}
-			}
+			})
 		}
 	}
 }
 
-// runInvariance drives one engine through a fixed saturation-churn stream
-// and returns the flattened decision+path trace.
-func runInvariance(t *testing.T, nw *core.Network, m core.Masks, shards int, pf route.PrefilterMode) (string, route.ShardedStats) {
-	t.Helper()
-	se := route.NewShardedEngine(nw.G, shards)
-	se.Prefilter = pf
-	se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-	wl := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0xABCD)
-	var res []route.Result
-	trace := ""
-	n := len(nw.Inputs())
-	for round := 0; round < 50; round++ {
-		reqs := wl.NextConnects(n)
-		res = se.ServeBatch(reqs, res)
-		for i := range reqs {
-			if res[i].Path != nil {
-				trace += fmt.Sprintf("+%v", res[i].Path)
-			} else {
-				trace += "-"
-			}
-		}
-		wl.Commit(res[:len(reqs)])
-		for _, rel := range wl.NextReleases(n / 3) {
-			if err := se.Disconnect(rel.In, rel.Out); err != nil {
-				t.Fatalf("shards=%d round %d: disconnect: %v", shards, round, err)
-			}
-		}
-	}
-	if err := se.VerifyState(); err != nil {
-		t.Fatalf("shards=%d: %v", shards, err)
-	}
-	return trace, se.ShardedStats()
-}
-
-func TestShardedInvarianceAcrossShardsAndPrefilter(t *testing.T) {
-	nw := buildNet(t, 2)
-	m := repairedMasks(t, nw, 0.04, 0x151)
-	ref, refStats := runInvariance(t, nw, m, 1, route.PrefilterOff)
-	if refStats.Accepted == 0 {
-		t.Fatal("reference stream accepted nothing")
-	}
-	sawPrefilterRejects := false
-	sawFallbacks := refStats.Fallbacks > 0
-	for _, shards := range []int{1, 2, 3, 4, 8} {
-		for _, pf := range []route.PrefilterMode{route.PrefilterAuto, route.PrefilterOff, route.PrefilterOn} {
-			got, stats := runInvariance(t, nw, m, shards, pf)
-			if got != ref {
-				t.Fatalf("shards=%d pf=%d: decision+path stream diverged from reference", shards, pf)
-			}
-			if stats.PrefilterRejects > 0 {
-				sawPrefilterRejects = true
-			}
-			if stats.Fallbacks > 0 {
-				sawFallbacks = true
-			}
-		}
-	}
-	if !sawPrefilterRejects {
-		t.Error("prefilter never rejected anything; its exactness was not exercised")
-	}
-	if !sawFallbacks {
-		t.Error("commit-time fallback never ran; conflict path was not exercised")
-	}
-}
-
-// TestShardedRaceStress exercises concurrent phase-A speculation under the
-// race detector: shard counts × batch splits over a saturating permutation
-// on the n=64 network, with state verification and decision comparison
-// against the sequential router per epoch.
+// TestShardedRaceStress splits a saturating permutation on the n=64
+// network into batches of several sizes and requires, epoch after epoch,
+// the sequential router's decisions and a verified state; CI also runs it
+// under the race detector.
 func TestShardedRaceStress(t *testing.T) {
-	pinProcs(t, 4)
 	nw := buildNet(t, 3)
 	n := len(nw.Inputs())
 	perm := rng.New(7).Perm(n)
@@ -220,47 +143,43 @@ func TestShardedRaceStress(t *testing.T) {
 	rt := route.NewRouter(nw.G)
 	rt.EnablePathReuse()
 	want := make([]bool, n)
-	for _, shards := range []int{2, 4, 8} {
-		for _, batch := range []int{n, n / 2, 9} {
-			se := route.NewShardedEngine(nw.G, shards)
-			var res []route.Result
-			for epoch := 0; epoch < 3; epoch++ {
-				rt.Reset()
-				for i, rq := range reqs {
-					_, err := rt.Connect(rq.In, rq.Out)
-					want[i] = err == nil
-				}
-				se.Reset()
-				for lo := 0; lo < n; lo += batch {
-					hi := min(lo+batch, n)
-					res = se.ServeBatch(reqs[lo:hi], res)
-					for i := range res[:hi-lo] {
-						if (res[i].Path != nil) != want[lo+i] {
-							t.Fatalf("shards=%d batch=%d epoch=%d req %d: decision mismatch",
-								shards, batch, epoch, lo+i)
-						}
+	for _, batch := range []int{n, n / 2, 9} {
+		se := route.NewShardedEngine(nw.G, 1)
+		var res []route.Result
+		for epoch := 0; epoch < 3; epoch++ {
+			rt.Reset()
+			for i, rq := range reqs {
+				_, err := rt.Connect(rq.In, rq.Out)
+				want[i] = err == nil
+			}
+			se.Reset()
+			for lo := 0; lo < n; lo += batch {
+				hi := min(lo+batch, n)
+				res = se.ConnectBatch(reqs[lo:hi], res)
+				for i := range res[:hi-lo] {
+					if (res[i].Path != nil) != want[lo+i] {
+						t.Fatalf("batch=%d epoch=%d req %d: decision mismatch", batch, epoch, lo+i)
 					}
 				}
-				if err := se.VerifyState(); err != nil {
-					t.Fatalf("shards=%d batch=%d epoch=%d: %v", shards, batch, epoch, err)
-				}
+			}
+			if err := se.VerifyState(); err != nil {
+				t.Fatalf("batch=%d epoch=%d: %v", batch, epoch, err)
 			}
 		}
 	}
 }
 
-// TestShardedFastPathDominatesLightChurn: under light operational churn the
-// speculative fast path should serve nearly everything; under saturating
-// batches from an empty network, conflicts must push requests through the
-// commit-time fallback instead. Both regimes must leave consistent claim state.
+// TestShardedFastPathDominatesLightChurn: under light operational churn
+// every accept commits the path of its only probe, nothing falls back,
+// and the state stays consistent.
 func TestShardedFastPathDominatesLightChurn(t *testing.T) {
 	nw := buildNet(t, 3)
-	se := route.NewShardedEngine(nw.G, 4)
+	se := route.NewShardedEngine(nw.G, 1)
 	wl := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0xFEED)
 	var res []route.Result
 	for round := 0; round < 50; round++ {
 		reqs := wl.NextConnects(4)
-		res = se.ServeBatch(reqs, res)
+		res = se.ConnectBatch(reqs, res)
 		wl.Commit(res[:len(reqs)])
 		for _, rel := range wl.NextReleases(4) {
 			if err := se.Disconnect(rel.In, rel.Out); err != nil {
@@ -269,8 +188,9 @@ func TestShardedFastPathDominatesLightChurn(t *testing.T) {
 		}
 	}
 	st := se.ShardedStats()
-	if st.FastPath < st.Fallbacks {
-		t.Errorf("light churn should be fast-path dominated: fast=%d fallback=%d", st.FastPath, st.Fallbacks)
+	if st.Accepted == 0 || st.FastPath != st.Accepted || st.Fallbacks != 0 {
+		t.Errorf("light churn: accepted=%d fast=%d fallbacks=%d, want every accept on the fast path",
+			st.Accepted, st.FastPath, st.Fallbacks)
 	}
 	if err := se.VerifyState(); err != nil {
 		t.Fatal(err)
@@ -281,8 +201,7 @@ func TestShardedFastPathDominatesLightChurn(t *testing.T) {
 // once scratch is warm — the same discipline as the Evaluator trial loop.
 func TestShardedServeBatchAllocFree(t *testing.T) {
 	nw := buildNet(t, 2)
-	se := route.NewShardedEngine(nw.G, 4)
-	se.Prefilter = route.PrefilterOn // warm the lane-pass scratch too
+	se := route.NewShardedEngine(nw.G, 1)
 	n := len(nw.Inputs())
 	perm := rng.New(3).Perm(n)
 	reqs := make([]route.Request, n)
@@ -291,7 +210,7 @@ func TestShardedServeBatchAllocFree(t *testing.T) {
 	}
 	res := make([]route.Result, 0, n)
 	work := func() {
-		res = se.ServeBatch(reqs, res)
+		res = se.ConnectBatch(reqs, res)
 		for _, r := range res {
 			if r.Path != nil {
 				if err := se.Disconnect(r.In, r.Out); err != nil {
@@ -304,19 +223,19 @@ func TestShardedServeBatchAllocFree(t *testing.T) {
 		work() // warm pools and arenas
 	}
 	if avg := testing.AllocsPerRun(50, work); avg != 0 {
-		t.Errorf("steady-state ServeBatch allocated %.1f times per batch", avg)
+		t.Errorf("steady-state ConnectBatch allocated %.1f times per batch", avg)
 	}
 }
 
 // TestShardedDisconnectErrors covers the bookkeeping edges.
 func TestShardedDisconnectErrors(t *testing.T) {
 	nw := buildNet(t, 1)
-	se := route.NewShardedEngine(nw.G, 2)
+	se := route.NewShardedEngine(nw.G, 1)
 	in, out := nw.Inputs()[0], nw.Outputs()[0]
 	if err := se.Disconnect(in, out); err == nil {
 		t.Fatal("disconnect of a nonexistent circuit succeeded")
 	}
-	res := se.ServeBatch([]route.Request{{In: in, Out: out}}, nil)
+	res := se.ConnectBatch([]route.Request{{In: in, Out: out}}, nil)
 	if res[0].Path == nil {
 		t.Fatal("fault-free connect failed")
 	}
@@ -329,9 +248,8 @@ func TestShardedDisconnectErrors(t *testing.T) {
 	if err := se.Disconnect(in, nw.Outputs()[1]); err == nil {
 		t.Fatal("disconnect with wrong output succeeded")
 	}
-	// Busy endpoint: rejected without probing (Attempts stays 0), like the
-	// concurrent router's unusable-endpoint convention.
-	res = se.ServeBatch([]route.Request{{In: in, Out: nw.Outputs()[1]}}, res)
+	// Busy endpoint: rejected without probing (Attempts stays 0).
+	res = se.ConnectBatch([]route.Request{{In: in, Out: nw.Outputs()[1]}}, res)
 	if res[0].Path != nil || res[0].Attempts != 0 {
 		t.Fatalf("busy-endpoint request: got path=%v attempts=%d, want reject with 0 attempts",
 			res[0].Path, res[0].Attempts)
@@ -357,9 +275,9 @@ func TestShardedDisconnectErrors(t *testing.T) {
 // rebuilds the guide so stale pruning cannot linger.
 func TestShardedSetMasksSharedReleases(t *testing.T) {
 	nw := buildNet(t, 1)
-	se := route.NewShardedEngine(nw.G, 2)
+	se := route.NewShardedEngine(nw.G, 1)
 	in, out := nw.Inputs()[0], nw.Outputs()[0]
-	if res := se.ServeBatch([]route.Request{{In: in, Out: out}}, nil); res[0].Path == nil {
+	if res := se.ConnectBatch([]route.Request{{In: in, Out: out}}, nil); res[0].Path == nil {
 		t.Fatal("fault-free connect failed")
 	}
 	m := repairedMasks(t, nw, 0.02, 99)
@@ -370,7 +288,7 @@ func TestShardedSetMasksSharedReleases(t *testing.T) {
 	// The engine must agree with a sequential router on the new masks.
 	rt := route.NewRouter(nw.G)
 	rt.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-	res := se.ServeBatch([]route.Request{{In: in, Out: out}}, nil)
+	res := se.ConnectBatch([]route.Request{{In: in, Out: out}}, nil)
 	_, err := rt.Connect(in, out)
 	if (err == nil) != (res[0].Path != nil) {
 		t.Fatalf("post-mask decision mismatch: seq err=%v sharded=%v", err, res[0].Path != nil)
@@ -379,12 +297,8 @@ func TestShardedSetMasksSharedReleases(t *testing.T) {
 
 // FuzzShardedVsSequential fuzzes fault patterns and batch splits on the
 // n=16 network, asserting decision AND path equality between the
-// sequential router and a 2-shard engine with the prefilter forced on.
-// GOMAXPROCS is pinned >1 and full-width batches clear the 2-shard
-// fan-out threshold, so the fuzzer also drives the persistent workers and
-// the disjoint parallel commit, not just the serial walk.
+// sequential router and the guided engine.
 func FuzzShardedVsSequential(f *testing.F) {
-	pinProcs(f, 4)
 	f.Add(uint64(1), uint8(3))
 	f.Add(uint64(42), uint8(16))
 	f.Add(uint64(0xDEAD), uint8(1))
@@ -397,15 +311,14 @@ func FuzzShardedVsSequential(f *testing.F) {
 		rt := route.NewRouter(nw.G)
 		rt.EnablePathReuse()
 		rt.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-		se := route.NewShardedEngine(nw.G, 2)
-		se.Prefilter = route.PrefilterOn
+		se := route.NewShardedEngine(nw.G, 1)
 		se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
 		wl := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), seed^0x9E3779B97F4A7C15)
 		batch := int(batchRaw%16) + 1
 		var res []route.Result
 		for round := 0; round < 6; round++ {
 			reqs := wl.NextConnects(batch)
-			res = se.ServeBatch(reqs, res)
+			res = se.ConnectBatch(reqs, res)
 			for i, rq := range reqs {
 				path, err := rt.Connect(rq.In, rq.Out)
 				if (err == nil) != (res[i].Path != nil) {
@@ -433,4 +346,23 @@ func FuzzShardedVsSequential(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestNewShardedEnginePanicsOnNonPositiveShards locks the constructor
+// contract: every shard count other than 1 is a caller bug — a stale
+// caller still asking for parallelism the engine no longer has, or an
+// uninitialized or negated config value — and must fail loudly.
+func TestNewShardedEnginePanicsOnNonPositiveShards(t *testing.T) {
+	nw := buildNet(t, 1)
+	for _, shards := range []int{0, -1, -8, 2, 4} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewShardedEngine(g, %d) did not panic", shards)
+				}
+			}()
+			route.NewShardedEngine(nw.G, shards)
+		}()
+	}
+	route.NewShardedEngine(nw.G, 1)
 }
