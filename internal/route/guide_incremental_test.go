@@ -7,8 +7,9 @@ package route_test
 // a full-rebuild engine must both be bit-identical to referenceGuide's
 // independent full-width derivation, and the engines' decisions and paths
 // bit-identical to the sequential Router's, across the topology zoo
-// (guides of 1, 2, 4 and 8 words per row). External test package: the
-// realistic diff source is core.MaskUpdater, and core depends on route.
+// (guides of 1, 2, 4 and 8 words per row) and batch cuts. External test
+// package: the realistic diff source is core.MaskUpdater, and core depends
+// on route.
 
 import (
 	"fmt"
@@ -150,17 +151,18 @@ func checkGuide(t *testing.T, step string, se *route.ShardedEngine, g *graph.Gra
 }
 
 // lockstepBatch drives one request batch through the incrementally
-// maintained engine, the full-rebuild reference, and the sequential
-// router, requiring bit-identical decisions and paths.
+// maintained engine, the full-rebuild reference (each cut into pieces
+// consecutive ConnectBatch calls), and the sequential router, requiring
+// bit-identical decisions and paths.
 func lockstepBatch(t *testing.T, step string, inc, ref *route.ShardedEngine, seq *route.Router,
-	ins, outs []int32, r *rng.RNG, k int) []route.Request {
+	ins, outs []int32, r *rng.RNG, k, pieces int) []route.Request {
 	t.Helper()
 	reqs := make([]route.Request, k)
 	for i := range reqs {
 		reqs[i] = route.Request{In: ins[r.Intn(len(ins))], Out: outs[r.Intn(len(outs))]}
 	}
-	ri := inc.ConnectBatch(reqs, nil)
-	rr := ref.ConnectBatch(reqs, nil)
+	ri := connectInPieces(inc, reqs, pieces, nil)
+	rr := connectInPieces(ref, reqs, pieces, nil)
 	rs := seq.ConnectBatch(reqs, nil)
 	accepted := reqs[:0:0]
 	for i := range reqs {
@@ -188,22 +190,24 @@ func lockstepBatch(t *testing.T, step string, inc, ref *route.ShardedEngine, seq
 }
 
 // TestIncrementalGuideMatchesRebuild: randomized fault/churn/revert
-// sequences on every zoo family, three seeds each, at a fault rate of about
+// sequences on every zoo family × batch cut, at a fault rate of about
 // one failed switch per trial and at ε=0.03, whose diffs cross the
 // rebuild cutover. At every step the incremental guide and a full
 // rebuild's must both equal the full-width reference word for word, and
 // the engines must stay decision- and path-identical to the sequential
 // Router — including mid-sequence reverts and diffs applied while
-// circuits are live.
+// circuits are live. Subtests keep the names of the engine's shard days:
+// shards=k cuts each engine batch into k ConnectBatch calls and picks
+// the sequence's seed.
 func TestIncrementalGuideMatchesRebuild(t *testing.T) {
 	const trials = 12
 	for _, fam := range guideZoo(t) {
-		t.Run(fam.name, func(t *testing.T) {
-			for variant := uint64(1); variant <= 3; variant++ {
+		for _, shards := range []int{1, 2, 3} {
+			t.Run(fmt.Sprintf("%s/shards=%d", fam.name, shards), func(t *testing.T) {
 				g := fam.g
-				seed := uint64(0x641DE) + uint64(len(fam.name))*variant
+				seed := uint64(0x641DE) + uint64(len(fam.name))*uint64(shards)
 				sparse := 0.5 / float64(g.NumEdges())
-				st := guideSequence(t, g, sparse, trials, seed)
+				st := guideSequence(t, g, shards, sparse, trials, seed)
 				// On the multi-word families the sparse diffs stay under
 				// the cutover, so cone walks must have run: every full
 				// rebuild recomputes each row once, and the walks account
@@ -214,19 +218,20 @@ func TestIncrementalGuideMatchesRebuild(t *testing.T) {
 					t.Fatalf("ε=%g: no cone walk recomputed a row (%d refreshes, %d rebuilds)",
 						sparse, st.GuideRefreshes, st.GuideRebuilds)
 				}
-				st = guideSequence(t, g, 0.03, trials, seed)
+				st = guideSequence(t, g, shards, 0.03, trials, seed)
 				if st.GuideRebuilds <= 2 {
 					t.Fatalf("ε=0.03: no diff crossed the rebuild cutover (%d refreshes)", st.GuideRefreshes)
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
 // guideSequence runs TestIncrementalGuideMatchesRebuild's fault/churn/
-// revert sequence on g under the symmetric fault model at rate eps and
-// returns the incrementally maintained engine's counters.
-func guideSequence(t *testing.T, g *graph.Graph, eps float64, trials int, seed uint64) route.ShardedStats {
+// revert sequence on g under the symmetric fault model at rate eps, with
+// each engine batch cut into pieces ConnectBatch calls, and returns the
+// incrementally maintained engine's counters.
+func guideSequence(t *testing.T, g *graph.Graph, pieces int, eps float64, trials int, seed uint64) route.ShardedStats {
 	t.Helper()
 	inc := route.NewShardedEngine(g, 1)
 	ref := route.NewShardedEngine(g, 1)
@@ -261,7 +266,7 @@ func guideSequence(t *testing.T, g *graph.Graph, eps float64, trials int, seed u
 		check(fmt.Sprintf("trial %d apply", trial))
 
 		acc := lockstepBatch(t, fmt.Sprintf("ε=%g: trial %d churn A", eps, trial),
-			inc, ref, seq, ins, outs, r, batch)
+			inc, ref, seq, ins, outs, r, batch, pieces)
 
 		// Revert the trial's faults while circuits are live — the
 		// interleaved-churn case the epoch-stamped worklist must
@@ -272,7 +277,7 @@ func guideSequence(t *testing.T, g *graph.Graph, eps float64, trials int, seed u
 		check(fmt.Sprintf("trial %d revert", trial))
 
 		lockstepBatch(t, fmt.Sprintf("ε=%g: trial %d churn B", eps, trial),
-			inc, ref, seq, ins, outs, r, batch)
+			inc, ref, seq, ins, outs, r, batch, pieces)
 
 		for _, rq := range acc {
 			ei := inc.Disconnect(rq.In, rq.Out)

@@ -48,6 +48,7 @@ type churnDiff struct {
 	rt      *route.Router
 	se      *route.ShardedEngine
 	wl      *netsim.Workload
+	pieces  int // ConnectBatch calls each round's connects are cut into
 	res     []route.Result
 	rounds  int
 	accepts int
@@ -58,7 +59,7 @@ func (d *churnDiff) round(batch, releases int) {
 	d.t.Helper()
 	d.rounds++
 	reqs := d.wl.NextConnects(batch)
-	d.res = d.se.ConnectBatch(reqs, d.res)
+	d.res = connectInPieces(d.se, reqs, d.pieces, d.res)
 	for i, rq := range reqs {
 		path, err := d.rt.Connect(rq.In, rq.Out)
 		got := d.res[i].Path
@@ -93,37 +94,73 @@ func (d *churnDiff) round(batch, releases int) {
 	}
 }
 
+// connectInPieces serves reqs on se as k consecutive ConnectBatch calls
+// of near-equal size (one call when k <= 1) and returns the results in
+// request order.
+func connectInPieces(se *route.ShardedEngine, reqs []route.Request, k int, dst []route.Result) []route.Result {
+	if k <= 1 {
+		return se.ConnectBatch(reqs, dst)
+	}
+	dst = dst[:0]
+	var part []route.Result
+	for p := 0; p < k; p++ {
+		part = se.ConnectBatch(reqs[p*len(reqs)/k:(p+1)*len(reqs)/k], part)
+		dst = append(dst, part...)
+	}
+	return dst
+}
+
 // TestShardedMatchesSequentialChurn locks the headline contract under
 // continuous churn (no resets): decisions and paths bit-identical to the
-// sequential router across fault rates and workload streams.
+// sequential router across fault rates, batch cuts and guide settings.
+// The subtest grid is the one the engine had when it ran shards and a
+// prefilter: shards=k now serves each round's connects as k consecutive
+// ConnectBatch calls on workload stream k, and auto/on/off run the guide
+// at its default width budget, always, or never (the unguided hunt).
 func TestShardedMatchesSequentialChurn(t *testing.T) {
+	modes := []struct {
+		name  string
+		limit int // SetGuideLimit argument; -1 keeps the default budget
+	}{{"auto", -1}, {"on", 1 << 10}, {"off", 0}}
 	for _, nu := range []int{1, 2} {
 		nw := buildNet(t, nu)
 		for _, eps := range []float64{0, 0.01, 0.05} {
 			m := repairedMasks(t, nw, eps, uint64(0x5A0+nu))
-			t.Run(fmt.Sprintf("nu=%d/eps=%g", nu, eps), func(t *testing.T) {
-				for _, stream := range []uint64{1, 2, 4, 8} {
-					rt := route.NewRouter(nw.G)
-					rt.EnablePathReuse()
-					se := route.NewShardedEngine(nw.G, 1)
-					if eps > 0 {
-						rt.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-						se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
+			for _, shards := range []int{1, 2, 4, 8} {
+				for _, md := range modes {
+					if md.limit >= 0 && shards != 4 {
+						continue // modes × one batch cut keeps runtime sane
 					}
-					d := &churnDiff{t: t, rt: rt, se: se,
-						wl: netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0xC0FFEE+stream)}
-					n := len(nw.Inputs())
-					for round := 0; round < 40; round++ {
-						d.round(n/2+1, n/4+1)
-					}
-					if err := se.VerifyState(); err != nil {
-						t.Fatal(err)
-					}
-					if d.accepts == 0 {
-						t.Fatal("workload never accepted a circuit; differential is vacuous")
-					}
+					name := fmt.Sprintf("nu=%d/eps=%g/shards=%d/%s", nu, eps, shards, md.name)
+					t.Run(name, func(t *testing.T) {
+						rt := route.NewRouter(nw.G)
+						rt.EnablePathReuse()
+						se := route.NewShardedEngine(nw.G, 1)
+						if eps > 0 {
+							rt.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
+							se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
+						}
+						if md.limit >= 0 {
+							se.SetGuideLimit(md.limit)
+							if words, _ := se.GuideWords(); (words != nil) != (md.limit > 0) {
+								t.Fatalf("guide limit %d: guide built = %v", md.limit, words != nil)
+							}
+						}
+						d := &churnDiff{t: t, rt: rt, se: se, pieces: shards,
+							wl: netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0xC0FFEE+uint64(shards))}
+						n := len(nw.Inputs())
+						for round := 0; round < 40; round++ {
+							d.round(n/2+1, n/4+1)
+						}
+						if err := se.VerifyState(); err != nil {
+							t.Fatal(err)
+						}
+						if d.accepts == 0 {
+							t.Fatal("workload never accepted a circuit; differential is vacuous")
+						}
+					})
 				}
-			})
+			}
 		}
 	}
 }
