@@ -55,9 +55,9 @@ ftserve-smoke:
 
 # CLI input-validation smoke: every invocation below is a bad flag value
 # that must exit 1 with a message on stderr. A panic (exit 2) or a run
-# that never ends (timeout's 124) fails the target. ftsim and ftroute have
-# no tests of their own, so this is their gate. CI runs this in the test
-# job.
+# that never ends (timeout's 124) fails the target. ftsim, ftroute and
+# ftnetgen have no tests of their own, so this is their gate. CI runs this
+# in the test job.
 CLI_BAD := \
 	"ftserve -rate NaN" \
 	"ftserve -rate +Inf" \
@@ -74,11 +74,17 @@ CLI_BAD := \
 	"ftsim -trials 0" \
 	"ftsim -kind benes -k 3 -trials -2" \
 	"ftsim -churn -5" \
-	"ftroute -ops -5"
+	"ftroute -ops -5" \
+	"ftnetgen -kind bogus" \
+	"ftnetgen -kind benes -k 0" \
+	"ftnetgen -kind network-n -nu 0" \
+	"ftnetgen -kind clos -r 0" \
+	"ftnetgen -kind superconcentrator -n 0" \
+	"ftnetgen -kind multibutterfly -k 3 -d 0"
 
 cli-smoke:
 	@set -e; bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
-	for c in ftserve ftsim ftroute; do $(GO) build -o "$$bin/$$c" ./cmd/$$c; done; \
+	for c in ftserve ftsim ftroute ftnetgen; do $(GO) build -o "$$bin/$$c" ./cmd/$$c; done; \
 	bad=0; \
 	for inv in $(CLI_BAD); do \
 		st=0; timeout 20 "$$bin"/$$inv > /dev/null 2> "$$bin/stderr" || st=$$?; \
@@ -118,7 +124,7 @@ fuzz-smoke:
 # ns/op regression, or any allocs/op increase, fails), bench-baseline
 # refreshes the baseline.
 
-BENCH_GATED := BenchmarkShardedChurn|BenchmarkShardedChurnParallel|BenchmarkGreedyConnect|BenchmarkEvaluatorBatchTrial|BenchmarkEvaluatorBatchCertTrial|BenchmarkEvaluatorShardedChurnTrial|BenchmarkZooBatchCertTrial|BenchmarkZooShardedChurnTrial|BenchmarkMonteCarloTheorem2Engine|BenchmarkMonteCarloCertificateEngine|BenchmarkPooledE8WitnessSweep|BenchmarkPooledE10CertSweep|BenchmarkWitnessChecks|BenchmarkOpenLoopServe|BenchmarkIncrementalGuideEpoch
+BENCH_GATED := BenchmarkShardedChurn|BenchmarkShardedChurnParallel|BenchmarkGreedyConnect|BenchmarkEvaluatorBatchTrial|BenchmarkEvaluatorBatchCertTrial|BenchmarkEvaluatorShardedChurnTrial|BenchmarkZooBatchCertTrial|BenchmarkZooShardedChurnTrial|BenchmarkMonteCarloTheorem2Engine|BenchmarkMonteCarloCertificateEngine|BenchmarkWitnessChecks|BenchmarkOpenLoopServe|BenchmarkIncrementalGuideEpoch
 BENCH_COUNT ?= 6
 BENCH_TIME ?= 0.6s
 

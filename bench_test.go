@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"testing"
 
-	"ftcsn/internal/arena"
 	"ftcsn/internal/core"
 	"ftcsn/internal/experiments"
 	"ftcsn/internal/fault"
@@ -460,103 +459,6 @@ func BenchmarkMonteCarloCertificateEngine(b *testing.B) {
 			})
 		if p.Trials != cfg.Trials {
 			b.Fatal("wrong trial count")
-		}
-	}
-}
-
-// pooledWitnessScratch is the E8-style worker scratch (fault instance +
-// witness checks + batch injector) on pooled arenas, for the multi-network
-// sweep benchmarks below.
-type pooledWitnessScratch struct {
-	inst  *fault.Instance
-	sc    *fault.Scratch
-	bi    *fault.BatchInjector
-	model fault.Model
-	a     *arena.Arena
-}
-
-func (s *pooledWitnessScratch) StartBlock(seed, first uint64, n int) {
-	s.bi.FillStream(s.model, seed, first, n)
-}
-
-// BenchmarkPooledE8WitnessSweep is the E8 crossover workload shape — a
-// survival estimate per network over a family of networks — with every
-// worker's witness scratch drawn from one core.EvaluatorPool, so the
-// sweep's O(V)/O(E) buffers are allocated once and recycled row to row.
-// The allocs/op column is the point: it gates the pool staying
-// load-bearing.
-func BenchmarkPooledE8WitnessSweep(b *testing.B) {
-	var graphs []*Graph
-	for _, nu := range []int{1, 2} {
-		graphs = append(graphs, benchNetwork(b, nu).G)
-	}
-	pool := core.NewEvaluatorPool()
-	m := fault.Symmetric(0.01)
-	cfg := montecarlo.Config{Trials: 64, Seed: 0xE8}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, g := range graphs {
-			_, scs := montecarlo.RunBoolWithScratches(cfg,
-				func() *pooledWitnessScratch {
-					a := pool.Get()
-					return &pooledWitnessScratch{
-						inst:  fault.NewInstance(g),
-						sc:    fault.NewScratchIn(g, a),
-						bi:    fault.NewBatchInjectorIn(g, a),
-						model: m,
-						a:     a,
-					}
-				},
-				func(_ *rng.RNG, s *pooledWitnessScratch) bool {
-					s.bi.ApplyNext(s.inst)
-					pos, st := s.bi.AppliedFailures()
-					if a, _ := s.inst.ShortedTerminalsFromList(pos, st, s.sc); a >= 0 {
-						return false
-					}
-					a, _ := s.inst.IsolatedPairWith(s.sc)
-					return a < 0
-				})
-			for _, s := range scs {
-				if s != nil {
-					pool.Put(s.a)
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkPooledE10CertSweep is the E10 ablation workload shape — a
-// certificate-mode Monte-Carlo estimate per network over an ablation
-// family — with per-worker Evaluators drawn from one core.EvaluatorPool
-// and released between networks.
-func BenchmarkPooledE10CertSweep(b *testing.B) {
-	var nets []*Network
-	for _, d := range []int{1, 2, 3} {
-		nw, err := Build(core.Params{Nu: 2, Gamma: 0, M: 8, DQ: d, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		nets = append(nets, nw)
-	}
-	pool := core.NewEvaluatorPool()
-	m := fault.Symmetric(0.005)
-	cfg := montecarlo.Config{Trials: 64, Seed: 0xEA}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, nw := range nets {
-			_, scs := montecarlo.RunBoolWithScratches(cfg,
-				func() *theorem2Scratch { return &theorem2Scratch{ev: pool.NewEvaluator(nw), m: m} },
-				func(_ *rng.RNG, s *theorem2Scratch) bool {
-					s.ev.EvaluateNextCertInto(&s.out)
-					return s.out.MajorityAccess
-				})
-			for _, s := range scs {
-				if s != nil {
-					s.ev.Release()
-				}
-			}
 		}
 	}
 }

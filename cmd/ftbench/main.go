@@ -13,11 +13,10 @@
 // blocks whose failure positions are drawn in one geometric-skip sweep,
 // and repair masks are maintained incrementally from the per-trial diffs —
 // so per-trial overhead is O(#failure changes), not O(switches), and trial
-// throughput is bounded by graph traversal, not GC or resets. Worker
-// scratch is drawn from core.EvaluatorPool arenas recycled across each
-// experiment's networks, trial churn is batch-shaped (netsim.ChurnDriver
-// over the route.Engine seam, bit-identical to the per-op protocol), and
-// E9 drives every engine through that same seam.
+// throughput is bounded by graph traversal, not GC or resets. Trial
+// churn is batch-shaped (netsim.ChurnDriver over the route.Engine seam,
+// bit-identical to the per-op protocol), and E9 drives every engine
+// through that same seam.
 //
 // Usage:
 //

@@ -107,11 +107,6 @@ type Engine = route.Engine
 // EngineStats is the engine-neutral cumulative serving record.
 type EngineStats = route.EngineStats
 
-// EvaluatorPool recycles per-worker trial scratch arenas across the
-// networks of a multi-network experiment; see DESIGN.md §2.8 for the
-// ownership rules.
-type EvaluatorPool = core.EvaluatorPool
-
 // RouteRequest asks for a circuit In → Out; RouteResult reports one
 // request's outcome (Path == nil means rejected).
 type RouteRequest = route.Request
@@ -168,11 +163,6 @@ func Inject(g *Graph, m FaultModel, seed uint64) *FaultInstance {
 // Evaluate calls and block trials (StartBlock, EvaluateNextInto) allocate
 // nothing in steady state.
 func NewEvaluator(nw *Network) *Evaluator { return core.NewEvaluator(nw) }
-
-// NewEvaluatorPool returns a scratch pool for multi-network experiment
-// sweeps: pool.NewEvaluator(nw) draws a pooled evaluator, Release recycles
-// its buffers for the next network.
-func NewEvaluatorPool() *EvaluatorPool { return core.NewEvaluatorPool() }
 
 // NewRouter returns a greedy circuit router over the fault-free network.
 func NewRouter(g *Graph) *Router { return route.NewRouter(g) }

@@ -184,25 +184,6 @@ func TestEngineSeamFacade(t *testing.T) {
 	}
 }
 
-func TestEvaluatorPoolFacade(t *testing.T) {
-	pool := NewEvaluatorPool()
-	for round := 0; round < 2; round++ {
-		nw, err := Build(DefaultParams(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev := pool.NewEvaluator(nw)
-		out := ev.Evaluate(Symmetric(0.001), 7, 100)
-		if !out.MajorityAccess || out.ChurnFailures != 0 {
-			t.Fatalf("round %d: %+v", round, out)
-		}
-		ev.Release()
-	}
-	if created, reused := pool.Arenas(); created != 1 || reused != 1 {
-		t.Fatalf("pool accounting: created=%d reused=%d", created, reused)
-	}
-}
-
 // TestOpenLoopFacade runs an end-to-end open-loop serving session purely
 // through the public API: composed traffic source, repaired engine,
 // virtual-clock Serve, SLO snapshot — and checks the whole run is

@@ -17,8 +17,6 @@ package bitset
 import (
 	"fmt"
 	"math/bits"
-
-	"ftcsn/internal/arena"
 )
 
 // Set is a bitset over [0, Len()). The zero value is an empty set of
@@ -29,15 +27,11 @@ type Set struct {
 }
 
 // New returns a set of capacity n with all bits clear.
-func New(n int) *Set { return NewIn(n, nil) }
-
-// NewIn is New drawing the backing words from a (nil a allocates
-// normally).
-func NewIn(n int, a *arena.Arena) *Set {
+func New(n int) *Set {
 	if n < 0 {
 		panic("bitset: negative capacity")
 	}
-	return &Set{words: a.U64((n + 63) / 64), n: n}
+	return &Set{words: make([]uint64, (n+63)/64), n: n}
 }
 
 // Len returns the capacity of the set.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"ftcsn/internal/arena"
 	"ftcsn/internal/fault"
 	"ftcsn/internal/graph"
 )
@@ -85,24 +84,16 @@ type AccessChecker struct {
 	// batch is the word-parallel whole-network certifier, created lazily on
 	// the first MajorityAccessInto call that can use it, so per-terminal
 	// users (grid access counts, busy-aware checks) never pay for its rows.
-	// a is the arena the checker was built in (nil = heap); the lazy batch
-	// certifier draws its lane rows from the same place.
 	batch *BatchAccessChecker
-	a     *arena.Arena
 }
 
 // NewAccessChecker returns a checker for nw.
-func NewAccessChecker(nw *Network) *AccessChecker { return NewAccessCheckerIn(nw, nil) }
-
-// NewAccessCheckerIn is NewAccessChecker drawing its buffers from a (nil a
-// allocates normally).
-func NewAccessCheckerIn(nw *Network, a *arena.Arena) *AccessChecker {
+func NewAccessChecker(nw *Network) *AccessChecker {
 	return &AccessChecker{
 		nw:    nw,
 		level: networkLevels(nw),
-		seen:  a.U32(nw.G.NumVertices()),
-		queue: a.I32(1024)[:0],
-		a:     a,
+		seen:  make([]uint32, nw.G.NumVertices()),
+		queue: make([]int32, 0, 1024),
 	}
 }
 
@@ -335,7 +326,7 @@ func (nw *Network) MajorityAccess(ac *AccessChecker, m Masks) MajorityReport {
 func (nw *Network) MajorityAccessInto(ac *AccessChecker, m Masks, rep *MajorityReport) {
 	if m.Busy == nil && m.OutAllowed != nil && m.InAllowed != nil {
 		if ac.batch == nil {
-			ac.batch = NewBatchAccessCheckerIn(nw, ac.a)
+			ac.batch = NewBatchAccessChecker(nw)
 		}
 		if ac.batch.MajorityAccessInto(m, rep) {
 			return

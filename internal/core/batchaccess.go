@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 
-	"ftcsn/internal/arena"
 	"ftcsn/internal/bitset"
 	"ftcsn/internal/graph"
 )
@@ -54,17 +53,11 @@ type BatchAccessChecker struct {
 // whose graph has no leveling (cyclic; see graph.Levels) yield a checker
 // whose MajorityAccessInto always reports unsupported.
 func NewBatchAccessChecker(nw *Network) *BatchAccessChecker {
-	return NewBatchAccessCheckerIn(nw, nil)
-}
-
-// NewBatchAccessCheckerIn is NewBatchAccessChecker drawing the lane rows —
-// the checker's one large buffer — from a (nil a allocates normally).
-func NewBatchAccessCheckerIn(nw *Network, a *arena.Arena) *BatchAccessChecker {
 	//ftlint:ignore hotpath constructor: reached from the trial path only through MajorityAccessInto's one-time lazy init
 	bc := &BatchAccessChecker{nw: nw, lanes: 64}
 	if lv, err := nw.G.Levels(); err == nil && nw.MiddleStage+1 < len(lv.First()) {
 		bc.lv = lv
-		bc.rows = bitset.NewIn(64*nw.G.NumVertices(), a)
+		bc.rows = bitset.New(64 * nw.G.NumVertices())
 	}
 	return bc
 }

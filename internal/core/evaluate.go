@@ -1,7 +1,6 @@
 package core
 
 import (
-	"ftcsn/internal/arena"
 	"ftcsn/internal/fault"
 	"ftcsn/internal/netsim"
 	"ftcsn/internal/rng"
@@ -89,8 +88,8 @@ type Evaluator struct {
 	// notifications merges its flipped vertices and recomputed edges here,
 	// epoch-deduplicated, so the diff handed to the engine covers every
 	// byte edit since it last derived state — across as many trials as the
-	// churn phase skips. The lists are arena-backed at full nV/nE capacity
-	// (dedup bounds their length), so accumulation never allocates.
+	// churn phase skips. The lists are sized at full nV/nE capacity (dedup
+	// bounds their length), so accumulation never allocates.
 	// pendFull marks an edit recorded without its lists (the
 	// certificate-only path, which never pays churn and so never tracks);
 	// the next churn phase then falls back to the full MasksChanged.
@@ -104,40 +103,31 @@ type Evaluator struct {
 	// from those diffs. Nothing else mutates inst.
 	batch *fault.BatchInjector
 	mu    *MaskUpdater
-
-	// Pool bookkeeping (see EvaluatorPool): the arena backing this
-	// evaluator's buffers, returned by Release.
-	pool *EvaluatorPool
-	a    *arena.Arena
 }
 
-// NewEvaluator returns a reusable trial evaluator for nw.
-func NewEvaluator(nw *Network) *Evaluator { return NewEvaluatorIn(nw, nil) }
-
-// NewEvaluatorIn is NewEvaluator drawing every O(V)/O(E) buffer from a
-// (nil a allocates normally) — the pooled form behind EvaluatorPool. The
-// repair masks and traversal bytes are pre-sized here so the lazy
-// grow-on-first-use paths never allocate behind the arena's back.
-func NewEvaluatorIn(nw *Network, a *arena.Arena) *Evaluator {
-	rt := route.NewRouterIn(nw.G, a)
+// NewEvaluator returns a reusable trial evaluator for nw. The repair
+// masks, the traversal bytes and the pending change lists are sized here,
+// so no trial grows them.
+func NewEvaluator(nw *Network) *Evaluator {
+	rt := route.NewRouter(nw.G)
 	rt.EnablePathReuse()
 	ev := &Evaluator{
 		nw:    nw,
-		inst:  fault.NewInstanceIn(nw.G, a),
-		fsc:   fault.NewScratchIn(nw.G, a),
-		ac:    NewAccessCheckerIn(nw, a),
-		batch: fault.NewBatchInjectorIn(nw.G, a),
-		mu:    NewMaskUpdaterIn(nw.G, a),
+		inst:  fault.NewInstance(nw.G),
+		fsc:   fault.NewScratch(nw.G),
+		ac:    NewAccessChecker(nw),
+		batch: fault.NewBatchInjector(nw.G),
+		mu:    NewMaskUpdater(nw.G),
 	}
 	nV, nE := nw.G.NumVertices(), nw.G.NumEdges()
-	ev.masks.VertexOK = a.Bools(nV)
-	ev.masks.EdgeOK = a.Bools(nE)
-	ev.masks.OutAllowed = a.Bytes(nE)
-	ev.masks.InAllowed = a.Bytes(nE)
-	ev.pendV = a.I32(nV)[:0]
-	ev.pendE = a.I32(nE)[:0]
-	ev.pendVEp = a.U32(nV)
-	ev.pendEEp = a.U32(nE)
+	ev.masks.VertexOK = make([]bool, nV)
+	ev.masks.EdgeOK = make([]bool, nE)
+	ev.masks.OutAllowed = make([]uint8, nE)
+	ev.masks.InAllowed = make([]uint8, nE)
+	ev.pendV = make([]int32, 0, nV)
+	ev.pendE = make([]int32, 0, nE)
+	ev.pendVEp = make([]uint32, nV)
+	ev.pendEEp = make([]uint32, nE)
 	ev.mu.Init(ev.inst, &ev.masks)
 	ev.SetChurnEngine(rt)
 	return ev
@@ -147,10 +137,7 @@ func NewEvaluatorIn(nw *Network, a *arena.Arena) *Evaluator {
 // the evaluator's sequential router) and hands it the evaluator's current
 // shared masks. The engine must be over the evaluator's graph; every
 // route.Engine has sequential-batch semantics, so outcomes stay
-// bit-identical. On a pooled evaluator the engine borrows arena-backed
-// mask slices, so Release detaches them (SetMasksShared(nil, nil, nil)):
-// using the engine after the evaluator's Release fails loudly instead of
-// reading recycled memory.
+// bit-identical.
 func (ev *Evaluator) SetChurnEngine(eng route.Engine) {
 	ev.eng = eng
 	eng.SetMasksShared(ev.masks.VertexOK, ev.masks.EdgeOK, ev.masks.OutAllowed)
@@ -189,7 +176,7 @@ func (ev *Evaluator) StartBlockSeq(m fault.Model, seedBase, first uint64, n int)
 // noteMaskEdits merges the latest mu.Apply's change lists (edges: its
 // return value; vertices: ChangedVertices) into the pending diff the
 // engine receives at the next churn phase. Dedup is epoch-stamped, so the
-// arena-backed lists never outgrow their nV/nE capacity.
+// lists never outgrow their nV/nE capacity.
 //
 //ftcsn:hotpath per-trial diff bookkeeping on the batched pipeline
 func (ev *Evaluator) noteMaskEdits(edges []int32) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"ftcsn/internal/arena"
 	"ftcsn/internal/fault"
 	"ftcsn/internal/graph"
 )
@@ -31,22 +30,18 @@ type MaskUpdater struct {
 }
 
 // NewMaskUpdater returns an updater for graphs over g.
-func NewMaskUpdater(g *graph.Graph) *MaskUpdater { return NewMaskUpdaterIn(g, nil) }
-
-// NewMaskUpdaterIn is NewMaskUpdater drawing the epoch tables from a (nil
-// a allocates normally).
-func NewMaskUpdaterIn(g *graph.Graph, a *arena.Arena) *MaskUpdater {
+func NewMaskUpdater(g *graph.Graph) *MaskUpdater {
 	return &MaskUpdater{
 		g:      g,
-		vEpoch: a.U32(g.NumVertices()),
-		eEpoch: a.U32(g.NumEdges()),
+		vEpoch: make([]uint32, g.NumVertices()),
+		eEpoch: make([]uint32, g.NumEdges()),
 	}
 }
 
 // Init fully recomputes m from inst — the paper's discard repair, exactly
 // as RepairMasksInto — and builds the combined traversal arrays, reusing
 // m's existing byte buffers (RepairMasksInto drops the stale references,
-// but the backing capacity — possibly arena-owned — is kept and refilled).
+// but the backing capacity is kept and refilled).
 // Call it once per (instance, masks) pairing; afterwards keep the pair
 // current with Apply.
 func (mu *MaskUpdater) Init(inst *fault.Instance, m *Masks) {

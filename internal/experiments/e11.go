@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"ftcsn/internal/benes"
-	"ftcsn/internal/core"
 	"ftcsn/internal/graph"
 	"ftcsn/internal/hammock"
 	"ftcsn/internal/montecarlo"
@@ -37,17 +36,13 @@ func E11Substitution(mode Mode) Result {
 	depthPlain, _ := bn.G.Depth()
 	depthSub, _ := sub.Depth()
 
-	// Plain and substituted networks alternate below; one pool serves both.
-	pool := core.NewEvaluatorPool()
 	measure := func(g *graph.Graph, eps float64, seed uint64) float64 {
-		p, scs := montecarlo.RunBoolWithScratches(montecarlo.Config{Trials: trialsN, Seed: seed},
-			batchWitnessScratchFor(pool, g, eps),
+		return montecarlo.RunBoolWith(montecarlo.Config{Trials: trialsN, Seed: seed},
+			batchWitnessScratchFor(g, eps),
 			func(_ *rng.RNG, s *batchWitnessScratch) bool {
 				s.next()
 				return s.survives()
-			})
-		releaseWitnessScratches(scs)
-		return p.Estimate()
+			}).Estimate()
 	}
 
 	epsBig := 0.05   // harsh world the amplified network must live in

@@ -111,11 +111,10 @@ func E14FamilyZoo(mode Mode) Result {
 	// Majority access to the middle level under symmetric faults — Lemma
 	// 6's certificate, word-parallel on every family.
 	trialsN := mode.trials(60, 400)
-	pool := core.NewEvaluatorPool()
 	cert := stats.NewTable("family", "ε", "trials", "P[majority access]")
 	for i, f := range fams {
 		for j, eps := range []float64{0.002, 0.01} {
-			pr := montecarloMajority(pool, f.nw, eps, trialsN, uint64(0xE14A00+i*16+j))
+			pr := montecarloMajority(f.nw, eps, trialsN, uint64(0xE14A00+i*16+j))
 			cert.AddRow(f.name, eps, trialsN, pr)
 		}
 	}
@@ -129,7 +128,7 @@ func E14FamilyZoo(mode Mode) Result {
 	for i, f := range fams {
 		for j, eps := range []float64{0, 0.005} {
 			scs := montecarlo.RunWith(montecarlo.Config{Trials: trialsN, Seed: uint64(0xE14B00 + i*16 + j)},
-				batchEvalScratchFor(pool, f.nw, fault.Symmetric(eps), false),
+				batchEvalScratchFor(f.nw, fault.Symmetric(eps), false),
 				func(_ *rng.RNG, s *batchEvalScratch, _ uint64) {
 					s.ev.EvaluateNextInto(&s.out, churnOps)
 					s.churnConn += s.out.ChurnConnects
@@ -137,7 +136,6 @@ func E14FamilyZoo(mode Mode) Result {
 					s.churnPathTotal += s.out.ChurnPathTotal
 				})
 			t := mergeBatchEval(scs)
-			releaseBatchEval(scs)
 			churn.AddRow(f.name, eps, trialsN, t.churnConn, t.churnFail,
 				ratio(t.churnPathTotal, t.churnConn-t.churnFail))
 		}

@@ -42,7 +42,6 @@ func E5MajorityAccess(mode Mode) Result {
 	}
 	tab := stats.NewTable("ν", "n", "L", "ε", "P[majority access]", "min access frac seen")
 	trialsN := mode.trials(60, 400)
-	pool := core.NewEvaluatorPool()
 	nus := []int{1, 2}
 	if mode == Full {
 		nus = append(nus, 3)
@@ -61,7 +60,7 @@ func E5MajorityAccess(mode Mode) Result {
 			// by diffs, and the extremum is folded in the worker's scratch
 			// and merged afterwards, so no trial races on shared state.
 			scs := montecarlo.RunWith(montecarlo.Config{Trials: trialsN, Seed: uint64(0xE50000 + nu*100)},
-				batchEvalScratchFor(pool, nw, fault.Symmetric(eps), false),
+				batchEvalScratchFor(nw, fault.Symmetric(eps), false),
 				func(_ *rng.RNG, s *batchEvalScratch, _ uint64) {
 					s.ev.EvaluateNextCertInto(&s.out)
 					s.trials++
@@ -73,7 +72,6 @@ func E5MajorityAccess(mode Mode) Result {
 					}
 				})
 			t := mergeBatchEval(scs)
-			releaseBatchEval(scs)
 			tab.AddRow(nu, p.N(), p.L(), eps, ratio(t.maj, t.trials), t.minFrac)
 		}
 	}
@@ -108,7 +106,6 @@ func E6TerminalShorting(mode Mode) Result {
 	}
 	tab := stats.NewTable("ν", "n", "ε", "P[shorted]", "shortest terminal-terminal distance")
 	trialsN := mode.trials(300, 3000)
-	pool := core.NewEvaluatorPool()
 	for _, nu := range []int{1, 2} {
 		p := scaledParams(nu)
 		nw, err := core.Build(p)
@@ -119,13 +116,12 @@ func E6TerminalShorting(mode Mode) Result {
 		// up another: ≥ 2ν switches... measured exactly:
 		minDist := terminalMinDistance(nw.G)
 		for _, eps := range []float64{0.1, 0.2, 0.3} {
-			pr, wscs := montecarlo.RunBoolWithScratches(montecarlo.Config{Trials: trialsN, Seed: uint64(0xE60000 + nu*10)},
-				batchWitnessScratchFor(pool, nw.G, eps),
+			pr := montecarlo.RunBoolWith(montecarlo.Config{Trials: trialsN, Seed: uint64(0xE60000 + nu*10)},
+				batchWitnessScratchFor(nw.G, eps),
 				func(_ *rng.RNG, s *batchWitnessScratch) bool {
 					s.next()
 					return s.shorted()
 				})
-			releaseWitnessScratches(wscs)
 			tab.AddRow(nu, p.N(), eps, pr.Estimate(), minDist)
 		}
 	}
@@ -175,7 +171,6 @@ func E7Theorem2(mode Mode) Result {
 
 	pipe := stats.NewTable("ν", "n", "L", "edges", "depth", "ε", "P[success]", "P[majority]", "churn fail rate")
 	trialsN := mode.trials(40, 300)
-	pool := core.NewEvaluatorPool()
 	nus := []int{1, 2}
 	if mode == Full {
 		nus = append(nus, 3)
@@ -192,7 +187,7 @@ func E7Theorem2(mode Mode) Result {
 			// historical per-trial seed 0xE70000+nu*1000+i.
 			seedBase := uint64(0xE70000 + nu*1000)
 			scs := montecarlo.RunWith(montecarlo.Config{Trials: trialsN, Seed: seedBase},
-				batchEvalScratchFor(pool, nw, fault.Symmetric(eps), true),
+				batchEvalScratchFor(nw, fault.Symmetric(eps), true),
 				func(_ *rng.RNG, s *batchEvalScratch, _ uint64) {
 					s.ev.EvaluateNextInto(&s.out, 120)
 					s.trials++
@@ -206,7 +201,6 @@ func E7Theorem2(mode Mode) Result {
 					s.churnFail += s.out.ChurnFailures
 				})
 			t := mergeBatchEval(scs)
-			releaseBatchEval(scs)
 			pipe.AddRow(nu, p.N(), p.L(), a.Edges, a.Depth, eps,
 				ratio(t.succ, t.trials), ratio(t.maj, t.trials), ratio(t.churnFail, t.churnConn))
 		}
@@ -232,9 +226,6 @@ func E8LowerBoundCrossover(mode Mode) Result {
 	}
 	eps := 0.01
 	trialsN := mode.trials(150, 1000)
-	// One scratch pool serves every network of the sweep: worker arenas are
-	// recycled row to row and converge to the largest graph's sizes.
-	pool := core.NewEvaluatorPool()
 	tab := stats.NewTable("network", "n", "size", "depth", "term degree",
 		"P[survive] @ε=0.01", "Thm1 size bound", "size/bound")
 	type row struct {
@@ -269,13 +260,12 @@ func E8LowerBoundCrossover(mode Mode) Result {
 		n := len(rw.g.Inputs())
 		depth, _ := rw.g.Depth()
 		termDeg := rw.g.OutDegree(rw.g.Inputs()[0])
-		surv, wscs := montecarlo.RunBoolWithScratches(montecarlo.Config{Trials: trialsN, Seed: 0xE80000},
-			batchWitnessScratchFor(pool, rw.g, eps),
+		surv := montecarlo.RunBoolWith(montecarlo.Config{Trials: trialsN, Seed: 0xE80000},
+			batchWitnessScratchFor(rw.g, eps),
 			func(_ *rng.RNG, s *batchWitnessScratch) bool {
 				s.next()
 				return s.survives()
 			})
-		releaseWitnessScratches(wscs)
 		bound := core.LowerBoundSize(n)
 		tab.AddRow(rw.name, n, rw.g.NumEdges(), depth, termDeg,
 			surv.Estimate(), bound, float64(rw.g.NumEdges())/bound)

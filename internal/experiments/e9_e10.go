@@ -24,7 +24,6 @@ func E9Routing(mode Mode) Result {
 	}
 	tab := stats.NewTable("ν", "n", "ε", "trials", "churn connects", "blocked", "mean path len")
 	trialsN := mode.trials(20, 100)
-	pool := core.NewEvaluatorPool()
 	nus := []int{1, 2}
 	if mode == Full {
 		nus = append(nus, 3)
@@ -40,7 +39,7 @@ func E9Routing(mode Mode) Result {
 			// while the block engine advances trials by diffs.
 			seedBase := uint64(0xE90000 + nu*1000)
 			scs := montecarlo.RunWith(montecarlo.Config{Trials: trialsN, Seed: seedBase},
-				batchEvalScratchFor(pool, nw, fault.Symmetric(eps), true),
+				batchEvalScratchFor(nw, fault.Symmetric(eps), true),
 				func(_ *rng.RNG, s *batchEvalScratch, _ uint64) {
 					s.ev.EvaluateNextInto(&s.out, 200)
 					if !s.out.MajorityAccess {
@@ -51,7 +50,6 @@ func E9Routing(mode Mode) Result {
 					s.churnPathTotal += s.out.ChurnPathTotal
 				})
 			t := mergeBatchEval(scs)
-			releaseBatchEval(scs)
 			mean := ratio(t.churnPathTotal, t.churnConn-t.churnFail)
 			tab.AddRow(nu, p.N(), eps, trialsN, t.churnConn, t.churnFail, mean)
 		}
@@ -156,9 +154,6 @@ func E10Ablations(mode Mode) Result {
 	}
 	trialsN := mode.trials(60, 400)
 	eps := 0.005
-	// E10 builds a dozen networks; one pool recycles every worker's trial
-	// scratch across them (the arenas converge to the largest build).
-	pool := core.NewEvaluatorPool()
 
 	// (a) Expander degree DQ.
 	dq := stats.NewTable("DQ (degree 4·DQ)", "edges", "P[majority access] @ε=0.005")
@@ -168,7 +163,7 @@ func E10Ablations(mode Mode) Result {
 		if err != nil {
 			continue
 		}
-		pr := montecarloMajority(pool, nw, eps, trialsN, uint64(0xEA0000+d))
+		pr := montecarloMajority(nw, eps, trialsN, uint64(0xEA0000+d))
 		dq.AddRow(d, core.Accounting(p).Edges, pr)
 	}
 	res.Tables = append(res.Tables, dq)
@@ -181,8 +176,8 @@ func E10Ablations(mode Mode) Result {
 		if err != nil {
 			continue
 		}
-		surv := montecarloSurvive(pool, nw, 0.02, trialsN, uint64(0xEB0000+m))
-		maj := montecarloMajority(pool, nw, 0.02, trialsN, uint64(0xEC0000+m))
+		surv := montecarloSurvive(nw, 0.02, trialsN, uint64(0xEB0000+m))
+		maj := montecarloMajority(nw, 0.02, trialsN, uint64(0xEC0000+m))
 		lm.AddRow(m, core.Accounting(p).Edges, surv, maj)
 	}
 	res.Tables = append(res.Tables, lm)
@@ -210,7 +205,7 @@ func E10Ablations(mode Mode) Result {
 			name = "Gabber–Galil (explicit, d=5/quarter)"
 			seedTag = 1
 		}
-		expNet.AddRow(name, core.Accounting(pe).Edges, montecarloMajority(pool, nwE, eps, trialsN, 0xED50+seedTag))
+		expNet.AddRow(name, core.Accounting(pe).Edges, montecarloMajority(nwE, eps, trialsN, 0xED50+seedTag))
 	}
 	res.Tables = append(res.Tables, expNet)
 
@@ -251,26 +246,22 @@ func E10Ablations(mode Mode) Result {
 	return res
 }
 
-func montecarloMajority(pool *core.EvaluatorPool, nw *core.Network, eps float64, trials int, seed uint64) float64 {
-	pr, scs := montecarlo.RunBoolWithScratches(montecarlo.Config{Trials: trials, Seed: seed},
-		batchEvalScratchFor(pool, nw, fault.Symmetric(eps), false),
+func montecarloMajority(nw *core.Network, eps float64, trials int, seed uint64) float64 {
+	return montecarlo.RunBoolWith(montecarlo.Config{Trials: trials, Seed: seed},
+		batchEvalScratchFor(nw, fault.Symmetric(eps), false),
 		func(_ *rng.RNG, s *batchEvalScratch) bool {
 			s.ev.EvaluateNextCertInto(&s.out)
 			return s.out.MajorityAccess
-		})
-	releaseBatchEval(scs)
-	return pr.Estimate()
+		}).Estimate()
 }
 
-func montecarloSurvive(pool *core.EvaluatorPool, nw *core.Network, eps float64, trials int, seed uint64) float64 {
-	pr, scs := montecarlo.RunBoolWithScratches(montecarlo.Config{Trials: trials, Seed: seed},
-		batchWitnessScratchFor(pool, nw.G, eps),
+func montecarloSurvive(nw *core.Network, eps float64, trials int, seed uint64) float64 {
+	return montecarlo.RunBoolWith(montecarlo.Config{Trials: trials, Seed: seed},
+		batchWitnessScratchFor(nw.G, eps),
 		func(_ *rng.RNG, s *batchWitnessScratch) bool {
 			s.next()
 			return s.survives()
-		})
-	releaseWitnessScratches(scs)
-	return pr.Estimate()
+		}).Estimate()
 }
 
 // edgesOnlyMasksInto is the naive repair: drop failed switches but keep

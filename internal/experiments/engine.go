@@ -3,91 +3,41 @@ package experiments
 import (
 	"math"
 
-	"ftcsn/internal/arena"
 	"ftcsn/internal/core"
 	"ftcsn/internal/fault"
 	"ftcsn/internal/graph"
-	"ftcsn/internal/rng"
 	"ftcsn/internal/route"
 )
 
-// witnessScratch is the worker-local state for experiments that only need
-// fault injection plus the paper's failure witnesses: one reusable fault
-// instance and one witness-check scratch per Monte-Carlo worker.
-type witnessScratch struct {
-	inst *fault.Instance
-	sc   *fault.Scratch
-}
-
-// witnessScratchFor returns a constructor suitable for
-// montecarlo.RunBoolWith over graph g.
-func witnessScratchFor(g *graph.Graph) func() *witnessScratch {
-	return func() *witnessScratch {
-		return &witnessScratch{inst: fault.NewInstance(g), sc: fault.NewScratch(g)}
-	}
-}
-
-// reinject redraws the worker's instance under the symmetric model.
-func (s *witnessScratch) reinject(eps float64, r *rng.RNG) *fault.Instance {
-	fault.InjectInto(s.inst, fault.Symmetric(eps), r)
-	return s.inst
-}
-
-// batchWitnessScratch is witnessScratch on the batched injection engine:
-// its StartBlock hook (montecarlo.BlockStarter) draws a whole scheduling
-// block's failure positions in one sweep, and next advances the instance
-// trial-to-trial by diffs — bit-identical states to reinject with the
-// same per-trial streams, without the O(E) per-trial Reset.
+// batchWitnessScratch is the worker-local state for experiments that only
+// need fault injection plus the paper's failure witnesses: one reusable
+// fault instance, witness-check scratch and batch injector per Monte-Carlo
+// worker. Its StartBlock hook (montecarlo.BlockStarter) draws a whole
+// scheduling block's failure positions in one sweep, and next advances the
+// instance trial-to-trial by diffs — bit-identical states to
+// fault.InjectInto with the same per-trial streams, without the O(E)
+// per-trial Reset.
 type batchWitnessScratch struct {
-	witnessScratch
+	inst  *fault.Instance
+	sc    *fault.Scratch
 	bi    *fault.BatchInjector
 	model fault.Model
-
-	// pooled backing (nil when unpooled): released by release() after the
-	// run, recycling the O(V)/O(E) buffers for the sweep's next network.
-	pool *core.EvaluatorPool
-	a    *arena.Arena
 }
 
 func (s *batchWitnessScratch) StartBlock(seed, first uint64, n int) {
 	s.bi.FillStream(s.model, seed, first, n)
 }
 
-// release returns the scratch's arena to the pool (no-op when unpooled or
-// nil). The scratch must not be used afterwards.
-func (s *batchWitnessScratch) release() {
-	if s == nil || s.pool == nil {
-		return
-	}
-	pool, a := s.pool, s.a
-	s.pool, s.a = nil, nil
-	s.sc, s.bi = nil, nil
-	pool.Put(a)
-}
-
 // batchWitnessScratchFor returns a constructor suitable for
-// montecarlo.RunBoolWith over graph g under the symmetric model eps,
-// drawing buffers from pool when non-nil (release with release()).
-func batchWitnessScratchFor(pool *core.EvaluatorPool, g *graph.Graph, eps float64) func() *batchWitnessScratch {
+// montecarlo.RunBoolWith over graph g under the symmetric model eps.
+func batchWitnessScratchFor(g *graph.Graph, eps float64) func() *batchWitnessScratch {
 	return func() *batchWitnessScratch {
-		var a *arena.Arena
-		if pool != nil {
-			a = pool.Get()
-		}
 		return &batchWitnessScratch{
-			witnessScratch: witnessScratch{inst: fault.NewInstanceIn(g, a), sc: fault.NewScratchIn(g, a)},
-			bi:             fault.NewBatchInjectorIn(g, a),
-			model:          fault.Symmetric(eps),
-			pool:           pool,
-			a:              a,
+			inst:  fault.NewInstance(g),
+			sc:    fault.NewScratch(g),
+			bi:    fault.NewBatchInjector(g),
+			model: fault.Symmetric(eps),
 		}
-	}
-}
-
-// releaseWitnessScratches returns every pooled witness scratch's arena.
-func releaseWitnessScratches(scs []*batchWitnessScratch) {
-	for _, s := range scs {
-		s.release()
 	}
 }
 
@@ -130,12 +80,6 @@ type evalScratch struct {
 	churnConn, churnFail int
 	churnPathTotal       int
 	minFrac              float64
-}
-
-func evalScratchFor(nw *core.Network) func() *evalScratch {
-	return func() *evalScratch {
-		return &evalScratch{ev: core.NewEvaluator(nw), minFrac: math.Inf(1)}
-	}
 }
 
 // injectScratch is the minimal batched worker scratch for experiments
@@ -189,21 +133,16 @@ func (s *batchEvalScratch) StartBlock(seed, first uint64, n int) {
 	}
 }
 
-// batchEvalScratchFor returns a constructor for batched evaluator scratch;
-// when pool is non-nil the evaluator's buffers come from a pooled arena
-// (fold results with mergeBatchEval, then hand the arenas back with
-// releaseBatchEval).
+// batchEvalScratchFor returns a constructor for batched evaluator scratch
+// (fold results with mergeBatchEval).
 //
 // Every scratch churns through the guided ShardedEngine: decisions and
 // paths are contractually bit-identical to the default sequential router
 // (locked by the churn differential harness and the E9 parity rows), and
 // the guided probes make churn-heavy experiments markedly faster.
-func batchEvalScratchFor(pool *core.EvaluatorPool, nw *core.Network, m fault.Model, seq bool) func() *batchEvalScratch {
+func batchEvalScratchFor(nw *core.Network, m fault.Model, seq bool) func() *batchEvalScratch {
 	return func() *batchEvalScratch {
 		ev := core.NewEvaluator(nw)
-		if pool != nil {
-			ev = pool.NewEvaluator(nw)
-		}
 		ev.SetChurnEngine(route.NewShardedEngine(nw.G, 1))
 		return &batchEvalScratch{
 			evalScratch: evalScratch{ev: ev, minFrac: math.Inf(1)},
@@ -222,17 +161,6 @@ func mergeBatchEval(scs []*batchEvalScratch) evalScratch {
 		}
 	}
 	return mergeEval(flat)
-}
-
-// releaseBatchEval returns every pooled evaluator's arena (no-op entries
-// for unpooled evaluators and never-started workers). Call only after
-// mergeBatchEval has folded the results out.
-func releaseBatchEval(scs []*batchEvalScratch) {
-	for _, s := range scs {
-		if s != nil {
-			s.ev.Release()
-		}
-	}
 }
 
 // mergeEval folds per-worker accumulators into one; nil entries (workers

@@ -3,7 +3,6 @@ package fault
 import (
 	"fmt"
 
-	"ftcsn/internal/arena"
 	"ftcsn/internal/graph"
 	"ftcsn/internal/rng"
 )
@@ -65,17 +64,12 @@ type BatchInjector struct {
 
 // NewBatchInjector returns an injector for graphs over g. The paired
 // Instance must start fault-free (as NewInstance returns it).
-func NewBatchInjector(g *graph.Graph) *BatchInjector { return NewBatchInjectorIn(g, nil) }
-
-// NewBatchInjectorIn is NewBatchInjector drawing the O(E) tables from a
-// (nil a allocates normally). The per-block failure lists stay heap-grown:
-// they are proportional to the block's failure count, not the graph.
-func NewBatchInjectorIn(g *graph.Graph, a *arena.Arena) *BatchInjector {
+func NewBatchInjector(g *graph.Graph) *BatchInjector {
 	return &BatchInjector{
 		g:          g,
 		off:        []int{0},
-		oldState:   arena.Typed[State](a, g.NumEdges()),
-		touchEpoch: a.U32(g.NumEdges()),
+		oldState:   make([]State, g.NumEdges()),
+		touchEpoch: make([]uint32, g.NumEdges()),
 	}
 }
 

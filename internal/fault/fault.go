@@ -22,7 +22,6 @@ package fault
 import (
 	"fmt"
 
-	"ftcsn/internal/arena"
 	"ftcsn/internal/graph"
 	"ftcsn/internal/rng"
 	"ftcsn/internal/unionfind"
@@ -86,13 +85,7 @@ type Instance struct {
 
 // NewInstance returns a fault-free instance for g.
 func NewInstance(g *graph.Graph) *Instance {
-	return NewInstanceIn(g, nil)
-}
-
-// NewInstanceIn is NewInstance drawing the per-edge state vector — the
-// instance's one O(E) buffer — from a (nil a allocates normally).
-func NewInstanceIn(g *graph.Graph, a *arena.Arena) *Instance {
-	return &Instance{G: g, Edge: arena.Typed[State](a, g.NumEdges())}
+	return &Instance{G: g, Edge: make([]State, g.NumEdges())}
 }
 
 // Inject draws a fresh instance for g under model m using r.
@@ -282,19 +275,14 @@ type Scratch struct {
 }
 
 // NewScratch returns witness-check scratch sized for g.
-func NewScratch(g *graph.Graph) *Scratch { return NewScratchIn(g, nil) }
-
-// NewScratchIn is NewScratch drawing every buffer from a (nil a allocates
-// normally) — the pooled form core.EvaluatorPool uses to recycle witness
-// scratch across networks.
-func NewScratchIn(g *graph.Graph, a *arena.Arena) *Scratch {
+func NewScratch(g *graph.Graph) *Scratch {
 	n := g.NumVertices()
 	return &Scratch{
-		dsu:        unionfind.NewIn(n, a),
-		sdsu:       unionfind.NewSparseIn(n, a),
-		owner:      a.I32(n),
-		ownerEpoch: a.U32(n),
-		reach:      newReachScratchIn(n, a),
+		dsu:        unionfind.New(n),
+		sdsu:       unionfind.NewSparse(n),
+		owner:      make([]int32, n),
+		ownerEpoch: make([]uint32, n),
+		reach:      newReachScratch(n),
 	}
 }
 
@@ -380,10 +368,8 @@ type reachScratch struct {
 	queue []int32
 }
 
-func newReachScratch(n int) reachScratch { return newReachScratchIn(n, nil) }
-
-func newReachScratchIn(n int, a *arena.Arena) reachScratch {
-	return reachScratch{seen: a.U32(n), queue: a.I32(256)[:0]}
+func newReachScratch(n int) reachScratch {
+	return reachScratch{seen: make([]uint32, n), queue: make([]int32, 0, 256)}
 }
 
 func (sc *reachScratch) reset() {

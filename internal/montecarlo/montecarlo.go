@@ -94,27 +94,17 @@ func RunSample(cfg Config, trial func(r *rng.RNG) float64) stats.Sample {
 //
 //ftcsn:hotpath harness entry for the 0-allocs/trial pipelines; per-run setup in callees carries in-place suppressions
 func RunBoolWith[S any](cfg Config, newScratch func() S, trial func(r *rng.RNG, s S) bool) stats.Proportion {
-	pr, _ := RunBoolWithScratches(cfg, newScratch, trial)
-	return pr
-}
-
-// RunBoolWithScratches is RunBoolWith additionally returning the
-// per-worker scratches, so scratch backed by recycled storage (the
-// core.EvaluatorPool arenas of multi-network experiments) can be released
-// once the run is over. Entries are zero values for workers that never
-// started (Trials == 0).
-func RunBoolWithScratches[S any](cfg Config, newScratch func() S, trial func(r *rng.RNG, s S) bool) (stats.Proportion, []S) {
 	//ftlint:ignore hotpath per-run setup: one counter slice, amortized over cfg.Trials trials
 	perWorker := make([]stats.Proportion, cfg.workers())
 	//ftlint:ignore hotpath per-run setup: one trial adapter closure shared by every trial
-	scs := parallelFor(cfg, newScratch, func(w int, r *rng.RNG, s S, i uint64) {
+	parallelFor(cfg, newScratch, func(w int, r *rng.RNG, s S, i uint64) {
 		perWorker[w].Add(trial(r, s))
 	})
 	var total stats.Proportion
 	for _, p := range perWorker {
 		total.Merge(p)
 	}
-	return total, scs
+	return total
 }
 
 // RunSampleWith is RunSample with worker-local scratch; see RunBoolWith.

@@ -157,8 +157,8 @@ func growResults(res []Result, n int) []Result {
 // ConnectBatch serves the requests strictly in order through Connect,
 // reusing res (grown as needed) — the sequential reference implementation
 // of the Engine seam. Attempts is 1 for every request; Path is nil on
-// rejection (non-terminal, busy or unusable endpoint, duplicate circuit,
-// or no idle path — the same outcomes Connect reports as errors).
+// rejection (non-terminal, busy or unusable endpoint, or no idle path —
+// the same outcomes Connect reports as errors).
 func (rt *Router) ConnectBatch(reqs []Request, res []Result) []Result {
 	res = growResults(res, len(reqs))
 	rt.stats.Batches++

@@ -33,6 +33,13 @@ func permReqs(t *testing.T, nu int) ([]route.Request, *route.Router, []route.Eng
 func TestEngineSeamConformance(t *testing.T) {
 	reqs, _, engines := permReqs(t, 2)
 	for ei, eng := range engines {
+		// An empty batch is still a ConnectBatch call.
+		if empty := eng.ConnectBatch(nil, nil); len(empty) != 0 {
+			t.Fatalf("engine %d: %d results for an empty batch", ei, len(empty))
+		}
+		if st := eng.Stats(); st != (route.EngineStats{Batches: 1}) {
+			t.Fatalf("engine %d stats %+v after one empty batch", ei, st)
+		}
 		var res []route.Result
 		res = eng.ConnectBatch(reqs, res)
 		accepted := 0
@@ -50,9 +57,9 @@ func TestEngineSeamConformance(t *testing.T) {
 			t.Fatalf("engine %d accepted nothing", ei)
 		}
 		st := eng.Stats()
-		if st.Batches != 1 || st.Requests != int64(len(reqs)) ||
+		if st.Batches != 2 || st.Requests != int64(len(reqs)) ||
 			st.Accepted != int64(accepted) || st.Rejected != int64(len(reqs)-accepted) {
-			t.Fatalf("engine %d stats %+v after one batch of %d (%d accepted)", ei, st, len(reqs), accepted)
+			t.Fatalf("engine %d stats %+v after an empty batch and one of %d (%d accepted)", ei, st, len(reqs), accepted)
 		}
 
 		// Disconnect half, reconnect the same circuits: must succeed again.

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 
-	"ftcsn/internal/arena"
 	"ftcsn/internal/fault"
 	"ftcsn/internal/graph"
 )
@@ -37,9 +36,6 @@ var ErrBusyTerminal = errors.New("route: terminal already busy")
 // ErrDiscardedTerminal is returned when an endpoint has been discarded by
 // repair (its vertex mask bit is off).
 var ErrDiscardedTerminal = errors.New("route: terminal discarded by repair")
-
-// ErrDuplicateCircuit is returned when the requested circuit already exists.
-var ErrDuplicateCircuit = errors.New("route: circuit already exists")
 
 // ErrNotTerminal is returned when the requested input is not an input
 // terminal or the requested output is not an output terminal of the
@@ -88,13 +84,7 @@ type Router struct {
 
 // NewRouter returns a router over the fault-free network g.
 func NewRouter(g *graph.Graph) *Router {
-	return newRouterIn(g, nil, nil, nil)
-}
-
-// NewRouterIn is NewRouter drawing the O(V)/O(E) buffers from a (nil a
-// allocates normally) — the pooled form core.EvaluatorPool uses.
-func NewRouterIn(g *graph.Graph, a *arena.Arena) *Router {
-	return newRouterIn(g, nil, nil, a)
+	return newRouter(g, nil, nil)
 }
 
 // NewRepairedRouter returns a router over the repaired network defined by a
@@ -110,22 +100,18 @@ func NewRepairedRouter(inst *fault.Instance) *Router {
 }
 
 func newRouter(g *graph.Graph, vertexOK, edgeOK []bool) *Router {
-	return newRouterIn(g, vertexOK, edgeOK, nil)
-}
-
-func newRouterIn(g *graph.Graph, vertexOK, edgeOK []bool, a *arena.Arena) *Router {
 	n := g.NumVertices()
 	rt := &Router{
 		g:         g,
 		vertexOK:  vertexOK,
 		edgeOK:    edgeOK,
-		busy:      a.Bools(n),
+		busy:      make([]bool, n),
 		circuits:  make(map[int64][]int32),
-		seenEpoch: a.U32(n),
-		pred:      a.I32(n),
-		queue:     a.I32(256)[:0],
+		seenEpoch: make([]uint32, n),
+		pred:      make([]int32, n),
+		queue:     make([]int32, 0, 256),
 	}
-	rt.allowedOwned = g.BuildOutAllowed(edgeOK, vertexOK, a.Bytes(g.NumEdges()))
+	rt.allowedOwned = g.BuildOutAllowed(edgeOK, vertexOK, nil)
 	rt.allowed = rt.allowedOwned
 	if lv, err := g.Levels(); err == nil {
 		rt.levels = lv.PerVertex()
@@ -179,10 +165,10 @@ func (rt *Router) usableEdge(e int32) bool {
 // Connect establishes a circuit from input in to output out along a path
 // of idle usable vertices, returning the path (in … out). It fails with
 // ErrNotTerminal unless in is an input terminal and out an output
-// terminal (checked first), ErrBusyTerminal if either endpoint is busy,
-// ErrDiscardedTerminal if repair discarded an endpoint, ErrDuplicateCircuit
-// on a duplicate request, and ErrNoPath if the greedy search finds no idle
-// route.
+// terminal (checked first), ErrBusyTerminal if either endpoint is busy
+// (a repeat of a live circuit included: its endpoints stay busy),
+// ErrDiscardedTerminal if repair discarded an endpoint, and ErrNoPath if
+// the greedy search finds no idle route.
 //
 //ftcsn:hotpath sequential reference router; 0 allocs/op pinned by BenchmarkGreedyConnect
 func (rt *Router) Connect(in, out int32) ([]int32, error) {
@@ -194,9 +180,6 @@ func (rt *Router) Connect(in, out int32) ([]int32, error) {
 	}
 	if !rt.usableVertex(in) || !rt.usableVertex(out) {
 		return nil, ErrDiscardedTerminal
-	}
-	if _, dup := rt.circuits[circuitKey(in, out)]; dup {
-		return nil, ErrDuplicateCircuit
 	}
 	rt.epoch++
 	if rt.epoch == 0 { // wrapped: clear stamps and restart epochs

@@ -103,6 +103,10 @@ func TestConnectBusyTerminal(t *testing.T) {
 	if _, err := rt.Connect(g.Inputs()[0], g.Outputs()[1]); !errors.Is(err, ErrBusyTerminal) {
 		t.Fatalf("err = %v, want ErrBusyTerminal", err)
 	}
+	// A repeat of the live circuit is refused by its busy endpoints.
+	if _, err := rt.Connect(g.Inputs()[0], g.Outputs()[0]); !errors.Is(err, ErrBusyTerminal) {
+		t.Fatalf("same pair: err = %v, want ErrBusyTerminal", err)
+	}
 }
 
 func TestCrossbarNonblocking(t *testing.T) {

@@ -216,9 +216,6 @@ func (se *ShardedEngine) ConnectBatch(reqs []Request, res []Result) []Result {
 		res = make([]Result, len(reqs))
 	}
 	res = res[:len(reqs)]
-	if len(reqs) == 0 {
-		return res
-	}
 	se.stats.Batches++
 	se.stats.Requests += int64(len(reqs))
 	for i, rq := range reqs {
@@ -398,8 +395,8 @@ func (se *ShardedEngine) MasksChanged() { se.rebuildGuide() }
 //ftcsn:hotpath per-epoch guide maintenance — the O(#changes) replacement for the full rebuild
 func (se *ShardedEngine) MasksChangedDiff(vertices, edges []int32) {
 	if se.reachOut == nil {
-		// No guide is derived from the bytes (unleveled graph, too many
-		// outputs, or detached masks); the hunt reads the bytes live.
+		// No guide is derived from the bytes (unleveled graph or too many
+		// outputs); the hunt reads the bytes live.
 		return
 	}
 	if (len(vertices)+len(edges))*guideRebuildDivisor >= se.g.NumEdges() {
@@ -529,15 +526,12 @@ func (se *ShardedEngine) retirePath(p []int32) {
 
 // guideWidth returns the lane words per vertex the guide takes under the
 // current masks and budget, or 0 when the guide is off: no leveling, no
-// outputs, a width over the budget, detached masks (se.allowed == nil,
-// after an owner released its arena-backed slices — there is nothing to
-// derive a guide from), or rows wider than a word on a graph without
-// static spans.
+// outputs, a width over the budget, or rows wider than a word on a graph
+// without static spans.
 func (se *ShardedEngine) guideWidth() int {
 	nOut := len(se.g.Outputs())
 	groups := (nOut + 63) >> 6
-	if se.lv == nil || nOut == 0 || groups > se.guideLimit || se.allowed == nil ||
-		(groups > 1 && se.spans == nil) {
+	if se.lv == nil || nOut == 0 || groups > se.guideLimit || (groups > 1 && se.spans == nil) {
 		return 0
 	}
 	return groups

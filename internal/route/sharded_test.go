@@ -257,7 +257,7 @@ func TestShardedServeBatchAllocFree(t *testing.T) {
 		}
 	}
 	for i := 0; i < 8; i++ {
-		work() // warm pools and arenas
+		work() // warm the path pool and the result slice
 	}
 	if avg := testing.AllocsPerRun(50, work); avg != 0 {
 		t.Errorf("steady-state ConnectBatch allocated %.1f times per batch", avg)

@@ -1,7 +1,5 @@
 package unionfind
 
-import "ftcsn/internal/arena"
-
 // Sparse is a disjoint-set forest whose Reset is O(1): elements are
 // lazily re-initialized on first touch after a reset, via epoch stamps.
 // It serves workloads that union only a handful of the n elements per
@@ -19,15 +17,11 @@ type Sparse struct {
 }
 
 // NewSparse returns a Sparse DSU over elements [0, n), all singletons.
-func NewSparse(n int) *Sparse { return NewSparseIn(n, nil) }
-
-// NewSparseIn is NewSparse drawing its buffers from a (nil a allocates
-// normally).
-func NewSparseIn(n int, a *arena.Arena) *Sparse {
+func NewSparse(n int) *Sparse {
 	return &Sparse{
-		parent: a.I32(n),
-		rank:   a.I8(n),
-		epoch:  a.U32(n),
+		parent: make([]int32, n),
+		rank:   make([]int8, n),
+		epoch:  make([]uint32, n),
 		cur:    1,
 	}
 }

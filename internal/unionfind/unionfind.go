@@ -9,8 +9,6 @@
 // data structure for that contraction.
 package unionfind
 
-import "ftcsn/internal/arena"
-
 // DSU is a disjoint-set union structure over elements [0, n).
 type DSU struct {
 	parent []int32
@@ -19,11 +17,8 @@ type DSU struct {
 }
 
 // New returns a DSU with n singleton components.
-func New(n int) *DSU { return NewIn(n, nil) }
-
-// NewIn is New drawing its buffers from a (nil a allocates normally).
-func NewIn(n int, a *arena.Arena) *DSU {
-	d := &DSU{parent: a.I32(n), rank: a.I8(n), count: n}
+func New(n int) *DSU {
+	d := &DSU{parent: make([]int32, n), rank: make([]int8, n), count: n}
 	for i := range d.parent {
 		d.parent[i] = int32(i)
 	}
