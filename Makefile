@@ -56,8 +56,9 @@ ftserve-smoke:
 # CLI input-validation smoke: every invocation below is a bad flag value
 # that must exit 1 with a message on stderr. A panic (exit 2) or a run
 # that never ends (timeout's 124) fails the target. ftsim, ftroute and
-# ftnetgen have no tests of their own, so this is their gate. CI runs this
-# in the test job.
+# ftnetgen have no tests of their own, so this is their gate. The last
+# seven ask for networks whose size arithmetic wraps int (ν ≥ 30, a huge
+# M or γ), which core.Build must refuse. CI runs this in the test job.
 CLI_BAD := \
 	"ftserve -rate NaN" \
 	"ftserve -rate +Inf" \
@@ -80,7 +81,14 @@ CLI_BAD := \
 	"ftnetgen -kind network-n -nu 0" \
 	"ftnetgen -kind clos -r 0" \
 	"ftnetgen -kind superconcentrator -n 0" \
-	"ftnetgen -kind multibutterfly -k 3 -d 0"
+	"ftnetgen -kind multibutterfly -k 3 -d 0" \
+	"ftroute -nu 30" \
+	"ftnetgen -kind network-n -nu 30" \
+	"ftroute -m 2000000000000000000" \
+	"ftsim -nu 32" \
+	"ftserve -nu 32" \
+	"ftnetgen -kind network-n -nu 32" \
+	"ftsim -gamma 40 -trials 1"
 
 cli-smoke:
 	@set -e; bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \

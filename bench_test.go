@@ -148,15 +148,17 @@ func BenchmarkRepair(b *testing.B) {
 	}
 }
 
-// BenchmarkMajorityAccess measures the Lemma-6 certificate (BFS from every
-// terminal) on the fault-free n=64 network.
+// BenchmarkMajorityAccess measures the Lemma-6 certificate (the
+// word-parallel sweeps over every terminal, forward and backward) on the
+// fault-free n=64 network.
 func BenchmarkMajorityAccess(b *testing.B) {
 	nw := benchNetwork(b, 3)
 	ac := core.NewAccessChecker(nw)
+	masks := core.RepairMasks(fault.NewInstance(nw.G))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := nw.MajorityAccess(ac, core.Masks{})
+		rep := nw.MajorityAccess(ac, masks)
 		if !rep.OK {
 			b.Fatal("fault-free network lost majority access")
 		}
@@ -369,10 +371,10 @@ func benchGuidedChurnTrial(b *testing.B, nw *Network) {
 // BenchmarkEvaluatorBatchCertTrial measures one certificate-only trial
 // (inject → discard repair → majority-access certificate, no witnesses or
 // churn) on the block pipeline, n=64: incremental repair masks carry the
-// CSR-slot traversal bytes, so the certificate runs word-parallel
-// (core.BatchAccessChecker — all terminals in O(E·n/64) word operations
-// instead of 2n BFS sweeps). Outcomes are bit-identical to the BFS path
-// (see TestDifferentialWordParallelCertifier).
+// CSR-slot traversal bytes the word-parallel certificate reads
+// (core.AccessChecker — all terminals in O(E·n/64) word operations).
+// Its reports match the per-terminal BFS oracle of core's tests (see
+// TestDifferentialWordParallelCertifier).
 func BenchmarkEvaluatorBatchCertTrial(b *testing.B) {
 	nw := benchNetwork(b, 3)
 	ev := NewEvaluator(nw)

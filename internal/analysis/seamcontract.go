@@ -17,9 +17,9 @@ import (
 // usable) or indexing a []fault.State — re-derives admission locally and
 // silently forks the rule the hunters must share. Writes are the
 // mask maintainers' job and are exempt; the handful of audited readers
-// (the reference slow-path BFS, the incremental mask maintainer itself)
-// carry //ftlint:ignore seamcontract suppressions that double as the
-// reader registry.
+// (the engines' endpoint-admission accessors, the incremental mask
+// maintainer itself) carry //ftlint:ignore seamcontract suppressions that
+// double as the reader registry.
 //
 // Rule B — the claim array is written only by audited owners. The claim
 // array is a slice named "owner" (vertex → owning input). Inside a

@@ -1,46 +1,31 @@
 package core
 
 import (
+	"fmt"
+	"math/bits"
+
 	"ftcsn/internal/fault"
 	"ftcsn/internal/graph"
 )
 
-// Masks restricts traversal during access checks. Nil slices impose no
-// restriction. VertexOK is the repair mask (discarded vertices are
-// unusable); Busy marks vertices held by established circuits; EdgeOK
-// marks switches that are normal with both endpoints usable.
+// Masks restricts traversal through a repaired network. VertexOK is the
+// repair mask (discarded vertices are unusable); EdgeOK marks switches
+// that are normal with both endpoints usable. A nil VertexOK or EdgeOK
+// imposes no restriction.
 //
-// OutAllowed/InAllowed, when non-nil, are the CSR-slot-aligned traversal
-// byte arrays for the same masks (graph.BuildOutAllowed/BuildInAllowed):
-// slot i's AdjBlocked bit is set iff the edge in slot i is disallowed by
-// EdgeOK or its far endpoint by VertexOK. They are maintained
-// incrementally by MaskUpdater and let the access BFS test one
-// sequentially-read byte per edge instead of two random mask lookups;
-// they carry no Busy information, so the fast paths engage only when
-// Busy is nil.
+// OutAllowed/InAllowed are the CSR-slot-aligned traversal byte arrays for
+// the same masks (graph.BuildOutAllowed/BuildInAllowed): slot i's
+// AdjBlocked bit is set iff the edge in slot i is disallowed by EdgeOK or
+// its far endpoint by VertexOK. The majority-access certificate reads only
+// these bytes. RepairMasksInto builds them and MaskUpdater keeps them
+// current across trials; masks assembled any other way must build them
+// too.
 type Masks struct {
 	VertexOK []bool
 	EdgeOK   []bool
-	Busy     []bool
 
 	OutAllowed []uint8
 	InAllowed  []uint8
-}
-
-func (m Masks) vertexAllowed(v int32) bool {
-	//ftlint:ignore seamcontract audited: reference slow-path BFS accessor, kept to differentially test the traversal-byte fast path
-	if m.VertexOK != nil && !m.VertexOK[v] {
-		return false
-	}
-	if m.Busy != nil && m.Busy[v] {
-		return false
-	}
-	return true
-}
-
-func (m Masks) edgeAllowed(e int32) bool {
-	//ftlint:ignore seamcontract audited: reference slow-path BFS accessor, kept to differentially test the traversal-byte fast path
-	return m.EdgeOK == nil || m.EdgeOK[e]
 }
 
 // RepairMasks derives the traversal masks of the repaired network from a
@@ -53,239 +38,67 @@ func RepairMasks(inst *fault.Instance) Masks {
 
 // RepairMasksInto is RepairMasks writing into m's existing slices (grown on
 // first use), so per-trial mask derivation allocates nothing in steady
-// state. m.Busy is left untouched. The combined traversal arrays are
-// dropped (they no longer match the rebuilt masks); use MaskUpdater to
-// keep them current across trials instead.
+// state. Every call rescans all O(E) switches and rebuilds the traversal
+// bytes; use MaskUpdater to keep the masks current across trials by diffs
+// instead.
 func RepairMasksInto(inst *fault.Instance, m *Masks) {
+	g := inst.G
 	m.VertexOK = inst.RepairInto(m.VertexOK)
-	m.EdgeOK = growBools(m.EdgeOK, inst.G.NumEdges())
+	m.EdgeOK = growBools(m.EdgeOK, g.NumEdges())
 	for e := range m.EdgeOK {
 		m.EdgeOK[e] = inst.RepairedEdgeUsable(m.VertexOK, int32(e))
 	}
-	m.OutAllowed, m.InAllowed = nil, nil
+	m.OutAllowed = g.BuildOutAllowed(m.EdgeOK, m.VertexOK, m.OutAllowed)
+	m.InAllowed = g.BuildInAllowed(m.EdgeOK, m.VertexOK, m.InAllowed)
 }
 
-// AccessChecker performs the access computations of Lemmas 3 and 6:
-// counting how many vertices of a target stage an idle terminal can reach
-// through idle usable vertices. It owns epoch-stamped scratch so repeated
-// checks over one network allocate nothing.
+// AccessChecker performs the access computations of Lemma 6 and Corollary
+// 2 for every terminal at once: how many middle-stage vertices each input
+// reaches along allowed forward slots, and each output along allowed
+// reverse slots.
 //
-// "Stage" comparisons run on the graph's topological levels
-// (graph.Levels): for 𝒩 and every staged MIN the level assignment IS the
-// stage assignment, so nothing changes there, while wrapped networks
-// (WrapGraph) get the same checks over their level structure.
+// It is the classic batched-reachability trick. Every vertex owns one
+// 64-bit lane word in which bit l means "source l of the current strip
+// reaches this vertex". Sources are processed in strips of up to 64
+// lanes: a strip seeds source l's bit at its terminal, then one pass over
+// vertices in topological-level order (graph.Levels) ORs each vertex's
+// word into the heads of its OutAllowed-permitted CSR slots — propagating
+// 64 single-source reachability frontiers per machine word operation. At
+// the middle stage the per-lane column populations are the access counts.
+// The output side is the mirror image on the reverse CSR under InAllowed.
+// Total cost is O(E·n/64) word operations.
+//
+// "Stage" means topological level. For 𝒩 and every staged MIN the level
+// assignment IS the stage assignment and vertex IDs are level-sorted, so
+// the pass is a plain-ID sweep; wrapped graphs whose IDs are not
+// level-sorted (Mirror images, hammock substitutions, superconcentrators,
+// hyperx and circulant unrollings) walk the cached level-sorted
+// permutation instead. Every Network has a leveling: Build stages its
+// graph and WrapGraph rejects cyclic ones. The lane words are allocated
+// once, so repeated checks over one network allocate nothing.
 type AccessChecker struct {
 	nw    *Network
-	level []int32 // per-vertex topological level (== stage for 𝒩)
-	seen  []uint32
-	epoch uint32
-	queue []int32
-
-	// batch is the word-parallel whole-network certifier, created lazily on
-	// the first MajorityAccessInto call that can use it, so per-terminal
-	// users (grid access counts, busy-aware checks) never pay for its rows.
-	batch *BatchAccessChecker
+	lv    *graph.Levels
+	words []uint64 // one lane word per vertex
+	// lanes is the strip width in sources (≤ 64). It exists so tests can
+	// exercise multi-strip scheduling and partial strips on small networks;
+	// production use keeps the full word.
+	lanes int
 }
 
-// NewAccessChecker returns a checker for nw.
+// NewAccessChecker returns a checker for nw. It panics if nw's graph has
+// no topological leveling, which no Build or WrapGraph network lacks.
 func NewAccessChecker(nw *Network) *AccessChecker {
+	lv, err := nw.G.Levels()
+	if err != nil {
+		panic(fmt.Sprintf("core: NewAccessChecker: %v", err))
+	}
 	return &AccessChecker{
 		nw:    nw,
-		level: networkLevels(nw),
-		seen:  make([]uint32, nw.G.NumVertices()),
-		queue: make([]int32, 0, 1024),
+		lv:    lv,
+		words: make([]uint64, nw.G.NumVertices()),
+		lanes: 64,
 	}
-}
-
-// networkLevels returns the per-vertex level array the access checks
-// compare against. Every Network's graph is acyclic (𝒩 by construction,
-// wrapped graphs by WrapGraph's check); the stage-array fallback only
-// guards hand-built test networks with cyclic graphs, where the BFS then
-// behaves as it historically did on stages.
-func networkLevels(nw *Network) []int32 {
-	if lv, err := nw.G.Levels(); err == nil {
-		return lv.PerVertex()
-	}
-	return nw.G.Stages()
-}
-
-func (ac *AccessChecker) bump() {
-	ac.epoch++
-	if ac.epoch == 0 {
-		for i := range ac.seen {
-			ac.seen[i] = 0
-		}
-		ac.epoch = 1
-	}
-}
-
-// CountForward returns the number of vertices on targetStage reachable
-// from src along forward switches through vertices allowed by m. src
-// itself must be allowed by the caller's convention (it is visited
-// unconditionally).
-func (ac *AccessChecker) CountForward(src int32, targetStage int, m Masks) int {
-	if m.OutAllowed != nil && m.Busy == nil {
-		return ac.countForwardFast(src, targetStage, m.OutAllowed)
-	}
-	g := ac.nw.G
-	target := int32(targetStage)
-	ac.bump()
-	ac.seen[src] = ac.epoch
-	ac.queue = ac.queue[:0]
-	ac.queue = append(ac.queue, src)
-	count := 0
-	if ac.level[src] == target {
-		count++
-	}
-	for head := 0; head < len(ac.queue); head++ {
-		v := ac.queue[head]
-		if ac.level[v] >= target {
-			continue
-		}
-		for _, e := range g.OutEdges(v) {
-			if !m.edgeAllowed(e) {
-				continue
-			}
-			w := g.EdgeTo(e)
-			if ac.seen[w] == ac.epoch || !m.vertexAllowed(w) {
-				continue
-			}
-			ac.seen[w] = ac.epoch
-			if ac.level[w] == target {
-				count++
-			}
-			ac.queue = append(ac.queue, w)
-		}
-	}
-	return count
-}
-
-// countForwardFast is CountForward reading the combined traversal bytes —
-// one sequential byte per CSR slot in place of the edge- and vertex-mask
-// lookups (the AdjTerminal bit is ignored: terminals are ordinary vertices
-// to access counting). Visit order, and therefore the count, is identical
-// to the generic loop.
-func (ac *AccessChecker) countForwardFast(src int32, targetStage int, allowed []uint8) int {
-	g := ac.nw.G
-	start, _, heads := g.CSROut()
-	level := ac.level
-	target := int32(targetStage)
-	ac.bump()
-	seen, epoch := ac.seen, ac.epoch
-	seen[src] = epoch
-	ac.queue = ac.queue[:0]
-	ac.queue = append(ac.queue, src)
-	count := 0
-	if level[src] == target {
-		count++
-	}
-	for head := 0; head < len(ac.queue); head++ {
-		v := ac.queue[head]
-		if level[v] >= target {
-			continue
-		}
-		for idx := start[v]; idx < start[v+1]; idx++ {
-			if allowed[idx]&graph.AdjBlocked != 0 {
-				continue
-			}
-			w := heads[idx]
-			if seen[w] == epoch {
-				continue
-			}
-			seen[w] = epoch
-			if level[w] == target {
-				count++
-			}
-			ac.queue = append(ac.queue, w)
-		}
-	}
-	return count
-}
-
-// CountBackward is CountForward on reversed switches, used for the mirror
-// half (Corollary 2): how many targetStage vertices can reach dst.
-func (ac *AccessChecker) CountBackward(dst int32, targetStage int, m Masks) int {
-	if m.InAllowed != nil && m.Busy == nil {
-		return ac.countBackwardFast(dst, targetStage, m.InAllowed)
-	}
-	g := ac.nw.G
-	target := int32(targetStage)
-	ac.bump()
-	ac.seen[dst] = ac.epoch
-	ac.queue = ac.queue[:0]
-	ac.queue = append(ac.queue, dst)
-	count := 0
-	if ac.level[dst] == target {
-		count++
-	}
-	for head := 0; head < len(ac.queue); head++ {
-		v := ac.queue[head]
-		if ac.level[v] <= target {
-			continue
-		}
-		for _, e := range g.InEdges(v) {
-			if !m.edgeAllowed(e) {
-				continue
-			}
-			w := g.EdgeFrom(e)
-			if ac.seen[w] == ac.epoch || !m.vertexAllowed(w) {
-				continue
-			}
-			ac.seen[w] = ac.epoch
-			if ac.level[w] == target {
-				count++
-			}
-			ac.queue = append(ac.queue, w)
-		}
-	}
-	return count
-}
-
-// countBackwardFast is countForwardFast on the reverse CSR.
-func (ac *AccessChecker) countBackwardFast(dst int32, targetStage int, allowed []uint8) int {
-	g := ac.nw.G
-	start, _, tails := g.CSRIn()
-	level := ac.level
-	target := int32(targetStage)
-	ac.bump()
-	seen, epoch := ac.seen, ac.epoch
-	seen[dst] = epoch
-	ac.queue = ac.queue[:0]
-	ac.queue = append(ac.queue, dst)
-	count := 0
-	if level[dst] == target {
-		count++
-	}
-	for head := 0; head < len(ac.queue); head++ {
-		v := ac.queue[head]
-		if level[v] <= target {
-			continue
-		}
-		for idx := start[v]; idx < start[v+1]; idx++ {
-			if allowed[idx]&graph.AdjBlocked != 0 {
-				continue
-			}
-			w := tails[idx]
-			if seen[w] == epoch {
-				continue
-			}
-			seen[w] = epoch
-			if level[w] == target {
-				count++
-			}
-			ac.queue = append(ac.queue, w)
-		}
-	}
-	return count
-}
-
-// GridAccessCount implements Lemma 3's measurement: the number of rows of
-// the input's directed grid Φ_i, at the grid's last stage (stage ν), that
-// the input can reach through allowed vertices. Since grids are disjoint
-// before stage ν, a plain forward count to stage ν is exactly this.
-func (ac *AccessChecker) GridAccessCount(inputIdx int, m Masks) int {
-	in := ac.nw.Inputs()[inputIdx]
-	return ac.CountForward(in, ac.nw.P.Nu, m)
 }
 
 // MajorityReport aggregates a Lemma-6 check over all terminals.
@@ -294,19 +107,18 @@ type MajorityReport struct {
 	// strictly more than MiddleSize/2.
 	MiddleSize int
 	// InputAccess[i] is the number of middle-stage vertices input i
-	// reaches; OutputAccess[j] likewise backwards from output j. Busy
-	// terminals are recorded as -1 (exempt).
+	// reaches; OutputAccess[j] likewise backwards from output j.
 	InputAccess  []int
 	OutputAccess []int
-	// OK reports whether every idle terminal has strict-majority access on
-	// its side — the paper's majority-access property for 𝒩 and its
-	// mirror, which together imply the repaired network contains a
-	// strictly nonblocking n-network (§6, observation after Lemma 6).
+	// OK reports whether every terminal has strict-majority access on its
+	// side — the paper's majority-access property for 𝒩 and its mirror,
+	// which together imply the repaired network contains a strictly
+	// nonblocking n-network (§6, observation after Lemma 6).
 	OK bool
 }
 
-// MajorityAccess runs the Lemma-6 / Corollary-2 check for every idle input
-// and output under the given masks.
+// MajorityAccess runs the Lemma-6 / Corollary-2 check for every input and
+// output under the given masks.
 func (nw *Network) MajorityAccess(ac *AccessChecker, m Masks) MajorityReport {
 	var rep MajorityReport
 	nw.MajorityAccessInto(ac, m, &rep)
@@ -314,56 +126,155 @@ func (nw *Network) MajorityAccess(ac *AccessChecker, m Masks) MajorityReport {
 }
 
 // MajorityAccessInto is MajorityAccess writing into rep, reusing its access
-// slices across calls so repeated certification allocates nothing.
-//
-// When the masks carry the CSR-slot traversal bytes and no Busy
-// information — the batched-trial steady state, where MaskUpdater keeps
-// OutAllowed/InAllowed current — the check runs on the word-parallel
-// BatchAccessChecker: all terminals certified in O(E·n/64) word operations
-// instead of 2n BFS sweeps, with bit-identical reports (see the
-// differential harness). Busy-aware or byte-less masks fall back to the
-// per-terminal BFS below.
+// slices across calls so repeated certification allocates nothing. m must
+// carry the traversal bytes (OutAllowed/InAllowed, as RepairMasksInto and
+// MaskUpdater build them): the check reads nothing else, and it panics on
+// masks without them.
 func (nw *Network) MajorityAccessInto(ac *AccessChecker, m Masks, rep *MajorityReport) {
-	if m.Busy == nil && m.OutAllowed != nil && m.InAllowed != nil {
-		if ac.batch == nil {
-			ac.batch = NewBatchAccessChecker(nw)
-		}
-		if ac.batch.MajorityAccessInto(m, rep) {
-			return
-		}
+	if nE := nw.G.NumEdges(); len(m.OutAllowed) != nE || len(m.InAllowed) != nE {
+		panic("core: MajorityAccessInto: masks lack this network's traversal bytes; build them with RepairMasksInto or MaskUpdater")
 	}
-	nw.majorityAccessBFS(ac, m, rep)
-}
-
-// majorityAccessBFS is the per-terminal reference path: one CountForward /
-// CountBackward BFS per terminal, with busy terminals exempted as -1.
-func (nw *Network) majorityAccessBFS(ac *AccessChecker, m Masks, rep *MajorityReport) {
 	mid := nw.MiddleStage
 	rep.MiddleSize = int(nw.StageSize[mid])
 	rep.InputAccess = growInts(rep.InputAccess, len(nw.Inputs()))
 	rep.OutputAccess = growInts(rep.OutputAccess, len(nw.Outputs()))
-	rep.OK = true
+	ac.countForward(nw.Inputs(), mid, m.OutAllowed, rep.InputAccess)
+	ac.countBackward(nw.Outputs(), mid, m.InAllowed, rep.OutputAccess)
 	need := rep.MiddleSize/2 + 1
-	for i, in := range nw.Inputs() {
-		if m.Busy != nil && m.Busy[in] {
-			rep.InputAccess[i] = -1
-			continue
-		}
-		c := ac.CountForward(in, mid, m)
-		rep.InputAccess[i] = c
+	rep.OK = true
+	for _, c := range rep.InputAccess {
 		if c < need {
 			rep.OK = false
+			break
 		}
 	}
-	for j, out := range nw.Outputs() {
-		if m.Busy != nil && m.Busy[out] {
-			rep.OutputAccess[j] = -1
-			continue
+	if rep.OK {
+		for _, c := range rep.OutputAccess {
+			if c < need {
+				rep.OK = false
+				break
+			}
 		}
-		c := ac.CountBackward(out, mid, m)
-		rep.OutputAccess[j] = c
-		if c < need {
-			rep.OK = false
+	}
+}
+
+// countForward fills counts[i] with the number of targetStage vertices
+// source srcs[i] reaches along allowed forward slots, strip by strip.
+func (ac *AccessChecker) countForward(srcs []int32, targetStage int, allowed []uint8, counts []int) {
+	start, _, heads := ac.nw.G.CSROut()
+	words := ac.words
+	first := ac.lv.First()
+	sweepEnd := first[targetStage] // first position of the target level
+	midEnd := first[targetStage+1]
+	order := ac.lv.Order()
+	for base := 0; base < len(srcs); base += ac.lanes {
+		k := min(ac.lanes, len(srcs)-base)
+		clear(words)
+		for l := 0; l < k; l++ {
+			words[srcs[base+l]] |= 1 << l
+		}
+		// Level order, so by the time v is expanded every allowed path
+		// into v has already deposited its lanes: one pass suffices.
+		// Vertices at or past the target level receive lane bits but are
+		// never expanded: access counts paths that reach the middle
+		// stage, not paths through it. On level-sorted graphs
+		// (order == nil) positions ARE vertex IDs: the plain-ID sweep.
+		if order == nil {
+			for v := int32(0); v < sweepEnd; v++ {
+				w := words[v]
+				if w == 0 {
+					continue
+				}
+				for idx := start[v]; idx < start[v+1]; idx++ {
+					if allowed[idx]&graph.AdjBlocked == 0 {
+						words[heads[idx]] |= w
+					}
+				}
+			}
+		} else {
+			for p := int32(0); p < sweepEnd; p++ {
+				v := order[p]
+				w := words[v]
+				if w == 0 {
+					continue
+				}
+				for idx := start[v]; idx < start[v+1]; idx++ {
+					if allowed[idx]&graph.AdjBlocked == 0 {
+						words[heads[idx]] |= w
+					}
+				}
+			}
+		}
+		// Transpose the middle-level block: each set bit is one (source,
+		// middle-vertex) reachability pair.
+		for l := 0; l < k; l++ {
+			counts[base+l] = 0
+		}
+		for p := sweepEnd; p < midEnd; p++ {
+			v := p
+			if order != nil {
+				v = order[p]
+			}
+			for w := words[v]; w != 0; w &= w - 1 {
+				counts[base+bits.TrailingZeros64(w)]++
+			}
+		}
+	}
+}
+
+// countBackward is countForward on the reverse CSR: sources are outputs,
+// propagation walks levels downward, and InAllowed gates the slots.
+func (ac *AccessChecker) countBackward(srcs []int32, targetStage int, allowed []uint8, counts []int) {
+	start, _, tails := ac.nw.G.CSRIn()
+	words := ac.words
+	first := ac.lv.First()
+	midFirst := first[targetStage]
+	sweepStart := first[targetStage+1] // first position past the target level
+	nPos := int32(ac.nw.G.NumVertices())
+	order := ac.lv.Order()
+	for base := 0; base < len(srcs); base += ac.lanes {
+		k := min(ac.lanes, len(srcs)-base)
+		clear(words)
+		for l := 0; l < k; l++ {
+			words[srcs[base+l]] |= 1 << l
+		}
+		if order == nil {
+			for v := nPos - 1; v >= sweepStart; v-- {
+				w := words[v]
+				if w == 0 {
+					continue
+				}
+				for idx := start[v]; idx < start[v+1]; idx++ {
+					if allowed[idx]&graph.AdjBlocked == 0 {
+						words[tails[idx]] |= w
+					}
+				}
+			}
+		} else {
+			for p := nPos - 1; p >= sweepStart; p-- {
+				v := order[p]
+				w := words[v]
+				if w == 0 {
+					continue
+				}
+				for idx := start[v]; idx < start[v+1]; idx++ {
+					if allowed[idx]&graph.AdjBlocked == 0 {
+						words[tails[idx]] |= w
+					}
+				}
+			}
+		}
+		for l := 0; l < k; l++ {
+			counts[base+l] = 0
+		}
+		for p := midFirst; p < sweepStart; p++ {
+			v := p
+			if order != nil {
+				v = order[p]
+			}
+			for w := words[v]; w != 0; w &= w - 1 {
+				counts[base+bits.TrailingZeros64(w)]++
+			}
 		}
 	}
 }

@@ -116,7 +116,8 @@ func PaperParams(nu int) Params {
 	return Params{Nu: nu, Gamma: PaperGamma(nu), M: 64, DQ: 3, Seed: 1}
 }
 
-// Validate checks parameter sanity.
+// Validate checks parameter sanity, and that the network Build would
+// materialize has at most MaxBuildEdges switches.
 func (p Params) Validate() error {
 	if p.Nu < 1 {
 		return fmt.Errorf("core: Nu must be >= 1, got %d", p.Nu)
@@ -135,7 +136,29 @@ func (p Params) Validate() error {
 			return fmt.Errorf("core: Explicit requires a perfect-square M, got %d", p.M)
 		}
 	}
+	if !p.withinBuildLimit() {
+		return fmt.Errorf("core: Nu=%d, Gamma=%d, M=%d, DQ=%d builds more than MaxBuildEdges=%d switches; use Accounting for closed-form sizes",
+			p.Nu, p.Gamma, p.M, p.DQ, MaxBuildEdges)
+	}
 	return nil
+}
+
+// withinBuildLimit reports whether Accounting(p).Edges is at most
+// MaxBuildEdges without letting Accounting's arithmetic wrap int, as it
+// does for ν ≥ 30 or a huge M, γ or DQ. The switch count is at least n·L
+// and at least 8q, so it first bounds n·L = M·4^(ν+γ), one factor at a
+// time, and q by the limit; within those bounds Accounting cannot wrap.
+func (p Params) withinBuildLimit() bool {
+	nL := p.M
+	for _, k := range [...]int{p.Nu, p.Gamma} {
+		for i := 0; i < k; i++ {
+			if nL > MaxBuildEdges/4 {
+				return false
+			}
+			nL *= 4
+		}
+	}
+	return p.QuarterDegree() <= MaxBuildEdges/8 && Accounting(p).Edges <= MaxBuildEdges
 }
 
 // isqrt returns ⌊√x⌋.
@@ -206,9 +229,6 @@ func Build(p Params) (*Network, error) {
 		return nil, err
 	}
 	acct := Accounting(p)
-	if acct.Edges > MaxBuildEdges {
-		return nil, fmt.Errorf("core: %d switches exceeds MaxBuildEdges=%d; use Accounting for closed-form sizes", acct.Edges, MaxBuildEdges)
-	}
 	nu := p.Nu
 	n := p.N()
 	L := p.L()

@@ -183,9 +183,22 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
+// TestBuildRefusesHuge: sizes past MaxBuildEdges are refused, including
+// those whose switch count wraps int — 0 switches at ν=30, n = 0 from
+// ν=32 on, a huge M, γ or DQ — which must not be built from the wrapped
+// count.
 func TestBuildRefusesHuge(t *testing.T) {
-	if _, err := Build(PaperParams(4)); err == nil {
-		t.Fatal("paper-scale nu=4 build should exceed MaxBuildEdges")
+	for _, p := range []Params{
+		PaperParams(4),
+		DefaultParams(30),
+		DefaultParams(32),
+		{Nu: 2, M: 2_000_000_000_000_000_000, DQ: 3, Seed: 1},
+		{Nu: 2, Gamma: 40, M: 8, DQ: 3, Seed: 1},
+		{Nu: 1, M: 8, DQ: 1 << 62, Seed: 1},
+	} {
+		if _, err := Build(p); err == nil {
+			t.Fatalf("Build(%+v) succeeded past MaxBuildEdges", p)
+		}
 	}
 }
 
@@ -212,12 +225,12 @@ func TestHealthyMajorityAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	ac := NewAccessChecker(nw)
-	rep := nw.MajorityAccess(ac, Masks{})
+	rep := nw.MajorityAccess(ac, RepairMasks(fault.NewInstance(nw.G)))
 	if !rep.OK {
 		t.Fatalf("fault-free network lacks majority access: min in=%d out=%d of %d",
 			minOf(rep.InputAccess), minOf(rep.OutputAccess), rep.MiddleSize)
 	}
-	// Fault-free, idle network: every input should reach the ENTIRE middle
+	// Fault-free network: every input should reach the ENTIRE middle
 	// stage (expanders cover every quarter).
 	for i, c := range rep.InputAccess {
 		if c != rep.MiddleSize {
@@ -226,10 +239,13 @@ func TestHealthyMajorityAccess(t *testing.T) {
 	}
 }
 
+// TestGridAccessHealthy is Lemma 3's measurement on a healthy network: an
+// input reaches every row of its grid Φ at the grid's last stage ν. Grids
+// are disjoint before stage ν, so the oracle's forward count to stage ν
+// is exactly this.
 func TestGridAccessHealthy(t *testing.T) {
 	nw, _ := Build(testParams(2))
-	ac := NewAccessChecker(nw)
-	c := ac.GridAccessCount(0, Masks{})
+	c := newAccessOracle(nw).count(nw.Inputs()[0], int32(nw.P.Nu), true, Masks{})
 	if c != nw.P.L() {
 		t.Fatalf("healthy grid access = %d, want %d", c, nw.P.L())
 	}
@@ -399,7 +415,7 @@ func TestExplicitExpanderBuild(t *testing.T) {
 	}
 	// And it still certifies majority access when healthy.
 	ac := NewAccessChecker(nw)
-	if !nw.MajorityAccess(ac, Masks{}).OK {
+	if !nw.MajorityAccess(ac, RepairMasks(fault.NewInstance(nw.G))).OK {
 		t.Fatal("explicit network lacks majority access")
 	}
 }

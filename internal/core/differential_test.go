@@ -29,13 +29,14 @@ import (
 // incremental machinery: every trial redraws the instance from scratch
 // (fault.InjectInto), scans every switch for the shorting witness
 // (ShortedTerminalsWith), rebuilds the masks from scratch
-// (RepairMasksInto), certifies with the per-terminal BFS, and churns on a
-// sequential Router that derives its own traversal bytes from the masks.
+// (RepairMasksInto), certifies with the per-terminal BFS oracle, and
+// churns on a sequential Router that derives its own traversal bytes from
+// the masks.
 type refTrial struct {
 	nw    *Network
 	inst  *fault.Instance
 	fsc   *fault.Scratch
-	ac    *AccessChecker
+	orc   *accessOracle
 	rt    *route.Router
 	cd    netsim.ChurnDriver
 	masks Masks
@@ -49,7 +50,7 @@ func newRefTrial(nw *Network) *refTrial {
 		nw:   nw,
 		inst: fault.NewInstance(nw.G),
 		fsc:  fault.NewScratch(nw.G),
-		ac:   NewAccessChecker(nw),
+		orc:  newAccessOracle(nw),
 		rt:   rt,
 	}
 }
@@ -69,7 +70,7 @@ func (rf *refTrial) run(m fault.Model, r *rng.RNG, churnOps int, certOnly bool) 
 		out.Shorted = a >= 0
 	}
 	RepairMasksInto(rf.inst, &rf.masks)
-	rf.nw.majorityAccessBFS(rf.ac, rf.masks, &rf.rep)
+	rf.orc.majorityAccess(rf.masks, &rf.rep)
 	out.MajorityAccess = rf.rep.OK
 	out.MinInputAccess = minOf(rf.rep.InputAccess)
 	out.MinOutputAccess = minOf(rf.rep.OutputAccess)
@@ -290,31 +291,42 @@ func reportsEqual(a, b *MajorityReport) (string, bool) {
 	return "", true
 }
 
-// TestDifferentialWordParallelCertifier is the batched-certificate leg of
-// the differential harness: across network families × ε × strip widths,
-// the word-parallel MajorityAccessInto must produce bit-identical reports
-// (per-terminal counts and OK) to the per-terminal BFS — both the
-// byte-reading fast BFS and the generic-mask BFS. Families include n=4 and
-// n=16, so every strip width exercises a partial final strip (n not
-// divisible by 64).
+// TestDifferentialWordParallelCertifier is the certificate leg of the
+// differential harness: across network families × ε × strip widths, the
+// word-parallel MajorityAccessInto must produce bit-identical reports
+// (per-terminal counts and OK) to the per-terminal BFS oracle. Each trial
+// checks two mask shapes: the paper's discard repair, kept current by
+// MaskUpdater, and E10's edges-only repair (EdgeOK set where the switch
+// is normal, nil VertexOK), the one input where a failed switch leaves
+// its endpoints usable. Families include n=4 and n=16, so every strip
+// width exercises a partial final strip (n not divisible by 64).
 func TestDifferentialWordParallelCertifier(t *testing.T) {
 	const trialsPerCell = 12
 	epss := []float64{0.0005, 0.01, 0.06}
 	widths := []int{1, 7, 64}
 	for name, nw := range diffFamilies(t) {
-		inst := fault.NewInstance(nw.G)
-		mu := NewMaskUpdater(nw.G)
-		ac := NewAccessChecker(nw)
-		var m Masks
+		g := nw.G
+		inst := fault.NewInstance(g)
+		mu := NewMaskUpdater(g)
+		oracle := newAccessOracle(nw)
+		var m, edgesOnly Masks
+		edgesOnly.EdgeOK = make([]bool, g.NumEdges())
 		var r rng.RNG
-		var bfsFast, bfsGeneric, word MajorityReport
-		checkers := make([]*BatchAccessChecker, len(widths))
+		var want, word MajorityReport
+		checkers := make([]*AccessChecker, len(widths))
 		for wi, width := range widths {
-			checkers[wi] = NewBatchAccessChecker(nw)
-			if !checkers[wi].Supported() {
-				t.Fatalf("%s: stage-ordered network not supported by batch certifier", name)
-			}
+			checkers[wi] = NewAccessChecker(nw)
 			checkers[wi].lanes = width
+		}
+		check := func(shape string, masks Masks, eps float64, trial int) {
+			t.Helper()
+			oracle.majorityAccess(masks, &want)
+			for wi, width := range widths {
+				nw.MajorityAccessInto(checkers[wi], masks, &word)
+				if why, ok := reportsEqual(&word, &want); !ok {
+					t.Fatalf("%s %s eps=%v trial %d width=%d: word-parallel vs BFS oracle: %s", name, shape, eps, trial, width, why)
+				}
+			}
 		}
 		for ei, eps := range epss {
 			model := fault.Symmetric(eps)
@@ -322,74 +334,22 @@ func TestDifferentialWordParallelCertifier(t *testing.T) {
 				r.ReseedStream(0xBA7C4, uint64(ei*trialsPerCell+trial))
 				fault.InjectInto(inst, model, &r)
 				mu.Init(inst, &m)
+				check("repaired", m, eps, trial)
 
-				nw.majorityAccessBFS(ac, m, &bfsFast)
-				generic := Masks{VertexOK: m.VertexOK, EdgeOK: m.EdgeOK}
-				nw.majorityAccessBFS(ac, generic, &bfsGeneric)
-				if why, ok := reportsEqual(&bfsFast, &bfsGeneric); !ok {
-					t.Fatalf("%s eps=%v trial %d: byte-BFS vs generic BFS: %s", name, eps, trial, why)
+				for e := range edgesOnly.EdgeOK {
+					edgesOnly.EdgeOK[e] = inst.Edge[e] == fault.Normal
 				}
-				for wi, width := range widths {
-					if !checkers[wi].MajorityAccessInto(m, &word) {
-						t.Fatalf("%s eps=%v trial %d: word-parallel path declined applicable masks", name, eps, trial)
-					}
-					if why, ok := reportsEqual(&word, &bfsFast); !ok {
-						t.Fatalf("%s eps=%v trial %d width=%d: word-parallel vs BFS: %s", name, eps, trial, width, why)
-					}
-				}
+				edgesOnly.OutAllowed = g.BuildOutAllowed(edgesOnly.EdgeOK, nil, edgesOnly.OutAllowed)
+				edgesOnly.InAllowed = g.BuildInAllowed(edgesOnly.EdgeOK, nil, edgesOnly.InAllowed)
+				check("edges-only", edgesOnly, eps, trial)
 			}
 		}
 	}
 }
 
-// TestWordParallelBusyFallback: the fast path carries no busy information,
-// so busy-aware masks must decline word-parallel certification and the
-// Network entry point must still report -1 exemptions through the BFS.
-func TestWordParallelBusyFallback(t *testing.T) {
-	nw, err := Build(DefaultParams(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := fault.NewInstance(nw.G)
-	mu := NewMaskUpdater(nw.G)
-	var m Masks
-	mu.Init(inst, &m)
-
-	busy := make([]bool, nw.G.NumVertices())
-	busy[nw.Inputs()[1]] = true
-	busy[nw.Outputs()[2]] = true
-	m.Busy = busy
-
-	bc := NewBatchAccessChecker(nw)
-	var rep MajorityReport
-	if bc.MajorityAccessInto(m, &rep) {
-		t.Fatal("word-parallel certifier accepted busy-aware masks")
-	}
-	ac := NewAccessChecker(nw)
-	nw.MajorityAccessInto(ac, m, &rep)
-	if rep.InputAccess[1] != -1 || rep.OutputAccess[2] != -1 {
-		t.Fatalf("busy terminals not exempted: in=%v out=%v", rep.InputAccess, rep.OutputAccess)
-	}
-	if rep.InputAccess[0] < 0 {
-		t.Fatal("idle terminal wrongly exempted")
-	}
-
-	// Same masks without Busy: word-parallel engages and matches the BFS.
-	m.Busy = nil
-	var word, bfs MajorityReport
-	if !bc.MajorityAccessInto(m, &word) {
-		t.Fatal("word-parallel certifier declined busy-free masks")
-	}
-	nw.majorityAccessBFS(ac, m, &bfs)
-	if why, ok := reportsEqual(&word, &bfs); !ok {
-		t.Fatalf("busy-free reports diverge: %s", why)
-	}
-}
-
 // TestEvaluatorCertAllocFree: steady-state batched certificate trials —
 // diff application, incremental masks, word-parallel certification — must
-// not allocate once the evaluator (including its lazily created batch
-// certifier) is warm.
+// not allocate once the evaluator is warm.
 func TestEvaluatorCertAllocFree(t *testing.T) {
 	nw, err := Build(DefaultParams(2))
 	if err != nil {

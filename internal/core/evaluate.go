@@ -301,12 +301,10 @@ func (nw *Network) Evaluate(m fault.Model, seed uint64, churnOps int) TrialOutco
 	return NewEvaluator(nw).Evaluate(m, seed, churnOps)
 }
 
+// minOf returns the smallest access count in xs, or -1 if xs is empty.
 func minOf(xs []int) int {
 	m := -1
 	for _, x := range xs {
-		if x < 0 {
-			continue // busy terminal, exempt
-		}
 		if m < 0 || x < m {
 			m = x
 		}

@@ -98,10 +98,12 @@ func TestEvaluatorChurnDeterministic(t *testing.T) {
 	}
 }
 
-// TestRepairMasksIntoMatches cross-checks the in-place mask builder.
+// TestRepairMasksIntoMatches cross-checks the in-place mask builder,
+// traversal bytes included, against fresh masks across reused buffers.
 func TestRepairMasksIntoMatches(t *testing.T) {
 	nw := buildSmall(t)
-	inst := fault.NewInstance(nw.G)
+	g := nw.G
+	inst := fault.NewInstance(g)
 	var m Masks
 	var r rng.RNG
 	for i := 0; i < 30; i++ {
@@ -117,6 +119,18 @@ func TestRepairMasksIntoMatches(t *testing.T) {
 		for e := range want.EdgeOK {
 			if m.EdgeOK[e] != want.EdgeOK[e] {
 				t.Fatalf("trial %d: EdgeOK[%d] mismatch", i, e)
+			}
+		}
+		wantOut := g.BuildOutAllowed(want.EdgeOK, want.VertexOK, nil)
+		wantIn := g.BuildInAllowed(want.EdgeOK, want.VertexOK, nil)
+		if len(m.OutAllowed) != len(wantOut) || len(m.InAllowed) != len(wantIn) {
+			t.Fatalf("trial %d: traversal bytes have %d/%d slots, want %d/%d",
+				i, len(m.OutAllowed), len(m.InAllowed), len(wantOut), len(wantIn))
+		}
+		for s := range wantOut {
+			if m.OutAllowed[s] != wantOut[s] || m.InAllowed[s] != wantIn[s] {
+				t.Fatalf("trial %d: slot %d bytes out=%#x in=%#x, want %#x %#x",
+					i, s, m.OutAllowed[s], m.InAllowed[s], wantOut[s], wantIn[s])
 			}
 		}
 	}

@@ -13,7 +13,7 @@ var fuzzNetOnce = sync.OnceValues(func() (*Network, error) {
 })
 
 // FuzzBatchedMajorityAccess drives the word-parallel certifier against the
-// per-terminal BFS under fuzzed edge-state sequences. The network is
+// per-terminal BFS oracle under fuzzed edge-state sequences. The network is
 // DefaultParams(1) — n=4 terminals, NOT divisible by 64, so every run
 // exercises a partial lane strip. Input encoding: byte 0 picks the strip
 // width (1..64 lanes); the rest are records of 3 bytes (edgeLo, edgeHi,
@@ -46,21 +46,16 @@ func FuzzBatchedMajorityAccess(f *testing.F) {
 		inst := fault.NewInstance(g)
 		mu := NewMaskUpdater(g)
 		ac := NewAccessChecker(nw)
-		bc := NewBatchAccessChecker(nw)
-		if !bc.Supported() {
-			t.Fatal("Network 𝒩 must be stage-ordered")
-		}
-		bc.lanes = width
+		ac.lanes = width
+		oracle := newAccessOracle(nw)
 		var m Masks
 		mu.Init(inst, &m)
 
 		var word, bfs MajorityReport
 		check := func(step int) {
 			t.Helper()
-			if !bc.MajorityAccessInto(m, &word) {
-				t.Fatalf("step %d: word-parallel path declined applicable masks", step)
-			}
-			nw.majorityAccessBFS(ac, m, &bfs)
+			nw.MajorityAccessInto(ac, m, &word)
+			oracle.majorityAccess(m, &bfs)
 			if why, ok := reportsEqual(&word, &bfs); !ok {
 				t.Fatalf("step %d (width %d): word-parallel vs BFS: %s", step, width, why)
 			}

@@ -11,8 +11,9 @@ import (
 // each changed edge's endpoints, and the switches incident to any endpoint
 // whose usability flipped — instead of the O(E) rescan of RepairMasksInto.
 // It also keeps the masks' CSR-slot-aligned traversal byte arrays
-// (Masks.OutAllowed/InAllowed) current, so the access-certificate BFS and
-// the router see the update for free.
+// (Masks.OutAllowed/InAllowed) current, so the word-parallel certificate
+// (AccessChecker) and the routing engines that share the bytes see the
+// update for free.
 //
 // Dirty sets are epoch-stamped, so per-trial bookkeeping allocates nothing
 // and costs O(1) to reset. Equivalence with the from-scratch rescan is
@@ -38,17 +39,11 @@ func NewMaskUpdater(g *graph.Graph) *MaskUpdater {
 	}
 }
 
-// Init fully recomputes m from inst — the paper's discard repair, exactly
-// as RepairMasksInto — and builds the combined traversal arrays, reusing
-// m's existing byte buffers (RepairMasksInto drops the stale references,
-// but the backing capacity is kept and refilled).
-// Call it once per (instance, masks) pairing; afterwards keep the pair
-// current with Apply.
+// Init fully recomputes m from inst, traversal bytes included: it is
+// RepairMasksInto, which reuses m's existing buffers. Call it once per
+// (instance, masks) pairing; afterwards keep the pair current with Apply.
 func (mu *MaskUpdater) Init(inst *fault.Instance, m *Masks) {
-	outBuf, inBuf := m.OutAllowed, m.InAllowed
 	RepairMasksInto(inst, m)
-	m.OutAllowed = mu.g.BuildOutAllowed(m.EdgeOK, m.VertexOK, outBuf)
-	m.InAllowed = mu.g.BuildInAllowed(m.EdgeOK, m.VertexOK, inBuf)
 }
 
 // Apply updates m for the given edge-state changes. m must be current for

@@ -160,26 +160,49 @@ func TestQuickRepairMasksConsistent(t *testing.T) {
 }
 
 // TestQuickAccessMonotoneInMasks: restricting the masks can only reduce
-// access counts.
+// access counts. Each draw discards random non-terminals, then more on
+// top of those, and the production certificate must count no terminal
+// higher under the tighter VertexOK, on either side.
 func TestQuickAccessMonotoneInMasks(t *testing.T) {
 	nw, err := Build(Params{Nu: 2, Gamma: 0, M: 4, DQ: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := nw.G
 	ac := NewAccessChecker(nw)
+	var looser, tighter MajorityReport
 	root := rng.New(0xACCE)
 	f := func(tick uint32) bool {
 		r := root.Split(uint64(tick))
-		// Random busy set.
-		busy := make([]bool, nw.G.NumVertices())
-		for i := 0; i < 30; i++ {
-			busy[r.Intn(nw.G.NumVertices())] = true
+		vertexOK := make([]bool, g.NumVertices())
+		for v := range vertexOK {
+			vertexOK[v] = true
 		}
-		in := nw.Inputs()[r.Intn(len(nw.Inputs()))]
-		busy[in] = false
-		free := ac.CountForward(in, nw.MiddleStage, Masks{})
-		restricted := ac.CountForward(in, nw.MiddleStage, Masks{Busy: busy})
-		return restricted <= free
+		discard := func(k int) Masks {
+			for i := 0; i < k; i++ {
+				if v := int32(r.Intn(g.NumVertices())); !g.IsTerminal(v) {
+					vertexOK[v] = false
+				}
+			}
+			return Masks{
+				VertexOK:   vertexOK,
+				OutAllowed: g.BuildOutAllowed(nil, vertexOK, nil),
+				InAllowed:  g.BuildInAllowed(nil, vertexOK, nil),
+			}
+		}
+		nw.MajorityAccessInto(ac, discard(15), &looser)
+		nw.MajorityAccessInto(ac, discard(15), &tighter)
+		for i, c := range tighter.InputAccess {
+			if c > looser.InputAccess[i] {
+				return false
+			}
+		}
+		for j, c := range tighter.OutputAccess {
+			if c > looser.OutputAccess[j] {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -13,16 +13,16 @@ import (
 // holds the per-level vertex counts, and MiddleStage is the central level
 // ⌊L/2⌋, so MajorityAccess measures every terminal's access to a majority
 // of the middle level exactly as Lemma 6 does for 𝒩's middle stage. The
-// word-parallel BatchAccessChecker, the evaluator pipeline, and the churn
+// word-parallel AccessChecker, the evaluator pipeline, and the churn
 // engines all run unmodified on the wrapped network.
 //
 // P is left zero: the wrapped network has no 𝒩 parameters, so
-// 𝒩-specific measurements (GridAccessCount, Theorem-2 bounds) do not
-// apply. StageBase is populated only when vertex IDs are level-sorted;
+// 𝒩-specific measurements (Lemma 3's grid access, Theorem-2 bounds) do
+// not apply. StageBase is populated only when vertex IDs are level-sorted;
 // VertexAt panics otherwise.
 //
 // Errors: cyclic graphs (no leveling) and graphs without terminals are
-// rejected.
+// rejected, so every Network has the leveling AccessChecker sweeps.
 func WrapGraph(g *graph.Graph) (*Network, error) {
 	lv, err := g.Levels()
 	if err != nil {

@@ -265,9 +265,11 @@ func montecarloSurvive(nw *core.Network, eps float64, trials int, seed uint64) f
 }
 
 // edgesOnlyMasksInto is the naive repair: drop failed switches but keep
-// their endpoint vertices usable. It reuses m's edge mask.
+// their endpoint vertices usable. It reuses m's edge mask and traversal
+// bytes, which it builds from the edge mask alone.
 func edgesOnlyMasksInto(inst *fault.Instance, m *core.Masks) {
-	nE := inst.G.NumEdges()
+	g := inst.G
+	nE := g.NumEdges()
 	if cap(m.EdgeOK) < nE {
 		m.EdgeOK = make([]bool, nE)
 	} else {
@@ -277,6 +279,8 @@ func edgesOnlyMasksInto(inst *fault.Instance, m *core.Masks) {
 		m.EdgeOK[e] = inst.Edge[e] == fault.Normal
 	}
 	m.VertexOK = nil
+	m.OutAllowed = g.BuildOutAllowed(m.EdgeOK, nil, m.OutAllowed)
+	m.InAllowed = g.BuildInAllowed(m.EdgeOK, nil, m.InAllowed)
 }
 
 // hasUsableClosedMerge reports whether some closed switch has both

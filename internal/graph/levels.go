@@ -6,7 +6,7 @@ import "fmt"
 // gets a level, every edge steps from a strictly lower level to a strictly
 // higher one, and the vertices come with a level-sorted traversal order.
 // It is the contract behind every one-pass sweep in the repository — the
-// word-parallel access certifier (core.BatchAccessChecker) and the
+// word-parallel access certificate (core.AccessChecker) and the
 // routing reachability guide (route.ShardedEngine): visiting vertices in
 // level order guarantees each vertex is expanded only after every edge
 // into it has been seen.
@@ -27,10 +27,10 @@ import "fmt"
 //   - Mirror() images inherit the reflected assignment of their original
 //     (see Graph.Mirror), so mirrors are levelable even when unstaged.
 //
-// Cyclic graphs have no leveling: Graph.Levels returns an error and every
-// consumer falls back to its order-free path (per-source BFS, unguided
-// probing). A Levels is immutable and shared; do not mutate the returned
-// slices.
+// Cyclic graphs have no leveling: Graph.Levels returns an error. The
+// routing guide then falls back to unguided probing; core never meets
+// one, because its networks are staged (Build) or checked (WrapGraph). A
+// Levels is immutable and shared; do not mutate the returned slices.
 type Levels struct {
 	level []int32 // per-vertex level
 	first []int32 // len NumLevels()+1; order positions first[l]..first[l+1] hold level l

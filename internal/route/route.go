@@ -317,9 +317,6 @@ func (rt *Router) ActiveCircuits() int { return len(rt.circuits) }
 // Busy reports whether vertex v is held by a circuit.
 func (rt *Router) Busy(v int32) bool { return rt.busy[v] }
 
-// BusyMask returns the busy-vertex mask (shared; do not mutate).
-func (rt *Router) BusyMask() []bool { return rt.busy }
-
 // PathOf returns the established path for (in, out), or nil.
 func (rt *Router) PathOf(in, out int32) []int32 { return rt.circuits[circuitKey(in, out)] }
 

@@ -199,17 +199,6 @@ func TestDisconnectUnknown(t *testing.T) {
 	}
 }
 
-func TestDuplicateCircuitRejected(t *testing.T) {
-	g := crossbar()
-	rt := NewRouter(g)
-	if _, err := rt.Connect(g.Inputs()[0], g.Outputs()[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Connect(g.Inputs()[0], g.Outputs()[0]); err == nil {
-		t.Fatal("duplicate circuit accepted")
-	}
-}
-
 func TestReset(t *testing.T) {
 	g := crossbar()
 	rt := NewRouter(g)

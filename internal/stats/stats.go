@@ -60,14 +60,6 @@ func (s *Sample) Min() float64 { return s.min }
 // Max returns the largest observation (0 for an empty sample).
 func (s *Sample) Max() float64 { return s.max }
 
-// SE returns the standard error of the mean.
-func (s *Sample) SE() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.Std() / math.Sqrt(float64(s.n))
-}
-
 // Merge folds t into s (parallel reduction of per-worker samples).
 func (s *Sample) Merge(t *Sample) {
 	if t.n == 0 {
