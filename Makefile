@@ -44,11 +44,11 @@ experiments-full:
 # (and exit clean). CI runs this in the test job.
 ftserve-smoke:
 	@set -e; \
-	$(GO) run ./cmd/ftserve -engine=sharded -seed=7 -eps=0.002 -duration=120 -report=30 > ftserve-a.out; \
-	$(GO) run ./cmd/ftserve -engine=sharded -seed=7 -eps=0.002 -duration=120 -report=30 > ftserve-b.out; \
+	$(GO) run ./cmd/ftserve -seed=7 -eps=0.002 -duration=120 -report=30 > ftserve-a.out; \
+	$(GO) run ./cmd/ftserve -seed=7 -eps=0.002 -duration=120 -report=30 > ftserve-b.out; \
 	cmp ftserve-a.out ftserve-b.out || { echo "ftserve report not deterministic"; exit 1; }; \
-	$(GO) run ./cmd/ftserve -engine=router -seed=9 -arrival=mmpp -pattern=hotspot -duration=120 -report=30 > ftserve-a.out; \
-	$(GO) run ./cmd/ftserve -engine=router -seed=9 -arrival=mmpp -pattern=hotspot -duration=120 -report=30 > ftserve-b.out; \
+	$(GO) run ./cmd/ftserve -seed=9 -arrival=mmpp -pattern=hotspot -duration=120 -report=30 > ftserve-a.out; \
+	$(GO) run ./cmd/ftserve -seed=9 -arrival=mmpp -pattern=hotspot -duration=120 -report=30 > ftserve-b.out; \
 	cmp ftserve-a.out ftserve-b.out || { echo "ftserve report not deterministic"; exit 1; }; \
 	rm -f ftserve-a.out ftserve-b.out; \
 	echo "ftserve smoke: deterministic"

@@ -1,16 +1,16 @@
 // Command ftserve is the long-running open-loop serving harness: it
-// drives any route.Engine with sustained session traffic — composable
-// arrival processes (Poisson, MMPP bursts, diurnal modulation), holding
-// time distributions (exponential, lognormal, Pareto), and destination
-// patterns (uniform, hotspot, permutation) — under a virtual clock, and
-// prints periodic windowed plus final cumulative SLO reports: rejection
-// rate, live-circuit gauge, offered load in Erlangs, and p50/p99/p999
-// connect latency in events-behind terms.
+// drives the guided engine (route.ShardedEngine) with sustained session
+// traffic — composable arrival processes (Poisson, MMPP bursts, diurnal
+// modulation), holding time distributions (exponential, lognormal,
+// Pareto), and destination patterns (uniform, hotspot, permutation) —
+// under a virtual clock, and prints periodic windowed plus final
+// cumulative SLO reports: rejection rate, live-circuit gauge, offered load
+// in Erlangs, and p50/p99/p999 connect latency in events-behind terms.
 //
-// With -engine=sharded the final report adds the engine's own counters:
-// the reject breakdown (endpoint not a terminal, busy or unusable; no idle
-// path) and the routing guide's maintenance (full rebuilds, incremental
-// refreshes, rows recomputed and changed, lane words recomputed).
+// The final report ends with the engine's own counters: the reject
+// breakdown (endpoint not a terminal, busy or unusable; no idle path) and
+// the routing guide's maintenance (full rebuilds, incremental refreshes,
+// rows recomputed and changed, lane words recomputed).
 //
 // The report is a pure function of the flags: two runs with the same
 // flags are byte-identical (the CI smoke gate diffs them). The only
@@ -19,7 +19,7 @@
 //
 // Usage:
 //
-//	ftserve -engine=sharded -nu=2 -eps=0.002 -seed=7 \
+//	ftserve -nu=2 -eps=0.002 -seed=7 \
 //	        -rate=8 -hold=4 -duration=200 -pattern=hotspot -report=50
 package main
 
@@ -41,8 +41,6 @@ import (
 )
 
 type config struct {
-	engine string
-
 	nu        int
 	eps       float64
 	faultSeed uint64
@@ -64,7 +62,6 @@ type config struct {
 func parseFlags(args []string) (config, error) {
 	var c config
 	fs := flag.NewFlagSet("ftserve", flag.ContinueOnError)
-	fs.StringVar(&c.engine, "engine", "sharded", "engine: router|sharded")
 	fs.IntVar(&c.nu, "nu", 2, "ν (n = 4^ν terminals)")
 	fs.Float64Var(&c.eps, "eps", 0, "switch failure rate ε; > 0 serves on the repaired faulty network")
 	fs.Uint64Var(&c.faultSeed, "faultseed", 1, "fault-draw seed (eps > 0)")
@@ -94,29 +91,14 @@ func parseFlags(args []string) (config, error) {
 // taken in main and printed to stderr so stdout stays deterministic.
 var wallClock bool
 
-func buildEngine(c config, nw *core.Network) (route.Engine, error) {
-	var inst *fault.Instance
+// buildEngine returns the guided engine over nw, repaired after a fault
+// draw at -eps when eps > 0.
+func buildEngine(c config, nw *core.Network) *route.ShardedEngine {
 	if c.eps > 0 {
-		inst = fault.Inject(nw.G, fault.Symmetric(c.eps), rng.New(c.faultSeed))
+		inst := fault.Inject(nw.G, fault.Symmetric(c.eps), rng.New(c.faultSeed))
+		return route.NewRepairedShardedEngine(inst, 1)
 	}
-	switch c.engine {
-	case "router":
-		var rt *route.Router
-		if inst != nil {
-			rt = route.NewRepairedRouter(inst)
-		} else {
-			rt = route.NewRouter(nw.G)
-		}
-		rt.EnablePathReuse()
-		return rt, nil
-	case "sharded":
-		if inst != nil {
-			return route.NewRepairedShardedEngine(inst, 1), nil
-		}
-		return route.NewShardedEngine(nw.G, 1), nil
-	default:
-		return nil, fmt.Errorf("unknown engine %q (want router|sharded)", c.engine)
-	}
+	return route.NewShardedEngine(nw.G, 1)
 }
 
 func buildSource(c config, nw *core.Network) (*netsim.TrafficSource, error) {
@@ -198,18 +180,15 @@ func run(c config) (string, int64, error) {
 	if err != nil {
 		return "", 0, err
 	}
-	eng, err := buildEngine(c, nw)
-	if err != nil {
-		return "", 0, err
-	}
+	eng := buildEngine(c, nw)
 	src, err := buildSource(c, nw)
 	if err != nil {
 		return "", 0, err
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "ftserve: engine=%s n=%d vertices=%d switches=%d eps=%g\n",
-		c.engine, len(nw.Inputs()), nw.G.NumVertices(), nw.G.NumEdges(), c.eps)
+	fmt.Fprintf(&b, "ftserve: n=%d vertices=%d switches=%d eps=%g\n",
+		len(nw.Inputs()), nw.G.NumVertices(), nw.G.NumEdges(), c.eps)
 	fmt.Fprintf(&b, "traffic: arrival=%s rate=%g hold=%s mean=%g pattern=%s seed=%#x\n",
 		c.arrival, c.rate, c.holdDist, c.hold, c.pattern, c.seed)
 	fmt.Fprintf(&b, "config: horizon=%g max-arrivals=%d batch=%d report=%g\n",
@@ -238,12 +217,10 @@ func run(c config) (string, int64, error) {
 	es := eng.Stats()
 	fmt.Fprintf(&b, "engine: batches=%d requests=%d accepted=%d rejected=%d\n",
 		es.Batches, es.Requests, es.Accepted, es.Rejected)
-	if se, ok := eng.(*route.ShardedEngine); ok {
-		st := se.ShardedStats()
-		fmt.Fprintf(&b, "sharded: rejects endpoint=%d probe=%d; guide rebuilds=%d refreshes=%d rows=%d changed=%d words=%d\n",
-			st.EndpointRejects, st.ProbeRejects, st.GuideRebuilds, st.GuideRefreshes,
-			st.GuideRowsRecomputed, st.GuideRowsChanged, st.GuideWordsRecomputed)
-	}
+	st := eng.ShardedStats()
+	fmt.Fprintf(&b, "sharded: rejects endpoint=%d probe=%d; guide rebuilds=%d refreshes=%d rows=%d changed=%d words=%d\n",
+		st.EndpointRejects, st.ProbeRejects, st.GuideRebuilds, st.GuideRefreshes,
+		st.GuideRowsRecomputed, st.GuideRowsChanged, st.GuideWordsRecomputed)
 	return b.String(), sn.Offered + sn.Departed, nil
 }
 

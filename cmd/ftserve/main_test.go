@@ -18,12 +18,10 @@ func baseConfig() config {
 }
 
 // TestRunDeterministic: the report is a pure function of the flags —
-// byte-identical across runs — for every engine, on both healthy and
-// faulty networks.
+// byte-identical across runs — on both healthy and faulty networks.
 func TestRunDeterministic(t *testing.T) {
 	cases := map[string]func(*config){
-		"router":       func(c *config) { c.engine = "router" },
-		"sharded":      func(c *config) { c.engine = "sharded" },
+		"default":      func(*config) {},
 		"faulty":       func(c *config) { c.eps = 0.002 },
 		"mmpp-hotspot": func(c *config) { c.arrival = "mmpp"; c.pattern = "hotspot" },
 		"diurnal-pareto": func(c *config) {
@@ -58,11 +56,10 @@ func TestRunDeterministic(t *testing.T) {
 			if !strings.Contains(r1, "t=") {
 				t.Fatalf("report missing windowed lines:\n%s", r1)
 			}
-			if got := strings.Contains(r1, "\nsharded: rejects endpoint="); got != (c.engine == "sharded") {
-				t.Fatalf("engine=%s: sharded counter line present=%v:\n%s", c.engine, got, r1)
+			if !strings.Contains(r1, "\nsharded: rejects endpoint=") {
+				t.Fatalf("report lacks the sharded counter line:\n%s", r1)
 			}
-			if c.engine == "sharded" &&
-				!(strings.Contains(r1, " probe=") && strings.Contains(r1, "; guide rebuilds=1 refreshes=0 rows=")) {
+			if !(strings.Contains(r1, " probe=") && strings.Contains(r1, "; guide rebuilds=1 refreshes=0 rows=")) {
 				t.Fatalf("sharded counter line lacks the reject or guide counters:\n%s", r1)
 			}
 			nw, err := core.Build(core.DefaultParams(c.nu))
@@ -82,12 +79,10 @@ func TestRunDeterministic(t *testing.T) {
 // forever (NaN and infinite rates, holds, horizons and report intervals).
 func TestRunRejectsBadFlags(t *testing.T) {
 	bad := []func(*config){
-		func(c *config) { c.engine = "quantum" },
 		func(c *config) { c.arrival = "steady" },
 		func(c *config) { c.holdDist = "uniform" },
 		func(c *config) { c.pattern = "tornado" },
 		func(c *config) { c.rate = 0 },
-		func(c *config) { c.engine = "cas" },
 		func(c *config) { c.pattern = "hotspot"; c.hotCount = 0 },
 		func(c *config) { c.pattern = "hotspot"; c.hotCount = 99 },
 		func(c *config) { c.pattern = "hotspot"; c.hotFrac = 1.5 },

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"ftcsn/internal/fault"
@@ -14,36 +15,66 @@ import (
 // block pipeline driving its churn through the guided engine must produce
 // bit-identical per-trial outcomes to the per-trial reference (refTrial,
 // whose churn runs on a sequential Router over its own masks). Families ×
-// ε, the montecarlo harness, and a fuzz harness over op streams.
+// ε × trial kinds, the montecarlo harness, and a fuzz harness over op
+// streams.
 
 // TestDifferentialShardedChurnVsPerOp runs the block pipeline with
 // SetChurnEngine(ShardedEngine) against refTrial outcomes, across the
-// structural families and fault rates spanning "no failures" to "frequent
-// rejects".
+// structural families, fault rates spanning "no failures" to "frequent
+// rejects", and two patterns of trial kinds on one block stream: churn on
+// every trial, and churn mixed with trials that skip it. A skipped-churn
+// trial (EvaluateNextCertInto, or EvaluateNextInto with churnOps == 0)
+// edits the shared masks without notifying the engine, so the next churn
+// trial must refresh the guide in full, not from its own diff alone;
+// after every churn trial the guide must equal a rebuild (VerifyState).
 func TestDifferentialShardedChurnVsPerOp(t *testing.T) {
 	const (
-		trials   = 30
 		churnOps = 80
 		seed     = uint64(0xC4A2)
+		block    = 8
 	)
 	epss := []float64{0.0005, 0.02, 0.08}
+	// One letter per trial: X churn, C certificate only, N churnOps = 0.
+	// In the mixed pattern churn trials follow churn trials, single
+	// skipped trials and runs of two, across block boundaries.
+	patterns := []string{strings.Repeat("X", 30), "XXCXNXCNXXNCXX"}
 
 	for name, nw := range diffFamilies(t) {
 		for _, eps := range epss {
 			m := fault.Symmetric(eps)
-			want := refStream(nw, m, seed, trials, churnOps, false)
-			label := fmt.Sprintf("%s/eps=%v", name, eps)
-			ev := NewEvaluator(nw)
-			ev.SetChurnEngine(route.NewShardedEngine(nw.G, 1))
-			var out TrialOutcome
-			for first := 0; first < trials; first += 8 {
-				n := min(8, trials-first)
-				ev.StartBlock(m, seed, uint64(first), n)
-				for j := 0; j < n; j++ {
-					ev.EvaluateNextInto(&out, churnOps)
-					if out != want[first+j] {
-						t.Fatalf("%s: trial %d diverged:\nsharded   %+v\nreference %+v",
-							label, first+j, out, want[first+j])
+			for _, kinds := range patterns {
+				label := fmt.Sprintf("%s/eps=%v/%s", name, eps, kinds)
+				ev := NewEvaluator(nw)
+				se := route.NewShardedEngine(nw.G, 1)
+				ev.SetChurnEngine(se)
+				rf := newRefTrial(nw)
+				var r rng.RNG
+				var got TrialOutcome
+				for i, k := range kinds {
+					if i%block == 0 {
+						ev.StartBlock(m, seed, uint64(i), min(block, len(kinds)-i))
+					}
+					r.ReseedStream(seed, uint64(i))
+					var want TrialOutcome
+					switch k {
+					case 'C':
+						ev.EvaluateNextCertInto(&got)
+						want = rf.run(m, &r, 0, true)
+					case 'N':
+						ev.EvaluateNextInto(&got, 0)
+						want = rf.run(m, &r, 0, false)
+					default:
+						ev.EvaluateNextInto(&got, churnOps)
+						want = rf.run(m, &r, churnOps, false)
+					}
+					if got != want {
+						t.Fatalf("%s: trial %d (%c) diverged:\nsharded   %+v\nreference %+v",
+							label, i, k, got, want)
+					}
+					if k == 'X' {
+						if err := se.VerifyState(); err != nil {
+							t.Fatalf("%s: trial %d: %v", label, i, err)
+						}
 					}
 				}
 			}

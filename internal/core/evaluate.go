@@ -76,27 +76,14 @@ type Evaluator struct {
 	// via SetChurnEngine (the guided engine's pruned hunts make n=64
 	// trials markedly faster; decisions and paths are bit-identical
 	// either way). eng always shares the evaluator's masks. cd generates
-	// the batch-shaped op stream; engDirty tracks whether the shared
-	// traversal bytes were edited in place since the engine last derived
-	// state from them.
+	// the batch-shaped op stream. engStale marks a mask edit the engine
+	// was not told about: a trial that skipped churn
+	// (EvaluateNextCertInto, or churnOps == 0) edits the shared bytes
+	// without a notification, and the next churn trial then refreshes
+	// with the full MasksChanged instead of its own diff.
 	eng      route.Engine
 	cd       netsim.ChurnDriver
-	engDirty bool
-
-	// Accumulated change lists for the engine's incremental refresh
-	// (route.Engine.MasksChangedDiff): every mu.Apply between engine
-	// notifications merges its flipped vertices and recomputed edges here,
-	// epoch-deduplicated, so the diff handed to the engine covers every
-	// byte edit since it last derived state — across as many trials as the
-	// churn phase skips. The lists are sized at full nV/nE capacity (dedup
-	// bounds their length), so accumulation never allocates.
-	// pendFull marks an edit recorded without its lists (the
-	// certificate-only path, which never pays churn and so never tracks);
-	// the next churn phase then falls back to the full MasksChanged.
-	pendV, pendE     []int32
-	pendVEp, pendEEp []uint32
-	pendEpoch        uint32
-	pendFull         bool
+	engStale bool
 
 	// The injector advances inst between trials by diffs, and the mask
 	// updater keeps masks (and the engine's shared view of them) current
@@ -106,8 +93,7 @@ type Evaluator struct {
 }
 
 // NewEvaluator returns a reusable trial evaluator for nw. The repair
-// masks, the traversal bytes and the pending change lists are sized here,
-// so no trial grows them.
+// masks and the traversal bytes are sized here, so no trial grows them.
 func NewEvaluator(nw *Network) *Evaluator {
 	rt := route.NewRouter(nw.G)
 	rt.EnablePathReuse()
@@ -124,10 +110,6 @@ func NewEvaluator(nw *Network) *Evaluator {
 	ev.masks.EdgeOK = make([]bool, nE)
 	ev.masks.OutAllowed = make([]uint8, nE)
 	ev.masks.InAllowed = make([]uint8, nE)
-	ev.pendV = make([]int32, 0, nV)
-	ev.pendE = make([]int32, 0, nE)
-	ev.pendVEp = make([]uint32, nV)
-	ev.pendEEp = make([]uint32, nE)
 	ev.mu.Init(ev.inst, &ev.masks)
 	ev.SetChurnEngine(rt)
 	return ev
@@ -141,8 +123,7 @@ func NewEvaluator(nw *Network) *Evaluator {
 func (ev *Evaluator) SetChurnEngine(eng route.Engine) {
 	ev.eng = eng
 	eng.SetMasksShared(ev.masks.VertexOK, ev.masks.EdgeOK, ev.masks.OutAllowed)
-	ev.engDirty = false
-	ev.clearPending()
+	ev.engStale = false
 }
 
 // Evaluate runs one trial as a one-trial block: switch states and churn
@@ -173,46 +154,6 @@ func (ev *Evaluator) StartBlockSeq(m fault.Model, seedBase, first uint64, n int)
 	ev.batch.FillSeq(m, seedBase, first, n)
 }
 
-// noteMaskEdits merges the latest mu.Apply's change lists (edges: its
-// return value; vertices: ChangedVertices) into the pending diff the
-// engine receives at the next churn phase. Dedup is epoch-stamped, so the
-// lists never outgrow their nV/nE capacity.
-//
-//ftcsn:hotpath per-trial diff bookkeeping on the batched pipeline
-func (ev *Evaluator) noteMaskEdits(edges []int32) {
-	if len(edges) == 0 {
-		return
-	}
-	ev.engDirty = true
-	for _, v := range ev.mu.ChangedVertices() {
-		if ev.pendVEp[v] != ev.pendEpoch {
-			ev.pendVEp[v] = ev.pendEpoch
-			ev.pendV = append(ev.pendV, v)
-		}
-	}
-	for _, e := range edges {
-		if ev.pendEEp[e] != ev.pendEpoch {
-			ev.pendEEp[e] = ev.pendEpoch
-			ev.pendE = append(ev.pendE, e)
-		}
-	}
-}
-
-// clearPending forgets the accumulated diff after the engine consumed it
-// (or SetChurnEngine handed a new engine the current masks). O(1): epoch bump; the
-// stamp arrays are cleared only on the ~4-billion-epoch wraparound.
-func (ev *Evaluator) clearPending() {
-	ev.pendV = ev.pendV[:0]
-	ev.pendE = ev.pendE[:0]
-	ev.pendFull = false
-	ev.pendEpoch++
-	if ev.pendEpoch == 0 {
-		clear(ev.pendVEp)
-		clear(ev.pendEEp)
-		ev.pendEpoch = 1
-	}
-}
-
 // EvaluateNextInto runs the next trial of the current block: advance the
 // fault instance, repair incrementally, check the Lemma-7 shorting
 // witness and the majority-access certificate, and (for churnOps > 0)
@@ -223,7 +164,7 @@ func (ev *Evaluator) clearPending() {
 //ftcsn:hotpath per-trial pipeline core; 0 allocs/trial pinned by BenchmarkEvaluatorBatchTrial
 func (ev *Evaluator) EvaluateNextInto(out *TrialOutcome, churnOps int) {
 	diff := ev.batch.ApplyNext(ev.inst)
-	ev.noteMaskEdits(ev.mu.Apply(ev.inst, &ev.masks, diff))
+	edges := ev.mu.Apply(ev.inst, &ev.masks, diff)
 	ev.r.SetState(ev.batch.RNGState(ev.batch.Applied()))
 	*out = TrialOutcome{
 		FailedSwitches: ev.inst.NumFailed(),
@@ -243,23 +184,22 @@ func (ev *Evaluator) EvaluateNextInto(out *TrialOutcome, churnOps int) {
 		// Masks are shared and already current: drop circuits, let the
 		// engine refresh anything it derives from the edited bytes (the
 		// guided engine's routing guide), and drive the batch-shaped op
-		// stream (netsim.ChurnDriver). The refresh is incremental — the
-		// accumulated change lists bound the engine's work to the diff's
-		// reverse cone — unless an untracked edit (a certificate-only
-		// trial in between) forces the full rebuild; the two are
-		// bit-identical either way.
+		// stream (netsim.ChurnDriver). The refresh is incremental — this
+		// trial's change lists bound the engine's work to the diff's
+		// reverse cone — unless an earlier trial's edit went unreported,
+		// which forces the full rebuild; the two are bit-identical either
+		// way.
 		ev.eng.Reset()
-		if ev.engDirty {
-			if ev.pendFull {
-				ev.eng.MasksChanged()
-			} else {
-				ev.eng.MasksChangedDiff(ev.pendV, ev.pendE)
-			}
-			ev.clearPending()
-			ev.engDirty = false
+		if ev.engStale {
+			ev.eng.MasksChanged()
+			ev.engStale = false
+		} else if len(edges) > 0 {
+			ev.eng.MasksChangedDiff(ev.mu.ChangedVertices(), edges)
 		}
 		out.ChurnConnects, out.ChurnFailures, out.ChurnPathTotal =
 			ev.cd.Run(ev.eng, ev.nw.Inputs(), ev.nw.Outputs(), churnOps, &ev.r)
+	} else if len(edges) > 0 {
+		ev.engStale = true
 	}
 	out.Success = !out.Shorted && out.MajorityAccess && out.ChurnFailures == 0
 }
@@ -273,12 +213,11 @@ func (ev *Evaluator) EvaluateNextInto(out *TrialOutcome, churnOps int) {
 //ftcsn:hotpath per-trial certificate pipeline; 0 allocs/trial pinned by BenchmarkEvaluatorBatchCertTrial
 func (ev *Evaluator) EvaluateNextCertInto(out *TrialOutcome) {
 	diff := ev.batch.ApplyNext(ev.inst)
-	// Record the edit without its lists: the certificate path never pays
-	// a churn phase itself, so it skips per-trial diff bookkeeping; a
-	// later churn trial falls back to the full refresh.
+	// The certificate path never pays a churn phase, so it reports no
+	// edit to the engine; a later churn trial falls back to the full
+	// refresh.
 	if len(ev.mu.Apply(ev.inst, &ev.masks, diff)) > 0 {
-		ev.engDirty = true
-		ev.pendFull = true
+		ev.engStale = true
 	}
 	*out = TrialOutcome{
 		FailedSwitches: ev.inst.NumFailed(),

@@ -79,12 +79,6 @@ func RunBool(cfg Config, trial func(r *rng.RNG) bool) stats.Proportion {
 		func(r *rng.RNG, _ struct{}) bool { return trial(r) })
 }
 
-// RunSample accumulates a numeric statistic over cfg.Trials trials.
-func RunSample(cfg Config, trial func(r *rng.RNG) float64) stats.Sample {
-	return RunSampleWith(cfg, func() struct{} { return struct{}{} },
-		func(r *rng.RNG, _ struct{}) float64 { return trial(r) })
-}
-
 // RunBoolWith is RunBool with worker-local scratch: each worker calls
 // newScratch once and passes the same value to every one of its trials, so
 // trial bodies can reuse buffers (fault instances, masks, routers) and run
@@ -107,7 +101,9 @@ func RunBoolWith[S any](cfg Config, newScratch func() S, trial func(r *rng.RNG, 
 	return total
 }
 
-// RunSampleWith is RunSample with worker-local scratch; see RunBoolWith.
+// RunSampleWith accumulates a numeric statistic over cfg.Trials trials
+// with worker-local scratch (see RunBoolWith): per-worker samples merge
+// into one.
 func RunSampleWith[S any](cfg Config, newScratch func() S, trial func(r *rng.RNG, s S) float64) stats.Sample {
 	perWorker := make([]stats.Sample, cfg.workers())
 	parallelFor(cfg, newScratch, func(w int, r *rng.RNG, s S, i uint64) {

@@ -33,9 +33,8 @@ func TestRunBoolReproducibleAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestRunSample(t *testing.T) {
-	s := RunSample(Config{Trials: 10000, Workers: 3, Seed: 5}, func(r *rng.RNG) float64 {
-		return r.Float64()
-	})
+	s := RunSampleWith(Config{Trials: 10000, Workers: 3, Seed: 5}, func() struct{} { return struct{}{} },
+		func(r *rng.RNG, _ struct{}) float64 { return r.Float64() })
 	if s.N() != 10000 {
 		t.Fatalf("N = %d", s.N())
 	}
@@ -63,7 +62,8 @@ func TestZeroTrials(t *testing.T) {
 	if p.Trials != 0 {
 		t.Fatal("phantom trials")
 	}
-	s := RunSample(Config{Trials: 0, Seed: 3}, func(r *rng.RNG) float64 { return 1 })
+	s := RunSampleWith(Config{Trials: 0, Seed: 3}, func() struct{} { return struct{}{} },
+		func(*rng.RNG, struct{}) float64 { return 1 })
 	if s.N() != 0 {
 		t.Fatal("phantom samples")
 	}

@@ -176,14 +176,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes s in place.
-func (r *RNG) Shuffle(s []int) {
-	for i := len(s) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
 // Sample returns k distinct values drawn uniformly from [0, n) in arbitrary
 // order. It panics if k > n or k < 0. For small k relative to n it uses
 // Floyd's algorithm; otherwise it shuffles a full permutation prefix.

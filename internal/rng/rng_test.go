@@ -217,23 +217,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := New(16)
-	s := []int{1, 2, 2, 3, 5, 8}
-	sum := 0
-	for _, v := range s {
-		sum += v
-	}
-	r.Shuffle(s)
-	got := 0
-	for _, v := range s {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed contents: %v", s)
-	}
-}
-
 func TestStateRoundTrip(t *testing.T) {
 	r := New(77)
 	for i := 0; i < 10; i++ {

@@ -65,10 +65,6 @@ type Request struct {
 type Result struct {
 	Request
 	Path []int32 // nil when the request failed
-	// Attempts counts the path hunts the request took: 1 on the Router;
-	// on the ShardedEngine 0 for an endpoint reject and 1 for every probed
-	// request.
-	Attempts int
 }
 
 // Compile-time checks: both engines implement the seam.
@@ -156,15 +152,15 @@ func growResults(res []Result, n int) []Result {
 
 // ConnectBatch serves the requests strictly in order through Connect,
 // reusing res (grown as needed) — the sequential reference implementation
-// of the Engine seam. Attempts is 1 for every request; Path is nil on
-// rejection (non-terminal, busy or unusable endpoint, or no idle path —
-// the same outcomes Connect reports as errors).
+// of the Engine seam. Path is nil on rejection (non-terminal, busy or
+// unusable endpoint, or no idle path — the same outcomes Connect reports
+// as errors).
 func (rt *Router) ConnectBatch(reqs []Request, res []Result) []Result {
 	res = growResults(res, len(reqs))
 	rt.stats.Batches++
 	rt.stats.Requests += int64(len(reqs))
 	for i, rq := range reqs {
-		res[i] = Result{Request: rq, Attempts: 1}
+		res[i] = Result{Request: rq}
 		if path, err := rt.Connect(rq.In, rq.Out); err == nil {
 			res[i].Path = path
 			rt.stats.Accepted++

@@ -206,8 +206,7 @@ func (se *ShardedEngine) Stats() EngineStats {
 // ConnectBatch routes reqs in input order with sequential-router
 // semantics, reusing res (grown as needed) and returning per-request
 // results in input order. Result.Path is pooled: valid until that circuit
-// is disconnected. Attempts is 0 for an endpoint reject and 1 for every
-// probed request.
+// is disconnected.
 //
 //ftcsn:hotpath the Engine-seam batch entry point; steady-state allocs are pinned by BenchmarkShardedChurn
 func (se *ShardedEngine) ConnectBatch(reqs []Request, res []Result) []Result {
@@ -224,7 +223,6 @@ func (se *ShardedEngine) ConnectBatch(reqs []Request, res []Result) []Result {
 			se.stats.EndpointRejects++
 			continue
 		}
-		res[i].Attempts = 1
 		path := se.hunt(rq.In, rq.Out)
 		if path == nil {
 			se.stats.ProbeRejects++

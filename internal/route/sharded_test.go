@@ -285,11 +285,14 @@ func TestShardedDisconnectErrors(t *testing.T) {
 	if err := se.Disconnect(in, nw.Outputs()[1]); err == nil {
 		t.Fatal("disconnect with wrong output succeeded")
 	}
-	// Busy endpoint: rejected without probing (Attempts stays 0).
+	// Busy endpoint: rejected at the endpoint screen, without probing.
+	before := se.ShardedStats()
 	res = se.ConnectBatch([]route.Request{{In: in, Out: nw.Outputs()[1]}}, res)
-	if res[0].Path != nil || res[0].Attempts != 0 {
-		t.Fatalf("busy-endpoint request: got path=%v attempts=%d, want reject with 0 attempts",
-			res[0].Path, res[0].Attempts)
+	after := se.ShardedStats()
+	if res[0].Path != nil || after.EndpointRejects != before.EndpointRejects+1 ||
+		after.ProbeRejects != before.ProbeRejects {
+		t.Fatalf("busy-endpoint request: got path=%v, endpoint rejects +%d, probe rejects +%d; want reject, +1, +0",
+			res[0].Path, after.EndpointRejects-before.EndpointRejects, after.ProbeRejects-before.ProbeRejects)
 	}
 	if se.PathOf(-1, out) != nil {
 		t.Fatal("PathOf(-1) should be nil")

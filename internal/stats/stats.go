@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit used by the
 // Monte-Carlo experiments: streaming moments, binomial proportion
-// confidence intervals, histograms, and fixed-width table rendering for the
-// benchmark harness.
+// confidence intervals, log-bucketed latency histograms, SLO accounting,
+// and fixed-width table rendering for the benchmark harness.
 package stats
 
 import (
@@ -50,9 +50,6 @@ func (s *Sample) Var() float64 {
 	}
 	return s.m2 / float64(s.n-1)
 }
-
-// Std returns the sample standard deviation.
-func (s *Sample) Std() float64 { return math.Sqrt(s.Var()) }
 
 // Min returns the smallest observation (0 for an empty sample).
 func (s *Sample) Min() float64 { return s.min }
@@ -161,44 +158,6 @@ func Quantile(xs []float64, q float64) float64 {
 		return s[len(s)-1]
 	}
 	return s[i]*(1-frac) + s[i+1]*frac
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi   float64
-	Bins     []int
-	Under    int
-	Over     int
-	binWidth float64
-}
-
-// NewHistogram returns a histogram with nbins equal bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if hi <= lo || nbins <= 0 {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, nbins), binWidth: (hi - lo) / float64(nbins)}
-}
-
-// Add records x.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		h.Bins[int((x-h.Lo)/h.binWidth)]++
-	}
-}
-
-// Total returns the number of recorded observations including out-of-range.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, b := range h.Bins {
-		t += b
-	}
-	return t
 }
 
 // Table renders aligned experiment tables. Columns are sized to their

@@ -121,26 +121,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(11)
-	for i, b := range h.Bins {
-		if b != 1 {
-			t.Fatalf("bin %d = %d", i, b)
-		}
-	}
-	if h.Under != 1 || h.Over != 1 {
-		t.Fatalf("under/over = %d/%d", h.Under, h.Over)
-	}
-	if h.Total() != 12 {
-		t.Fatalf("total = %d", h.Total())
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := NewTable("n", "size", "p")
 	tab.AddRow(16, 1408, 0.25)
