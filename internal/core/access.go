@@ -11,21 +11,22 @@ import (
 // Masks restricts traversal through a repaired network. VertexOK is the
 // repair mask (discarded vertices are unusable); EdgeOK marks switches
 // that are normal with both endpoints usable. A nil VertexOK or EdgeOK
-// imposes no restriction.
+// imposes no restriction. VertexOK never discards a terminal: the repair
+// rule keeps every input and output, and both sweeps of the certificate
+// rely on it, since a discarded terminal would reach nothing.
 //
-// OutAllowed/InAllowed are the CSR-slot-aligned traversal byte arrays for
-// the same masks (graph.BuildOutAllowed/BuildInAllowed): slot i's
-// AdjBlocked bit is set iff the edge in slot i is disallowed by EdgeOK or
-// its far endpoint by VertexOK. The majority-access certificate reads only
-// these bytes. RepairMasksInto builds them and MaskUpdater keeps them
-// current across trials; masks assembled any other way must build them
-// too.
+// OutAllowed is the CSR-slot-aligned traversal byte array for the same
+// masks (graph.BuildOutAllowed): slot i's AdjBlocked bit is set iff the
+// edge in slot i is disallowed by EdgeOK or either endpoint by VertexOK.
+// The majority-access certificate reads only these bytes, and the
+// routing engines adopt them. RepairMasksInto builds them and MaskUpdater
+// keeps them current across trials; masks assembled any other way must
+// build them too.
 type Masks struct {
 	VertexOK []bool
 	EdgeOK   []bool
 
 	OutAllowed []uint8
-	InAllowed  []uint8
 }
 
 // RepairMasks derives the traversal masks of the repaired network from a
@@ -49,13 +50,11 @@ func RepairMasksInto(inst *fault.Instance, m *Masks) {
 		m.EdgeOK[e] = inst.RepairedEdgeUsable(m.VertexOK, int32(e))
 	}
 	m.OutAllowed = g.BuildOutAllowed(m.EdgeOK, m.VertexOK, m.OutAllowed)
-	m.InAllowed = g.BuildInAllowed(m.EdgeOK, m.VertexOK, m.InAllowed)
 }
 
 // AccessChecker performs the access computations of Lemma 6 and Corollary
 // 2 for every terminal at once: how many middle-stage vertices each input
-// reaches along allowed forward slots, and each output along allowed
-// reverse slots.
+// reaches along allowed slots, and how many reach each output.
 //
 // It is the classic batched-reachability trick. Every vertex owns one
 // 64-bit lane word in which bit l means "source l of the current strip
@@ -65,8 +64,12 @@ func RepairMasksInto(inst *fault.Instance, m *Masks) {
 // word into the heads of its OutAllowed-permitted CSR slots — propagating
 // 64 single-source reachability frontiers per machine word operation. At
 // the middle stage the per-lane column populations are the access counts.
-// The output side is the mirror image on the reverse CSR under InAllowed.
-// Total cost is O(E·n/64) word operations.
+// The output side pulls over the same forward CSR and bytes: in reverse
+// level order, from the top level down to the middle, each vertex's word
+// becomes its own output lanes OR the words of the heads of its unblocked
+// slots. Because OutAllowed blocks every slot out of a discarded vertex
+// too, a discarded vertex adds nothing on either side. Total cost is
+// O(E·n/64) word operations.
 //
 // "Stage" means topological level. For 𝒩 and every staged MIN the level
 // assignment IS the stage assignment and vertex IDs are level-sorted, so
@@ -107,7 +110,7 @@ type MajorityReport struct {
 	// strictly more than MiddleSize/2.
 	MiddleSize int
 	// InputAccess[i] is the number of middle-stage vertices input i
-	// reaches; OutputAccess[j] likewise backwards from output j.
+	// reaches; OutputAccess[j] the number that reach output j.
 	InputAccess  []int
 	OutputAccess []int
 	// OK reports whether every terminal has strict-majority access on its
@@ -126,12 +129,16 @@ func (nw *Network) MajorityAccess(ac *AccessChecker, m Masks) MajorityReport {
 }
 
 // MajorityAccessInto is MajorityAccess writing into rep, reusing its access
-// slices across calls so repeated certification allocates nothing. m must
-// carry the traversal bytes (OutAllowed/InAllowed, as RepairMasksInto and
-// MaskUpdater build them): the check reads nothing else, and it panics on
-// masks without them.
+// slices across calls so repeated certification allocates nothing. ac must
+// be a checker for nw, and m must carry the traversal bytes (OutAllowed,
+// as RepairMasksInto and MaskUpdater build them): the check reads nothing
+// else. It panics on a checker for another network, even one of the same
+// size, and on masks without the bytes.
 func (nw *Network) MajorityAccessInto(ac *AccessChecker, m Masks, rep *MajorityReport) {
-	if nE := nw.G.NumEdges(); len(m.OutAllowed) != nE || len(m.InAllowed) != nE {
+	if ac.nw != nw {
+		panic("core: MajorityAccessInto: the access checker was built for another network")
+	}
+	if len(m.OutAllowed) != nw.G.NumEdges() {
 		panic("core: MajorityAccessInto: masks lack this network's traversal bytes; build them with RepairMasksInto or MaskUpdater")
 	}
 	mid := nw.MiddleStage
@@ -139,7 +146,7 @@ func (nw *Network) MajorityAccessInto(ac *AccessChecker, m Masks, rep *MajorityR
 	rep.InputAccess = growInts(rep.InputAccess, len(nw.Inputs()))
 	rep.OutputAccess = growInts(rep.OutputAccess, len(nw.Outputs()))
 	ac.countForward(nw.Inputs(), mid, m.OutAllowed, rep.InputAccess)
-	ac.countBackward(nw.Outputs(), mid, m.InAllowed, rep.OutputAccess)
+	ac.countBackward(nw.Outputs(), mid, m.OutAllowed, rep.OutputAccess)
 	need := rep.MiddleSize/2 + 1
 	rep.OK = true
 	for _, c := range rep.InputAccess {
@@ -163,16 +170,11 @@ func (nw *Network) MajorityAccessInto(ac *AccessChecker, m Masks, rep *MajorityR
 func (ac *AccessChecker) countForward(srcs []int32, targetStage int, allowed []uint8, counts []int) {
 	start, _, heads := ac.nw.G.CSROut()
 	words := ac.words
-	first := ac.lv.First()
-	sweepEnd := first[targetStage] // first position of the target level
-	midEnd := first[targetStage+1]
+	sweepEnd := ac.lv.First()[targetStage] // first position of the target level
 	order := ac.lv.Order()
 	for base := 0; base < len(srcs); base += ac.lanes {
-		k := min(ac.lanes, len(srcs)-base)
-		clear(words)
-		for l := 0; l < k; l++ {
-			words[srcs[base+l]] |= 1 << l
-		}
+		strip := srcs[base:min(base+ac.lanes, len(srcs))]
+		ac.seed(strip)
 		// Level order, so by the time v is expanded every allowed path
 		// into v has already deposited its lanes: one pass suffices.
 		// Vertices at or past the target level receive lane bits but are
@@ -205,76 +207,75 @@ func (ac *AccessChecker) countForward(srcs []int32, targetStage int, allowed []u
 				}
 			}
 		}
-		// Transpose the middle-level block: each set bit is one (source,
-		// middle-vertex) reachability pair.
-		for l := 0; l < k; l++ {
-			counts[base+l] = 0
-		}
-		for p := sweepEnd; p < midEnd; p++ {
-			v := p
-			if order != nil {
-				v = order[p]
-			}
-			for w := words[v]; w != 0; w &= w - 1 {
-				counts[base+bits.TrailingZeros64(w)]++
-			}
-		}
+		ac.tally(targetStage, counts[base:base+len(strip)])
 	}
 }
 
-// countBackward is countForward on the reverse CSR: sources are outputs,
-// propagation walks levels downward, and InAllowed gates the slots.
+// countBackward fills counts[j] with the number of targetStage vertices
+// that reach output srcs[j] along allowed slots, strip by strip. It pulls
+// over the forward CSR: in reverse level order, from the top level down
+// to the target level, each vertex's word becomes its own output lanes OR
+// the words of the heads of its unblocked slots. Every head sits at a
+// higher level, so its word is final when read. A discarded vertex's
+// slots are all blocked (graph.BuildOutAllowed), so its word is its own
+// lanes only, which are zero since no terminal is discarded.
 func (ac *AccessChecker) countBackward(srcs []int32, targetStage int, allowed []uint8, counts []int) {
-	start, _, tails := ac.nw.G.CSRIn()
+	start, _, heads := ac.nw.G.CSROut()
 	words := ac.words
-	first := ac.lv.First()
-	midFirst := first[targetStage]
-	sweepStart := first[targetStage+1] // first position past the target level
+	midFirst := ac.lv.First()[targetStage]
 	nPos := int32(ac.nw.G.NumVertices())
 	order := ac.lv.Order()
 	for base := 0; base < len(srcs); base += ac.lanes {
-		k := min(ac.lanes, len(srcs)-base)
-		clear(words)
-		for l := 0; l < k; l++ {
-			words[srcs[base+l]] |= 1 << l
-		}
+		strip := srcs[base:min(base+ac.lanes, len(srcs))]
+		ac.seed(strip)
 		if order == nil {
-			for v := nPos - 1; v >= sweepStart; v-- {
+			for v := nPos - 1; v >= midFirst; v-- {
 				w := words[v]
-				if w == 0 {
-					continue
-				}
 				for idx := start[v]; idx < start[v+1]; idx++ {
 					if allowed[idx]&graph.AdjBlocked == 0 {
-						words[tails[idx]] |= w
+						w |= words[heads[idx]]
 					}
 				}
+				words[v] = w
 			}
 		} else {
-			for p := nPos - 1; p >= sweepStart; p-- {
+			for p := nPos - 1; p >= midFirst; p-- {
 				v := order[p]
 				w := words[v]
-				if w == 0 {
-					continue
-				}
 				for idx := start[v]; idx < start[v+1]; idx++ {
 					if allowed[idx]&graph.AdjBlocked == 0 {
-						words[tails[idx]] |= w
+						w |= words[heads[idx]]
 					}
 				}
+				words[v] = w
 			}
 		}
-		for l := 0; l < k; l++ {
-			counts[base+l] = 0
+		ac.tally(targetStage, counts[base:base+len(strip)])
+	}
+}
+
+// seed starts a strip: it clears every lane word, then sets lane l at the
+// strip's source strip[l].
+func (ac *AccessChecker) seed(strip []int32) {
+	clear(ac.words)
+	for l, v := range strip {
+		ac.words[v] |= 1 << l
+	}
+}
+
+// tally transposes the target-level block of a swept strip: counts[l]
+// becomes the number of targetStage vertices whose word holds lane l,
+// each set bit being one (source, middle-vertex) reachability pair.
+func (ac *AccessChecker) tally(targetStage int, counts []int) {
+	first, order := ac.lv.First(), ac.lv.Order()
+	clear(counts)
+	for p := first[targetStage]; p < first[targetStage+1]; p++ {
+		v := p
+		if order != nil {
+			v = order[p]
 		}
-		for p := midFirst; p < sweepStart; p++ {
-			v := p
-			if order != nil {
-				v = order[p]
-			}
-			for w := words[v]; w != 0; w &= w - 1 {
-				counts[base+bits.TrailingZeros64(w)]++
-			}
+		for w := ac.words[v]; w != 0; w &= w - 1 {
+			counts[bits.TrailingZeros64(w)]++
 		}
 	}
 }

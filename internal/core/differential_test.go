@@ -295,22 +295,26 @@ func reportsEqual(a, b *MajorityReport) (string, bool) {
 // differential harness: across network families × ε × strip widths, the
 // word-parallel MajorityAccessInto must produce bit-identical reports
 // (per-terminal counts and OK) to the per-terminal BFS oracle. Each trial
-// checks two mask shapes: the paper's discard repair, kept current by
-// MaskUpdater, and E10's edges-only repair (EdgeOK set where the switch
-// is normal, nil VertexOK), the one input where a failed switch leaves
-// its endpoints usable. Families include n=4 and n=16, so every strip
-// width exercises a partial final strip (n not divisible by 64).
+// checks three mask shapes: the paper's discard repair, kept current by
+// MaskUpdater; E10's edges-only repair (EdgeOK set where the switch is
+// normal, nil VertexOK), the one input where a failed switch leaves its
+// endpoints usable; and loose masks (random non-terminal discards, nil
+// EdgeOK), where only the traversal bytes stop a sweep leaving a
+// discarded vertex. Families include n=4 and n=16, so every strip width
+// exercises a partial final strip (n not divisible by 64).
 func TestDifferentialWordParallelCertifier(t *testing.T) {
 	const trialsPerCell = 12
 	epss := []float64{0.0005, 0.01, 0.06}
 	widths := []int{1, 7, 64}
 	for name, nw := range diffFamilies(t) {
 		g := nw.G
+		nV := g.NumVertices()
 		inst := fault.NewInstance(g)
 		mu := NewMaskUpdater(g)
 		oracle := newAccessOracle(nw)
-		var m, edgesOnly Masks
+		var m, edgesOnly, loose Masks
 		edgesOnly.EdgeOK = make([]bool, g.NumEdges())
+		loose.VertexOK = make([]bool, nV)
 		var r rng.RNG
 		var want, word MajorityReport
 		checkers := make([]*AccessChecker, len(widths))
@@ -340,11 +344,82 @@ func TestDifferentialWordParallelCertifier(t *testing.T) {
 					edgesOnly.EdgeOK[e] = inst.Edge[e] == fault.Normal
 				}
 				edgesOnly.OutAllowed = g.BuildOutAllowed(edgesOnly.EdgeOK, nil, edgesOnly.OutAllowed)
-				edgesOnly.InAllowed = g.BuildInAllowed(edgesOnly.EdgeOK, nil, edgesOnly.InAllowed)
 				check("edges-only", edgesOnly, eps, trial)
+
+				for v := range loose.VertexOK {
+					loose.VertexOK[v] = true
+				}
+				for k := 1 + int(4*eps*float64(nV)); k > 0; k-- {
+					if v := int32(r.Intn(nV)); !g.IsTerminal(v) {
+						loose.VertexOK[v] = false
+					}
+				}
+				loose.OutAllowed = g.BuildOutAllowed(nil, loose.VertexOK, loose.OutAllowed)
+				check("loose", loose, eps, trial)
 			}
 		}
 	}
+}
+
+// TestGuideColumnsMatchOutputAccess pins the invariant that lets the
+// certificate's output side and the routing guide share one reverse
+// reachability: under the same masks, OutputAccess[j] equals the number
+// of middle-level vertices whose guide row holds output j. The guide
+// admits a terminal slot by the head's own output bit alone, which agrees
+// with the certificate because no family has a switch out of an output or
+// into an input.
+func TestGuideColumnsMatchOutputAccess(t *testing.T) {
+	for name, nw := range diffFamilies(t) {
+		inst := fault.NewInstance(nw.G)
+		ac := NewAccessChecker(nw)
+		first, order := ac.lv.First(), ac.lv.Order()
+		se := route.NewShardedEngine(nw.G, 1)
+		se.SetGuideLimit(64)
+		var m Masks
+		var rep MajorityReport
+		var r rng.RNG
+		for ei, eps := range []float64{0, 0.002, 0.02, 0.08} {
+			for trial := 0; trial < 10; trial++ {
+				r.ReseedStream(0x6C01, uint64(ei*10+trial))
+				fault.InjectInto(inst, fault.Symmetric(eps), &r)
+				RepairMasksInto(inst, &m)
+				nw.MajorityAccessInto(ac, m, &rep)
+				se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
+				guide, groups := se.GuideWords()
+				for j, want := range rep.OutputAccess {
+					got := 0
+					for p := first[nw.MiddleStage]; p < first[nw.MiddleStage+1]; p++ {
+						v := p
+						if order != nil {
+							v = order[p]
+						}
+						got += int(guide[int(v)*groups+j>>6] >> (j & 63) & 1)
+					}
+					if got != want {
+						t.Fatalf("%s eps=%v trial %d: output %d held by %d middle guide rows, OutputAccess says %d",
+							name, eps, trial, j, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMajorityAccessRefusesForeignChecker: a checker built for another
+// network panics, even when the two networks have the same size and so
+// the masks pass the byte-length check (a network and its Mirror wrap).
+func TestMajorityAccessRefusesForeignChecker(t *testing.T) {
+	fams := diffFamilies(t)
+	nw, mirror := fams["default-nu1"], fams["mirror-nu1"]
+	ac := NewAccessChecker(nw)
+	masks := RepairMasks(fault.NewInstance(mirror.G))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MajorityAccessInto accepted a checker built for another network")
+		}
+	}()
+	var rep MajorityReport
+	mirror.MajorityAccessInto(ac, masks, &rep)
 }
 
 // TestEvaluatorCertAllocFree: steady-state batched certificate trials —

@@ -109,7 +109,6 @@ func NewEvaluator(nw *Network) *Evaluator {
 	ev.masks.VertexOK = make([]bool, nV)
 	ev.masks.EdgeOK = make([]bool, nE)
 	ev.masks.OutAllowed = make([]uint8, nE)
-	ev.masks.InAllowed = make([]uint8, nE)
 	ev.mu.Init(ev.inst, &ev.masks)
 	ev.SetChurnEngine(rt)
 	return ev

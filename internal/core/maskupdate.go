@@ -10,21 +10,19 @@ import (
 // Apply recomputes only the stage-neighborhoods of the changed edges —
 // each changed edge's endpoints, and the switches incident to any endpoint
 // whose usability flipped — instead of the O(E) rescan of RepairMasksInto.
-// It also keeps the masks' CSR-slot-aligned traversal byte arrays
-// (Masks.OutAllowed/InAllowed) current, so the word-parallel certificate
+// It also keeps the masks' CSR-slot-aligned traversal byte array
+// (Masks.OutAllowed) current, so the word-parallel certificate
 // (AccessChecker) and the routing engines that share the bytes see the
 // update for free.
 //
-// Dirty sets are epoch-stamped, so per-trial bookkeeping allocates nothing
-// and costs O(1) to reset. Equivalence with the from-scratch rescan is
-// locked by FuzzIncrementalRepairMasks.
+// The dirty lists are reused across calls, so per-trial bookkeeping
+// allocates nothing in steady state. They are not deduplicated: every
+// entry recomputes from the instance's current state, so a repeat costs
+// one more recomputation and changes nothing. Equivalence with the
+// from-scratch rescan is locked by FuzzIncrementalRepairMasks.
 type MaskUpdater struct {
 	g *graph.Graph
 
-	vEpoch  []uint32
-	eEpoch  []uint32
-	vCur    uint32
-	eCur    uint32
 	dirtyV  []int32
 	dirtyE  []int32
 	flipped []int32 // vertices whose usability actually flipped in the last Apply
@@ -32,11 +30,7 @@ type MaskUpdater struct {
 
 // NewMaskUpdater returns an updater for graphs over g.
 func NewMaskUpdater(g *graph.Graph) *MaskUpdater {
-	return &MaskUpdater{
-		g:      g,
-		vEpoch: make([]uint32, g.NumVertices()),
-		eEpoch: make([]uint32, g.NumEdges()),
-	}
+	return &MaskUpdater{g: g}
 }
 
 // Init fully recomputes m from inst, traversal bytes included: it is
@@ -50,16 +44,19 @@ func (mu *MaskUpdater) Init(inst *fault.Instance, m *Masks) {
 // inst's state before the diff was applied (via Init or a previous Apply).
 // It returns the IDs of the edges whose mask entries were recomputed — a
 // superset of those that actually changed — valid until the next call.
+// An edge may be listed more than once (a changed switch whose endpoint
+// also flipped, or a switch between two flipped vertices);
+// route.Engine.MasksChangedDiff accepts repeats, since its worklist
+// deduplicates. ChangedVertices lists each flip once: a repeated dirty
+// vertex recomputes to "no flip".
 func (mu *MaskUpdater) Apply(inst *fault.Instance, m *Masks, diff []fault.DiffEntry) []int32 {
 	g := mu.g
-	mu.bump()
 	mu.dirtyV = mu.dirtyV[:0]
 	mu.dirtyE = mu.dirtyE[:0]
 	mu.flipped = mu.flipped[:0]
 	for _, d := range diff {
-		mu.markEdge(d.Edge)
-		mu.markVertex(g.EdgeFrom(d.Edge))
-		mu.markVertex(g.EdgeTo(d.Edge))
+		mu.dirtyE = append(mu.dirtyE, d.Edge)
+		mu.dirtyV = append(mu.dirtyV, g.EdgeFrom(d.Edge), g.EdgeTo(d.Edge))
 	}
 	// Usability of a vertex depends only on its incident switches: it is
 	// discarded iff it is a non-terminal touching a failed switch.
@@ -72,20 +69,20 @@ func (mu *MaskUpdater) Apply(inst *fault.Instance, m *Masks, diff []fault.DiffEn
 		m.VertexOK[v] = ok
 		mu.flipped = append(mu.flipped, v)
 		// A flipped vertex invalidates every incident switch's entry.
-		for _, e := range g.OutEdges(v) {
-			mu.markEdge(e)
-		}
-		for _, e := range g.InEdges(v) {
-			mu.markEdge(e)
-		}
+		mu.dirtyE = append(mu.dirtyE, g.OutEdges(v)...)
+		mu.dirtyE = append(mu.dirtyE, g.InEdges(v)...)
 	}
 	for _, e := range mu.dirtyE {
 		u, w := g.EdgeFrom(e), g.EdgeTo(e)
 		//ftlint:ignore seamcontract audited: the mask maintainer itself — it derives the masks and traversal bytes everyone else reads
 		ok := inst.Edge[e] == fault.Normal && m.VertexOK[u] && m.VertexOK[w]
 		m.EdgeOK[e] = ok
-		setAllowedBit(m.OutAllowed, g.OutSlot(e), ok)
-		setAllowedBit(m.InAllowed, g.InSlot(e), ok)
+		// Only the AdjBlocked bit moves; the static AdjTerminal bit stays.
+		slot := g.OutSlot(e)
+		m.OutAllowed[slot] &^= graph.AdjBlocked
+		if !ok {
+			m.OutAllowed[slot] |= graph.AdjBlocked
+		}
 	}
 	return mu.dirtyE
 }
@@ -110,16 +107,6 @@ func (mu *MaskUpdater) Revert(inst *fault.Instance, m *Masks, diff []fault.DiffE
 	return mu.Apply(inst, m, diff)
 }
 
-// setAllowedBit updates the AdjBlocked bit of one traversal byte, leaving
-// the static AdjTerminal bit intact.
-func setAllowedBit(allowed []uint8, slot int32, ok bool) {
-	b := allowed[slot] &^ graph.AdjBlocked
-	if !ok {
-		b |= graph.AdjBlocked
-	}
-	allowed[slot] = b
-}
-
 // hasFailedIncident reports whether any switch incident to v failed.
 func hasFailedIncident(inst *fault.Instance, g *graph.Graph, v int32) bool {
 	for _, e := range g.OutEdges(v) {
@@ -135,35 +122,4 @@ func hasFailedIncident(inst *fault.Instance, g *graph.Graph, v int32) bool {
 		}
 	}
 	return false
-}
-
-func (mu *MaskUpdater) bump() {
-	mu.vCur++
-	if mu.vCur == 0 {
-		for i := range mu.vEpoch {
-			mu.vEpoch[i] = 0
-		}
-		mu.vCur = 1
-	}
-	mu.eCur++
-	if mu.eCur == 0 {
-		for i := range mu.eEpoch {
-			mu.eEpoch[i] = 0
-		}
-		mu.eCur = 1
-	}
-}
-
-func (mu *MaskUpdater) markVertex(v int32) {
-	if mu.vEpoch[v] != mu.vCur {
-		mu.vEpoch[v] = mu.vCur
-		mu.dirtyV = append(mu.dirtyV, v)
-	}
-}
-
-func (mu *MaskUpdater) markEdge(e int32) {
-	if mu.eEpoch[e] != mu.eCur {
-		mu.eEpoch[e] = mu.eCur
-		mu.dirtyE = append(mu.dirtyE, e)
-	}
 }

@@ -187,7 +187,6 @@ func TestQuickAccessMonotoneInMasks(t *testing.T) {
 			return Masks{
 				VertexOK:   vertexOK,
 				OutAllowed: g.BuildOutAllowed(nil, vertexOK, nil),
-				InAllowed:  g.BuildInAllowed(nil, vertexOK, nil),
 			}
 		}
 		nw.MajorityAccessInto(ac, discard(15), &looser)

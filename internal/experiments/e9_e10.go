@@ -280,7 +280,6 @@ func edgesOnlyMasksInto(inst *fault.Instance, m *core.Masks) {
 	}
 	m.VertexOK = nil
 	m.OutAllowed = g.BuildOutAllowed(m.EdgeOK, nil, m.OutAllowed)
-	m.InAllowed = g.BuildInAllowed(m.EdgeOK, nil, m.InAllowed)
 }
 
 // hasUsableClosedMerge reports whether some closed switch has both

@@ -119,7 +119,6 @@ func (b *Builder) Freeze() *Graph {
 	g.outHeads = make([]int32, m)
 	g.inTails = make([]int32, m)
 	g.outSlot = make([]int32, m)
-	g.inSlot = make([]int32, m)
 	for e := 0; e < m; e++ {
 		u := b.edgeFrom[e]
 		v := b.edgeTo[e]
@@ -129,7 +128,6 @@ func (b *Builder) Freeze() *Graph {
 		outNext[u]++
 		g.inEdges[inNext[v]] = int32(e)
 		g.inTails[inNext[v]] = u
-		g.inSlot[e] = inNext[v]
 		inNext[v]++
 	}
 	g.vertexRole = make([]uint8, n)
@@ -157,7 +155,6 @@ type Graph struct {
 	outHeads   []int32 // outHeads[i] = EdgeTo(outEdges[i]); CSR-slot aligned
 	inTails    []int32 // inTails[i] = EdgeFrom(inEdges[i])
 	outSlot    []int32 // outSlot[e] = position of e in outEdges
-	inSlot     []int32 // inSlot[e] = position of e in inEdges
 	vertexRole []uint8 // per-vertex terminal role bits (roleInput, roleOutput)
 
 	// Lazily computed topological-level metadata (see Levels). Mirror
@@ -242,18 +239,13 @@ func (g *Graph) CSRIn() (start, edges, tails []int32) {
 // i.e. the index i with CSROut() edges[i] == e.
 func (g *Graph) OutSlot(e int32) int32 { return g.outSlot[e] }
 
-// InSlot returns the position of edge e in the reverse CSR edge array.
-func (g *Graph) InSlot(e int32) int32 { return g.inSlot[e] }
-
-// Stages exposes the per-vertex stage array (shared; do not mutate).
-func (g *Graph) Stages() []int32 { return g.stage }
-
-// Traversal-mask bits for the CSR-slot-aligned "allowed" byte arrays built
-// by BuildOutAllowed/BuildInAllowed and consumed by the routing and access
-// BFS hot loops. A slot with AdjBlocked set is not traversable (the switch
-// failed or an endpoint was discarded by repair); AdjTerminal marks slots
-// whose far endpoint is a network terminal, which routing treats specially
-// (a circuit may only enter a terminal if it is the requested output).
+// Traversal-mask bits for the CSR-slot-aligned "allowed" byte array
+// built by BuildOutAllowed and read by the path hunts, the routing guide
+// and the majority-access certificate. A slot with AdjBlocked set is not
+// traversable: the switch failed, or repair discarded one of its
+// endpoints. AdjTerminal marks slots whose head is a network terminal,
+// which routing treats specially (a circuit may only enter a terminal if
+// it is the requested output).
 const (
 	AdjBlocked  uint8 = 1 << 0
 	AdjTerminal uint8 = 1 << 1
@@ -272,35 +264,20 @@ func SlotAdmits(c uint8, head, out int32) bool {
 
 // BuildOutAllowed fills dst (grown to NumEdges) with the combined
 // traversal byte for every forward CSR slot: AdjBlocked unless the edge is
-// allowed by edgeOK AND its head vertex by vertexOK (nil masks allow
-// everything), plus AdjTerminal when the head is a terminal.
+// allowed by edgeOK AND both of its endpoints by vertexOK (nil masks allow
+// everything), plus AdjTerminal when the head is a terminal. Blocking the
+// slots out of a discarded tail, as the repair rule's edge mask does
+// (fault.Instance.RepairedEdgeUsable), lets a reverse sweep over these
+// bytes give a discarded vertex nothing whatever the edge mask says.
 func (g *Graph) BuildOutAllowed(edgeOK, vertexOK []bool, dst []uint8) []uint8 {
 	dst = growBytes(dst, g.NumEdges())
 	for i, e := range g.outEdges {
 		w := g.outHeads[i]
 		var b uint8
-		if (edgeOK != nil && !edgeOK[e]) || (vertexOK != nil && !vertexOK[w]) {
+		if (edgeOK != nil && !edgeOK[e]) || (vertexOK != nil && (!vertexOK[g.edgeFrom[e]] || !vertexOK[w])) {
 			b = AdjBlocked
 		}
 		if g.vertexRole[w] != 0 {
-			b |= AdjTerminal
-		}
-		dst[i] = b
-	}
-	return dst
-}
-
-// BuildInAllowed is BuildOutAllowed for the reverse CSR: the far endpoint
-// of slot i is the tail of the edge.
-func (g *Graph) BuildInAllowed(edgeOK, vertexOK []bool, dst []uint8) []uint8 {
-	dst = growBytes(dst, g.NumEdges())
-	for i, e := range g.inEdges {
-		u := g.inTails[i]
-		var b uint8
-		if (edgeOK != nil && !edgeOK[e]) || (vertexOK != nil && !vertexOK[u]) {
-			b = AdjBlocked
-		}
-		if g.vertexRole[u] != 0 {
 			b |= AdjTerminal
 		}
 		dst[i] = b

@@ -307,9 +307,6 @@ func TestCSRAdjunctArrays(t *testing.T) {
 			if tails[idx] != g.EdgeFrom(e) {
 				t.Fatalf("in slot %d: tail %d != EdgeFrom %d", idx, tails[idx], g.EdgeFrom(e))
 			}
-			if g.InSlot(e) != idx {
-				t.Fatalf("InSlot(%d) = %d, want %d", e, g.InSlot(e), idx)
-			}
 		}
 	}
 }
@@ -325,19 +322,17 @@ func TestBuildAllowedBits(t *testing.T) {
 	for v := range vertexOK {
 		vertexOK[v] = v%3 != 0
 	}
-	out := g.BuildOutAllowed(edgeOK, vertexOK, nil)
-	in := g.BuildInAllowed(edgeOK, vertexOK, nil)
-	for e := int32(0); e < int32(m); e++ {
-		w, u := g.EdgeTo(e), g.EdgeFrom(e)
-		wantOut := AdjBlocked * b2u(!edgeOK[e] || !vertexOK[w])
-		wantOut |= AdjTerminal * b2u(g.IsTerminal(w))
-		if got := out[g.OutSlot(e)]; got != wantOut {
-			t.Fatalf("edge %d: OutAllowed %#x, want %#x", e, got, wantOut)
-		}
-		wantIn := AdjBlocked * b2u(!edgeOK[e] || !vertexOK[u])
-		wantIn |= AdjTerminal * b2u(g.IsTerminal(u))
-		if got := in[g.InSlot(e)]; got != wantIn {
-			t.Fatalf("edge %d: InAllowed %#x, want %#x", e, got, wantIn)
+	// A slot is blocked by its switch or by either endpoint, with or
+	// without an edge mask.
+	for _, eok := range [][]bool{edgeOK, nil} {
+		out := g.BuildOutAllowed(eok, vertexOK, nil)
+		for e := int32(0); e < int32(m); e++ {
+			w, u := g.EdgeTo(e), g.EdgeFrom(e)
+			want := AdjBlocked * b2u((eok != nil && !eok[e]) || !vertexOK[u] || !vertexOK[w])
+			want |= AdjTerminal * b2u(g.IsTerminal(w))
+			if got := out[g.OutSlot(e)]; got != want {
+				t.Fatalf("edge %d (edge mask %v): OutAllowed %#x, want %#x", e, eok != nil, got, want)
+			}
 		}
 	}
 	// Nil masks allow everything.

@@ -118,12 +118,3 @@ func (wl *LevelWorklist) Next() (v int32, ok bool) {
 	wl.cur = len(wl.buckets)
 	return 0, false
 }
-
-// Descend drains the round through visit — Next as a callback loop, for
-// consumers that prefer the inverted control flow (tests, one-shot
-// sweeps). visit may Push vertices at strictly lower levels.
-func (wl *LevelWorklist) Descend(visit func(v int32)) {
-	for v, ok := wl.Next(); ok; v, ok = wl.Next() {
-		visit(v)
-	}
-}

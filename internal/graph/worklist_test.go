@@ -42,7 +42,7 @@ func TestLevelWorklistDescendingOrder(t *testing.T) {
 
 	var got []int32
 	last := int32(1 << 30)
-	wl.Descend(func(v int32) {
+	for v, ok := wl.Next(); ok; v, ok = wl.Next() {
 		if lv.Of(v) > last {
 			t.Fatalf("visited %d (level %d) after level %d", v, lv.Of(v), last)
 		}
@@ -52,7 +52,7 @@ func TestLevelWorklistDescendingOrder(t *testing.T) {
 		for _, e := range g.InEdges(v) {
 			wl.Push(g.EdgeFrom(e))
 		}
-	})
+	}
 	// 10 (level 3) wakes level 2 (6,7,8); they wake level 1 (3,4,5 — 4
 	// seeded); level 1 wakes level 0 (0,1,2 — 1 seeded). Every vertex but
 	// the unreached 9 and 11 is visited exactly once.
@@ -76,7 +76,9 @@ func TestLevelWorklistDescendingOrder(t *testing.T) {
 	wl.Begin()
 	wl.Push(2)
 	count := 0
-	wl.Descend(func(int32) { count++ })
+	for _, ok := wl.Next(); ok; _, ok = wl.Next() {
+		count++
+	}
 	if count != 1 {
 		t.Fatalf("second round visited %d vertices, want 1", count)
 	}
@@ -87,7 +89,8 @@ func TestLevelWorklistEpochWraparound(t *testing.T) {
 	wl := NewLevelWorklist(lv, g.NumVertices())
 	wl.Begin()
 	wl.Push(3)
-	wl.Descend(func(int32) {})
+	for _, ok := wl.Next(); ok; _, ok = wl.Next() {
+	}
 
 	// Force the wraparound: the next Begin must clear stale marks so old
 	// membership can't leak into the new round.
@@ -111,7 +114,8 @@ func TestLevelWorklistPushAboveDrainPanics(t *testing.T) {
 			t.Fatal("pushing at the drained level did not panic")
 		}
 	}()
-	wl.Descend(func(int32) { wl.Push(5) }) // level 1 again: contract violation
+	wl.Next()
+	wl.Push(5) // level 1 again: contract violation
 }
 
 // TestLevelWorklistPushAllocFree: with buckets preallocated to level
@@ -123,11 +127,11 @@ func TestLevelWorklistPushAllocFree(t *testing.T) {
 	round := func() {
 		wl.Begin()
 		wl.Push(11)
-		wl.Descend(func(v int32) {
+		for v, ok := wl.Next(); ok; v, ok = wl.Next() {
 			for _, e := range g.InEdges(v) {
 				wl.Push(g.EdgeFrom(e))
 			}
-		})
+		}
 	}
 	round()
 	if avg := testing.AllocsPerRun(50, round); avg != 0 {

@@ -21,7 +21,6 @@ func repairedMasks(t *testing.T, nw *core.Network, eps float64, seed uint64) cor
 	var m core.Masks
 	core.RepairMasksInto(inst, &m)
 	m.OutAllowed = nw.G.BuildOutAllowed(m.EdgeOK, m.VertexOK, nil)
-	m.InAllowed = nw.G.BuildInAllowed(m.EdgeOK, m.VertexOK, nil)
 	return m
 }
 
