@@ -368,9 +368,10 @@ func benchGuidedChurnTrial(b *testing.B, nw *Network) {
 	}
 }
 
-// BenchmarkEvaluatorBatchCertTrial measures one certificate-only trial
-// (inject → discard repair → majority-access certificate, no witnesses or
-// churn) on the block pipeline, n=64: incremental repair masks carry the
+// BenchmarkEvaluatorBatchCertTrial measures one churn-free trial
+// (inject → discard repair → shorting witness → majority-access
+// certificate; EvaluateNextInto with churnOps == 0, the E5 and E10 trial)
+// on the block pipeline, n=64: incremental repair masks carry the
 // CSR-slot traversal bytes the word-parallel certificate reads
 // (core.AccessChecker — all terminals in O(E·n/64) word operations).
 // Its reports match the per-terminal BFS oracle of core's tests (see
@@ -387,7 +388,7 @@ func BenchmarkEvaluatorBatchCertTrial(b *testing.B) {
 		if i%block == 0 {
 			ev.StartBlock(m, 7, uint64(i), block)
 		}
-		ev.EvaluateNextCertInto(&out)
+		ev.EvaluateNextInto(&out, 0)
 	}
 }
 
@@ -409,11 +410,12 @@ func benchZooNetwork(b *testing.B) *Network {
 	return nw
 }
 
-// BenchmarkZooBatchCertTrial is BenchmarkEvaluatorBatchCertTrial on the
-// permuted-sweep HyperX family (64 inputs — one full word-parallel lane
-// strip): it gates the level-ordered traversal of the word certifier,
-// which before the Levels contract fell back to 2n per-terminal BFS
-// sweeps on any non-staged graph.
+// BenchmarkZooBatchCertTrial is BenchmarkEvaluatorBatchCertTrial (a
+// churn-free trial, witness included) on the permuted-sweep HyperX family
+// (64 inputs — one full word-parallel lane strip): it gates the
+// level-ordered traversal of the word certifier, which before the Levels
+// contract fell back to 2n per-terminal BFS sweeps on any non-staged
+// graph.
 func BenchmarkZooBatchCertTrial(b *testing.B) {
 	nw := benchZooNetwork(b)
 	ev := NewEvaluator(nw)
@@ -426,7 +428,7 @@ func BenchmarkZooBatchCertTrial(b *testing.B) {
 		if i%block == 0 {
 			ev.StartBlock(m, 7, uint64(i), block)
 		}
-		ev.EvaluateNextCertInto(&out)
+		ev.EvaluateNextInto(&out, 0)
 	}
 }
 
@@ -441,11 +443,12 @@ func BenchmarkZooShardedChurnTrial(b *testing.B) {
 	})
 }
 
-// BenchmarkMonteCarloCertificateEngine is the certificate-mode variant of
+// BenchmarkMonteCarloCertificateEngine is the churn-free variant of
 // BenchmarkMonteCarloTheorem2Engine: an experiment-scale (256-trial,
-// all-core) Lemma-6 estimate — the E5 workload — on the batched engine
-// with the word-parallel certifier. n=64: one full 64-lane strip per
-// sweep, the scale where certification dominates the trial.
+// all-core) Lemma-6 estimate — the E5 workload, shorting witness
+// included — on the batched engine with the word-parallel certifier.
+// n=64: one full 64-lane strip per sweep, the scale where certification
+// dominates the trial.
 func BenchmarkMonteCarloCertificateEngine(b *testing.B) {
 	nw := benchNetwork(b, 3)
 	m := fault.Symmetric(0.002)
@@ -456,7 +459,7 @@ func BenchmarkMonteCarloCertificateEngine(b *testing.B) {
 		p := montecarlo.RunBoolWith(cfg,
 			func() *theorem2Scratch { return &theorem2Scratch{ev: NewEvaluator(nw), m: m} },
 			func(r *rng.RNG, s *theorem2Scratch) bool {
-				s.ev.EvaluateNextCertInto(&s.out)
+				s.ev.EvaluateNextInto(&s.out, 0)
 				return s.out.MajorityAccess
 			})
 		if p.Trials != cfg.Trials {

@@ -154,7 +154,8 @@ func PaperAccounting(nu int) core.PaperAcct { return core.PaperAccounting(nu) }
 func Symmetric(eps float64) FaultModel { return fault.Symmetric(eps) }
 
 // Inject draws a random fault instance for g under model m, seeded
-// deterministically.
+// deterministically. It panics with FaultModel.Validate's error if m is
+// not a valid model; check it first when m comes from user input.
 func Inject(g *Graph, m FaultModel, seed uint64) *FaultInstance {
 	return fault.Inject(g, m, rng.New(seed))
 }

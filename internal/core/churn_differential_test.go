@@ -23,10 +23,10 @@ import (
 // structural families, fault rates spanning "no failures" to "frequent
 // rejects", and two patterns of trial kinds on one block stream: churn on
 // every trial, and churn mixed with trials that skip it. A skipped-churn
-// trial (EvaluateNextCertInto, or EvaluateNextInto with churnOps == 0)
-// edits the shared masks without notifying the engine, so the next churn
-// trial must refresh the guide in full, not from its own diff alone;
-// after every churn trial the guide must equal a rebuild (VerifyState).
+// trial (EvaluateNextInto with churnOps == 0) edits the shared masks
+// without notifying the engine, so the next churn trial must refresh the
+// guide in full, not from its own diff alone; after every churn trial the
+// guide must equal a rebuild (VerifyState).
 func TestDifferentialShardedChurnVsPerOp(t *testing.T) {
 	const (
 		churnOps = 80
@@ -34,10 +34,10 @@ func TestDifferentialShardedChurnVsPerOp(t *testing.T) {
 		block    = 8
 	)
 	epss := []float64{0.0005, 0.02, 0.08}
-	// One letter per trial: X churn, C certificate only, N churnOps = 0.
-	// In the mixed pattern churn trials follow churn trials, single
-	// skipped trials and runs of two, across block boundaries.
-	patterns := []string{strings.Repeat("X", 30), "XXCXNXCNXXNCXX"}
+	// One letter per trial: X churn, N churnOps = 0. In the mixed pattern
+	// churn trials follow churn trials, single skipped trials and runs of
+	// two, across block boundaries.
+	patterns := []string{strings.Repeat("X", 30), "XXNXNXNNXXNNXX"}
 
 	for name, nw := range diffFamilies(t) {
 		for _, eps := range epss {
@@ -55,18 +55,12 @@ func TestDifferentialShardedChurnVsPerOp(t *testing.T) {
 						ev.StartBlock(m, seed, uint64(i), min(block, len(kinds)-i))
 					}
 					r.ReseedStream(seed, uint64(i))
-					var want TrialOutcome
-					switch k {
-					case 'C':
-						ev.EvaluateNextCertInto(&got)
-						want = rf.run(m, &r, 0, true)
-					case 'N':
-						ev.EvaluateNextInto(&got, 0)
-						want = rf.run(m, &r, 0, false)
-					default:
-						ev.EvaluateNextInto(&got, churnOps)
-						want = rf.run(m, &r, churnOps, false)
+					ops := churnOps
+					if k == 'N' {
+						ops = 0
 					}
+					ev.EvaluateNextInto(&got, ops)
+					want := rf.run(m, &r, ops)
 					if got != want {
 						t.Fatalf("%s: trial %d (%c) diverged:\nsharded   %+v\nreference %+v",
 							label, i, k, got, want)
@@ -92,7 +86,7 @@ func TestDifferentialShardedChurnUnderHarness(t *testing.T) {
 		seed     = uint64(0x5EED)
 	)
 	m := fault.Symmetric(0.01)
-	want := refStream(nw, m, seed, trials, churnOps, false)
+	want := refStream(nw, m, seed, trials, churnOps)
 
 	got := make([]TrialOutcome, trials)
 	montecarlo.RunWith(
@@ -153,7 +147,7 @@ func FuzzBatchChurnVsPerOp(f *testing.F) {
 
 		var r rng.RNG
 		r.ReseedStream(seed, 0)
-		want := rf.run(m, &r, churnOps, false)
+		want := rf.run(m, &r, churnOps)
 
 		ev := NewEvaluator(nw)
 		ev.SetChurnEngine(route.NewShardedEngine(nw.G, 1))

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"ftcsn/internal/fault"
+	"ftcsn/internal/graph"
 	"ftcsn/internal/netsim"
 	"ftcsn/internal/rng"
 	"ftcsn/internal/route"
@@ -199,6 +201,27 @@ func TestBuildRefusesHuge(t *testing.T) {
 		if _, err := Build(p); err == nil {
 			t.Fatalf("Build(%+v) succeeded past MaxBuildEdges", p)
 		}
+	}
+}
+
+// TestWrapGraphRefusesSwitchOutOfOutput: on the chain
+// input→a→b→c→m→o1→v→o2 the certificate would count the middle vertex's
+// path to o2 through output o1, which no circuit may use, so WrapGraph
+// refuses the graph with graph.Validate's reason.
+func TestWrapGraphRefusesSwitchOutOfOutput(t *testing.T) {
+	b := graph.NewBuilder(8, 7)
+	for v := 0; v < 8; v++ {
+		b.AddVertex(graph.NoStage)
+	}
+	b.MarkInput(0)
+	b.MarkOutput(5)
+	b.MarkOutput(7)
+	for v := int32(0); v < 7; v++ {
+		b.AddEdge(v, v+1)
+	}
+	_, err := WrapGraph(b.Freeze())
+	if err == nil || !strings.Contains(err.Error(), "output 5 has out-degree 1") {
+		t.Fatalf("WrapGraph error = %v, want graph.Validate's out-degree refusal", err)
 	}
 }
 

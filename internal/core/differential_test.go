@@ -56,28 +56,21 @@ func newRefTrial(nw *Network) *refTrial {
 }
 
 // run evaluates one trial drawing its faults from r, with churn continuing
-// on r. certOnly mirrors EvaluateNextCertInto: no witness, no churn, and
-// Success is the certificate alone.
-func (rf *refTrial) run(m fault.Model, r *rng.RNG, churnOps int, certOnly bool) TrialOutcome {
+// on r.
+func (rf *refTrial) run(m fault.Model, r *rng.RNG, churnOps int) TrialOutcome {
 	fault.InjectInto(rf.inst, m, r)
 	out := TrialOutcome{
 		FailedSwitches: rf.inst.NumFailed(),
 		OpenSwitches:   rf.inst.NumOpen(),
 		ClosedSwitches: rf.inst.NumClosed(),
 	}
-	if !certOnly {
-		a, _ := rf.inst.ShortedTerminalsWith(rf.fsc)
-		out.Shorted = a >= 0
-	}
+	a, _ := rf.inst.ShortedTerminalsWith(rf.fsc)
+	out.Shorted = a >= 0
 	RepairMasksInto(rf.inst, &rf.masks)
 	rf.orc.majorityAccess(rf.masks, &rf.rep)
 	out.MajorityAccess = rf.rep.OK
 	out.MinInputAccess = minOf(rf.rep.InputAccess)
 	out.MinOutputAccess = minOf(rf.rep.OutputAccess)
-	if certOnly {
-		out.Success = out.MajorityAccess
-		return out
-	}
 	if churnOps > 0 {
 		rf.rt.SetMasks(rf.masks.VertexOK, rf.masks.EdgeOK)
 		out.ChurnConnects, out.ChurnFailures, out.ChurnPathTotal =
@@ -89,13 +82,13 @@ func (rf *refTrial) run(m fault.Model, r *rng.RNG, churnOps int, certOnly bool) 
 
 // refStream returns the reference outcomes of trials 0..n-1 under the
 // harness seeding: trial i draws from rng.Stream(seed, i).
-func refStream(nw *Network, m fault.Model, seed uint64, n, churnOps int, certOnly bool) []TrialOutcome {
+func refStream(nw *Network, m fault.Model, seed uint64, n, churnOps int) []TrialOutcome {
 	rf := newRefTrial(nw)
 	want := make([]TrialOutcome, n)
 	var r rng.RNG
 	for i := range want {
 		r.ReseedStream(seed, uint64(i))
-		want[i] = rf.run(m, &r, churnOps, certOnly)
+		want[i] = rf.run(m, &r, churnOps)
 	}
 	return want
 }
@@ -191,7 +184,7 @@ func TestDifferentialBatchedVsLegacy(t *testing.T) {
 		for _, eps := range epss {
 			m := fault.Symmetric(eps)
 
-			want := refStream(nw, m, seed, trials, churnOps, false)
+			want := refStream(nw, m, seed, trials, churnOps)
 
 			for _, workers := range workerGrid {
 				for _, block := range blockGrid {
@@ -232,8 +225,9 @@ func TestDifferentialBatchedVsLegacy(t *testing.T) {
 	}
 }
 
-// TestDifferentialCertificatePath is the grid for the certificate-only
-// fast path (EvaluateNextCertInto vs the reference's certificate).
+// TestDifferentialCertificatePath is the grid for churn-free trials
+// (EvaluateNextInto with churnOps == 0, the way E5 and E10 run them)
+// against the reference's witness and certificate.
 func TestDifferentialCertificatePath(t *testing.T) {
 	const (
 		trials = 60
@@ -245,7 +239,7 @@ func TestDifferentialCertificatePath(t *testing.T) {
 	}
 	for _, eps := range []float64{0.001, 0.02} {
 		m := fault.Symmetric(eps)
-		want := refStream(nw, m, seed, trials, 0, true)
+		want := refStream(nw, m, seed, trials, 0)
 		for _, block := range []int{5, 32} {
 			got := make([]TrialOutcome, trials)
 			montecarlo.RunWith(
@@ -254,7 +248,7 @@ func TestDifferentialCertificatePath(t *testing.T) {
 					return &batchedDiffScratch{ev: NewEvaluator(nw), m: m, outs: got}
 				},
 				func(_ *rng.RNG, s *batchedDiffScratch, i uint64) {
-					s.ev.EvaluateNextCertInto(&s.outs[i])
+					s.ev.EvaluateNextInto(&s.outs[i], 0)
 				})
 			for i := range got {
 				if got[i] != want[i] {
@@ -422,9 +416,9 @@ func TestMajorityAccessRefusesForeignChecker(t *testing.T) {
 	mirror.MajorityAccessInto(ac, masks, &rep)
 }
 
-// TestEvaluatorCertAllocFree: steady-state batched certificate trials —
-// diff application, incremental masks, word-parallel certification — must
-// not allocate once the evaluator is warm.
+// TestEvaluatorCertAllocFree: steady-state churn-free trials — diff
+// application, incremental masks, the shorting witness, word-parallel
+// certification — must not allocate once the evaluator is warm.
 func TestEvaluatorCertAllocFree(t *testing.T) {
 	nw, err := Build(DefaultParams(2))
 	if err != nil {
@@ -435,10 +429,10 @@ func TestEvaluatorCertAllocFree(t *testing.T) {
 	var out TrialOutcome
 	ev.StartBlock(m, 0xA110C, 0, 400)
 	for i := 0; i < 40; i++ {
-		ev.EvaluateNextCertInto(&out)
+		ev.EvaluateNextInto(&out, 0)
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		ev.EvaluateNextCertInto(&out)
+		ev.EvaluateNextInto(&out, 0)
 	})
 	if avg > 0 {
 		t.Fatalf("batched certificate trial allocates %.2f allocs/op in steady state, want 0", avg)
@@ -464,7 +458,7 @@ func TestDifferentialSeqSeeding(t *testing.T) {
 	rf := newRefTrial(nw)
 	ev := NewEvaluator(nw)
 	for i := range want {
-		want[i] = rf.run(m, rng.New(seedBase+uint64(i)), churnOps, false)
+		want[i] = rf.run(m, rng.New(seedBase+uint64(i)), churnOps)
 		if got := ev.Evaluate(m, seedBase+uint64(i), churnOps); got != want[i] {
 			t.Fatalf("Evaluate(seed %d) diverged:\nevaluate  %+v\nreference %+v", i, got, want[i])
 		}
@@ -504,7 +498,7 @@ func TestEvaluatorModeMixing(t *testing.T) {
 	var r rng.RNG
 	for round := 0; round < 3; round++ {
 		seed := uint64(1000 + round)
-		if got, want := ev.Evaluate(m, seed, churnOps), rf.run(m, rng.New(seed), churnOps, false); got != want {
+		if got, want := ev.Evaluate(m, seed, churnOps), rf.run(m, rng.New(seed), churnOps); got != want {
 			t.Fatalf("round %d: Evaluate diverged:\nevaluate  %+v\nreference %+v", round, got, want)
 		}
 		first := uint64(round * 4)
@@ -512,7 +506,7 @@ func TestEvaluatorModeMixing(t *testing.T) {
 		for j := 0; j < 4; j++ {
 			ev.EvaluateNextInto(&got, churnOps)
 			r.ReseedStream(99, first+uint64(j))
-			if want := rf.run(m, &r, churnOps, false); got != want {
+			if want := rf.run(m, &r, churnOps); got != want {
 				t.Fatalf("round %d trial %d: block after Evaluate diverged:\nbatched   %+v\nreference %+v", round, j, got, want)
 			}
 		}

@@ -57,11 +57,11 @@ func (t TrialOutcome) AvgPathLen() float64 {
 // majority report, churn engine, and churn scratch — so repeated trials on
 // one network allocate nothing in steady state. Trials run in blocks:
 // StartBlock (or StartBlockSeq) draws a block's failure lists, and each
-// EvaluateNextInto / EvaluateNextCertInto call advances the fault instance
-// by a diff and repairs only the changed stage-neighborhoods, so per-trial
-// overhead is O(#failure changes), not O(E). Give each Monte-Carlo worker
-// its own Evaluator (montecarlo.RunWith with a BlockStarter scratch). An
-// Evaluator is not safe for concurrent use.
+// EvaluateNextInto call, the only trial entry, advances the fault
+// instance by a diff and repairs only the changed stage-neighborhoods, so
+// per-trial overhead is O(#failure changes), not O(E). Give each
+// Monte-Carlo worker its own Evaluator (montecarlo.RunWith with a
+// BlockStarter scratch). An Evaluator is not safe for concurrent use.
 type Evaluator struct {
 	nw    *Network
 	inst  *fault.Instance
@@ -77,10 +77,9 @@ type Evaluator struct {
 	// trials markedly faster; decisions and paths are bit-identical
 	// either way). eng always shares the evaluator's masks. cd generates
 	// the batch-shaped op stream. engStale marks a mask edit the engine
-	// was not told about: a trial that skipped churn
-	// (EvaluateNextCertInto, or churnOps == 0) edits the shared bytes
-	// without a notification, and the next churn trial then refreshes
-	// with the full MasksChanged instead of its own diff.
+	// was not told about: a trial with churnOps == 0 edits the shared
+	// bytes without a notification, and the next churn trial then
+	// refreshes with the full MasksChanged instead of its own diff.
 	eng      route.Engine
 	cd       netsim.ChurnDriver
 	engStale bool
@@ -139,9 +138,9 @@ func (ev *Evaluator) Evaluate(m fault.Model, seed uint64, churnOps int) TrialOut
 // StartBlock readies the evaluator for a block of trials under model m:
 // trial first+j draws its faults from rng.Stream(seed, first+j), the
 // seeding of the montecarlo harness. Consume the block with
-// EvaluateNextInto / EvaluateNextCertInto; outcomes never depend on the
-// block size. Starting a block before the previous one is consumed
-// panics.
+// EvaluateNextInto; outcomes never depend on the block size. Starting a
+// block before the previous one is consumed panics, and so does an
+// invalid model m (fault.Model.Validate).
 func (ev *Evaluator) StartBlock(m fault.Model, seed, first uint64, n int) {
 	ev.batch.FillStream(m, seed, first, n)
 }
@@ -157,8 +156,9 @@ func (ev *Evaluator) StartBlockSeq(m fault.Model, seedBase, first uint64, n int)
 // fault instance, repair incrementally, check the Lemma-7 shorting
 // witness and the majority-access certificate, and (for churnOps > 0)
 // drive greedy churn on the churn engine. Churn randomness resumes the
-// trial's own stream from its post-injection state. Calling it with the
-// block exhausted panics.
+// trial's own stream from its post-injection state. Experiments that read
+// only the certificate fields (E5, E10) pass churnOps == 0. Calling it
+// with the block exhausted panics.
 //
 //ftcsn:hotpath per-trial pipeline core; 0 allocs/trial pinned by BenchmarkEvaluatorBatchTrial
 func (ev *Evaluator) EvaluateNextInto(out *TrialOutcome, churnOps int) {
@@ -201,33 +201,6 @@ func (ev *Evaluator) EvaluateNextInto(out *TrialOutcome, churnOps int) {
 		ev.engStale = true
 	}
 	out.Success = !out.Shorted && out.MajorityAccess && out.ChurnFailures == 0
-}
-
-// EvaluateNextCertInto is EvaluateNextInto restricted to inject →
-// discard repair → majority-access certificate, skipping the Lemma-7
-// shorting witness and churn — the fast path for experiments that read
-// just the certificate fields (E5, the E10 ablations). Shorted is reported
-// false and Success reflects only the certificate.
-//
-//ftcsn:hotpath per-trial certificate pipeline; 0 allocs/trial pinned by BenchmarkEvaluatorBatchCertTrial
-func (ev *Evaluator) EvaluateNextCertInto(out *TrialOutcome) {
-	diff := ev.batch.ApplyNext(ev.inst)
-	// The certificate path never pays a churn phase, so it reports no
-	// edit to the engine; a later churn trial falls back to the full
-	// refresh.
-	if len(ev.mu.Apply(ev.inst, &ev.masks, diff)) > 0 {
-		ev.engStale = true
-	}
-	*out = TrialOutcome{
-		FailedSwitches: ev.inst.NumFailed(),
-		OpenSwitches:   ev.inst.NumOpen(),
-		ClosedSwitches: ev.inst.NumClosed(),
-	}
-	ev.nw.MajorityAccessInto(ev.ac, ev.masks, &ev.rep)
-	out.MajorityAccess = ev.rep.OK
-	out.MinInputAccess = minOf(ev.rep.InputAccess)
-	out.MinOutputAccess = minOf(ev.rep.OutputAccess)
-	out.Success = out.MajorityAccess
 }
 
 // Evaluate runs one trial: draw switch states from model m with the given

@@ -25,7 +25,7 @@ func TestEvaluatorMatchesNetworkEvaluate(t *testing.T) {
 	rf := newRefTrial(nw)
 	m := fault.Symmetric(0.01)
 	for seed := uint64(0); seed < 40; seed++ {
-		want := rf.run(m, rng.New(seed), 80, false)
+		want := rf.run(m, rng.New(seed), 80)
 		if got := ev.Evaluate(m, seed, 80); got != want {
 			t.Fatalf("seed %d: evaluator %+v != reference %+v", seed, got, want)
 		}

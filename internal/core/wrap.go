@@ -21,15 +21,18 @@ import (
 // not apply. StageBase is populated only when vertex IDs are level-sorted;
 // VertexAt panics otherwise.
 //
-// Errors: cyclic graphs (no leveling) and graphs without terminals are
-// rejected, so every Network has the leveling AccessChecker sweeps.
+// Errors: graphs that fail graph.Validate (missing or repeated
+// terminals, a switch into an input or out of an output, through which
+// the certificate would count paths no circuit may use) and cyclic graphs
+// (no leveling) are rejected, so every Network has the leveling
+// AccessChecker sweeps.
 func WrapGraph(g *graph.Graph) (*Network, error) {
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("core: WrapGraph: %w", err)
+	}
 	lv, err := g.Levels()
 	if err != nil {
 		return nil, fmt.Errorf("core: WrapGraph: %w", err)
-	}
-	if len(g.Inputs()) == 0 || len(g.Outputs()) == 0 {
-		return nil, fmt.Errorf("core: WrapGraph: graph has %d inputs, %d outputs", len(g.Inputs()), len(g.Outputs()))
 	}
 	L := lv.NumLevels()
 	if L < 2 {

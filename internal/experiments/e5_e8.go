@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"ftcsn/internal/benes"
 	"ftcsn/internal/butterfly"
@@ -62,7 +61,7 @@ func E5MajorityAccess(mode Mode) Result {
 			scs := montecarlo.RunWith(montecarlo.Config{Trials: trialsN, Seed: uint64(0xE50000 + nu*100)},
 				batchEvalScratchFor(nw, fault.Symmetric(eps), false),
 				func(_ *rng.RNG, s *batchEvalScratch, _ uint64) {
-					s.ev.EvaluateNextCertInto(&s.out)
+					s.ev.EvaluateNextInto(&s.out, 0)
 					s.trials++
 					if s.out.MajorityAccess {
 						s.maj++
@@ -78,21 +77,14 @@ func E5MajorityAccess(mode Mode) Result {
 	res.Tables = append(res.Tables, tab)
 	res.Notes = append(res.Notes,
 		"fault-free access is 100% of the middle stage; small ε erodes it only marginally — the induction of Lemma 6 has wide margins",
-		"minFrac is the worst idle-terminal access fraction observed across all trials (−1 rows mean a busy terminal, excluded)")
+		"minFrac is the worst idle-terminal access fraction observed across all trials")
 	return res
 }
 
-// worstOutcomeFrac is the worst idle-terminal access fraction recorded in a
-// trial outcome (busy terminals are exempt, reported as -1).
+// worstOutcomeFrac is the worst terminal access fraction recorded in a
+// trial outcome.
 func worstOutcomeFrac(out core.TrialOutcome, middleSize float64) float64 {
-	worst := math.Inf(1)
-	if out.MinInputAccess >= 0 {
-		worst = float64(out.MinInputAccess)
-	}
-	if out.MinOutputAccess >= 0 && float64(out.MinOutputAccess) < worst {
-		worst = float64(out.MinOutputAccess)
-	}
-	return worst / middleSize
+	return float64(min(out.MinInputAccess, out.MinOutputAccess)) / middleSize
 }
 
 // E6TerminalShorting reproduces Lemma 7: the probability that closed

@@ -116,9 +116,9 @@ func (s *injectScratch) nextFaulty() []bool {
 
 // batchEvalScratch is evalScratch on the batched block engine: StartBlock
 // fills the evaluator's injector for each scheduling block, and trial
-// bodies consume it with EvaluateNextInto / EvaluateNextCertInto. seq
-// selects the sequential rng.New(seed+i) convention (E7/E9's historical
-// seeding) instead of the harness streams.
+// bodies consume it with EvaluateNextInto. seq selects the sequential
+// rng.New(seed+i) convention (E7/E9's historical seeding) instead of the
+// harness streams.
 type batchEvalScratch struct {
 	evalScratch
 	model fault.Model

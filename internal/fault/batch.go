@@ -23,10 +23,10 @@ type DiffEntry struct {
 //
 // Determinism contract: trial j of a block filled with FillStream(m, seed,
 // first, n) draws its failures from exactly the stream rng.Stream(seed,
-// first+j), consuming exactly the randomness Instance.Reinject would — so
-// the state after ApplyNext is bit-identical to a fresh InjectInto with
-// that trial's stream, and RNGState(j) is the stream's post-injection
-// state (resume it for churn randomness). Block size and scheduling
+// first+j), through the one draw Instance.Reinject uses — so the state
+// after ApplyNext is bit-identical to a fresh InjectInto with that
+// trial's stream, and RNGState(j) is the stream's post-injection state
+// (resume it for churn randomness). Block size and scheduling
 // therefore never change any trial's outcome.
 //
 // A BatchInjector tracks the failure list currently applied to "its"
@@ -101,13 +101,14 @@ func (bi *BatchInjector) AppliedFailures() ([]int32, []State) {
 
 // FillStream draws the failure lists for trials first..first+n-1, trial
 // first+j from the pure per-index stream rng.Stream(seed, first+j) — the
-// seeding used by the montecarlo harness. It panics if n < 0, which is
-// always a caller bug.
+// seeding used by the montecarlo harness. It panics with Model.Validate's
+// error if m is not a valid fault model, and if n < 0; both are caller
+// bugs.
 func (bi *BatchInjector) FillStream(m Model, seed, first uint64, n int) {
 	bi.beginFill(m, n)
 	for j := 0; j < n; j++ {
 		bi.r.ReseedStream(seed, first+uint64(j))
-		bi.fillTrial(j)
+		bi.fillTrial()
 	}
 }
 
@@ -118,11 +119,14 @@ func (bi *BatchInjector) FillSeq(m Model, seedBase, first uint64, n int) {
 	bi.beginFill(m, n)
 	for j := 0; j < n; j++ {
 		bi.r.Reseed(seedBase + first + uint64(j))
-		bi.fillTrial(j)
+		bi.fillTrial()
 	}
 }
 
 func (bi *BatchInjector) beginFill(m Model, n int) {
+	if err := m.Validate(); err != nil {
+		panic(err)
+	}
 	if n < 0 {
 		panic(fmt.Sprintf("fault: BatchInjector fill of a negative trial count %d", n))
 	}
@@ -142,45 +146,19 @@ func (bi *BatchInjector) beginFill(m Model, n int) {
 	bi.next = 0
 }
 
-// fillTrial appends one trial's failure list, consuming exactly the draw
-// sequence of Instance.Reinject (locked by TestBatchDiffApplyMatchesFresh).
-func (bi *BatchInjector) fillTrial(j int) {
+// fillTrial appends one trial's failure list, drawn from bi.r by the
+// draw that Instance.Reinject uses, so both consume the same randomness.
+func (bi *BatchInjector) fillTrial() {
 	var opens, closes int32
-	p := bi.m.OpenProb + bi.m.ClosedProb
-	mEdges := bi.g.NumEdges()
-	switch {
-	case p <= 0:
-	case p >= 0.5:
-		// Dense regime: draw per edge directly.
-		for e := 0; e < mEdges; e++ {
-			u := bi.r.Float64()
-			switch {
-			case u < bi.m.OpenProb:
-				bi.pos = append(bi.pos, int32(e))
-				bi.st = append(bi.st, Open)
-				opens++
-			case u < p:
-				bi.pos = append(bi.pos, int32(e))
-				bi.st = append(bi.st, Closed)
-				closes++
-			}
+	draw(bi.m, bi.g.NumEdges(), &bi.r, func(e int32, s State) {
+		bi.pos = append(bi.pos, e)
+		bi.st = append(bi.st, s)
+		if s == Open {
+			opens++
+		} else {
+			closes++
 		}
-	default:
-		// Sparse regime: geometric skipping over healthy runs.
-		pos := bi.r.Geometric(p)
-		for pos < mEdges {
-			if bi.r.Float64()*p < bi.m.OpenProb {
-				bi.pos = append(bi.pos, int32(pos))
-				bi.st = append(bi.st, Open)
-				opens++
-			} else {
-				bi.pos = append(bi.pos, int32(pos))
-				bi.st = append(bi.st, Closed)
-				closes++
-			}
-			pos += 1 + bi.r.Geometric(p)
-		}
-	}
+	})
 	bi.off = append(bi.off, len(bi.pos))
 	bi.opens = append(bi.opens, opens)
 	bi.closes = append(bi.closes, closes)

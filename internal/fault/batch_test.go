@@ -273,3 +273,28 @@ func TestBatchFillRejectsNegativeCount(t *testing.T) {
 		})
 	}
 }
+
+// TestInjectRejectsInvalidModel: both entries to the fault draw refuse a
+// model that Model.Validate rejects, panicking with its error, instead of
+// indexing out of range (NaN ε), failing every switch (ε₁+ε₂ > 1) or
+// drawing no failure (ε < 0).
+func TestInjectRejectsInvalidModel(t *testing.T) {
+	g := bigEdgeGraph(832)
+	draws := map[string]func(Model){
+		"InjectInto": func(m Model) { InjectInto(NewInstance(g), m, rng.New(1)) },
+		"FillStream": func(m Model) { NewBatchInjector(g).FillStream(m, 1, 0, 4) },
+	}
+	for _, m := range []Model{Symmetric(math.NaN()), Symmetric(-0.01), {OpenProb: 0.3, ClosedProb: 0.9}} {
+		want := m.Validate()
+		for name, draw := range draws {
+			func() {
+				defer func() {
+					if err, _ := recover().(error); err == nil || err.Error() != want.Error() {
+						t.Errorf("%s(%+v) panicked with %v, want %v", name, m, err, want)
+					}
+				}()
+				draw(m)
+			}()
+		}
+	}
+}

@@ -110,40 +110,44 @@ func (inst *Instance) Reset() {
 	inst.opens, inst.closes = 0, 0
 }
 
-// Reinject redraws all switch states in place. When ε₁+ε₂ is small it skips
-// healthy runs geometrically, visiting only failed switches.
+// Reinject redraws all switch states in place. It panics with
+// Model.Validate's error if m is not a valid fault model.
 func (inst *Instance) Reinject(m Model, r *rng.RNG) {
-	inst.Reset()
-	p := m.OpenProb + m.ClosedProb
-	if p <= 0 {
-		return
+	if err := m.Validate(); err != nil {
+		panic(err)
 	}
-	mEdges := len(inst.Edge)
-	if p >= 0.5 {
+	inst.Reset()
+	draw(m, len(inst.Edge), r, inst.SetState)
+}
+
+// draw draws one trial's switch states under the valid model m over
+// switches [0, nEdges) and hands each failed switch to fail, in ascending
+// edge order. When ε₁+ε₂ is small it skips healthy runs geometrically,
+// visiting only failed switches. Instance.Reinject and BatchInjector both
+// draw through it, so a trial's failures depend only on m and r.
+func draw(m Model, nEdges int, r *rng.RNG, fail func(e int32, s State)) {
+	p := m.OpenProb + m.ClosedProb
+	switch {
+	case p <= 0:
+	case p >= 0.5:
 		// Dense regime: draw per edge directly.
-		for i := range inst.Edge {
+		for e := 0; e < nEdges; e++ {
 			u := r.Float64()
 			switch {
 			case u < m.OpenProb:
-				inst.Edge[i] = Open
-				inst.opens++
+				fail(int32(e), Open)
 			case u < p:
-				inst.Edge[i] = Closed
-				inst.closes++
+				fail(int32(e), Closed)
 			}
 		}
-		return
-	}
-	pos := r.Geometric(p)
-	for pos < mEdges {
-		if r.Float64()*p < m.OpenProb {
-			inst.Edge[pos] = Open
-			inst.opens++
-		} else {
-			inst.Edge[pos] = Closed
-			inst.closes++
+	default:
+		for pos := r.Geometric(p); pos < nEdges; pos += 1 + r.Geometric(p) {
+			if r.Float64()*p < m.OpenProb {
+				fail(int32(pos), Open)
+			} else {
+				fail(int32(pos), Closed)
+			}
 		}
-		pos += 1 + r.Geometric(p)
 	}
 }
 
@@ -252,21 +256,18 @@ func growBools(s []bool, n int) []bool {
 }
 
 // Scratch holds every reusable buffer the failure-witness checks need:
-// a disjoint-set forest for closed-switch contraction, an epoch-stamped
-// terminal-owner table (replacing a per-call map), and epoch-stamped BFS
-// state for conductive reachability. One Scratch serves one goroutine's
-// trials; give each Monte-Carlo worker its own via montecarlo.RunBoolWith.
+// an O(1)-reset disjoint-set forest for closed-switch contraction, an
+// epoch-stamped terminal-owner table (replacing a per-call map), and
+// epoch-stamped BFS state for conductive reachability. One Scratch serves
+// one goroutine's trials; give each Monte-Carlo worker its own via
+// montecarlo.RunBoolWith.
 type Scratch struct {
-	dsu *unionfind.DSU
-	// sdsu is the O(1)-reset forest used by the failure-list variant of the
-	// shorting check, where unioning only the trial's closed switches makes
-	// the check O(#closed + #terminals) instead of O(E + V).
-	sdsu *unionfind.Sparse
+	uf *unionfind.Sparse
 
 	// owner[root] is the terminal that first claimed component root during
-	// the current ShortedTerminalsWith call; valid iff ownerEpoch[root]
-	// equals ownerCur. The epoch bump replaces clearing (the reachScratch
-	// idiom), so the check is O(#terminals α(n)) with zero allocation.
+	// the current shorting check; valid iff ownerEpoch[root] equals
+	// ownerCur. The epoch bump replaces clearing (the reachScratch idiom),
+	// so the check is O(#terminals α(n)) with zero allocation.
 	owner      []int32
 	ownerEpoch []uint32
 	ownerCur   uint32
@@ -278,8 +279,7 @@ type Scratch struct {
 func NewScratch(g *graph.Graph) *Scratch {
 	n := g.NumVertices()
 	return &Scratch{
-		dsu:        unionfind.New(n),
-		sdsu:       unionfind.NewSparse(n),
+		uf:         unionfind.NewSparse(n),
 		owner:      make([]int32, n),
 		ownerEpoch: make([]uint32, n),
 		reach:      newReachScratch(n),
@@ -296,65 +296,52 @@ func (inst *Instance) ShortedTerminals() (a, b int32) {
 // ShortedTerminalsWith is ShortedTerminals using caller-owned scratch; it
 // allocates nothing.
 func (inst *Instance) ShortedTerminalsWith(sc *Scratch) (a, b int32) {
-	sc.dsu.Reset()
+	sc.uf.Reset()
 	for e, s := range inst.Edge {
 		if s == Closed {
-			sc.dsu.Union(int(inst.G.EdgeFrom(int32(e))), int(inst.G.EdgeTo(int32(e))))
+			sc.uf.Union(int(inst.G.EdgeFrom(int32(e))), int(inst.G.EdgeTo(int32(e))))
 		}
 	}
-	sc.bumpOwnerEpoch()
-	if x, y := sc.claimTerminals(inst.G.Inputs(), sc.dsu); x >= 0 {
-		return x, y
-	}
-	return sc.claimTerminals(inst.G.Outputs(), sc.dsu)
+	return sc.shortedPair(inst.G)
 }
 
 // ShortedTerminalsFromList is ShortedTerminalsWith given the trial's
 // failure list (edge IDs ascending, as produced by BatchInjector) instead
 // of a full edge-state scan: only the closed entries are unioned, so the
 // check costs O(#closed α(n) + #terminals) rather than O(E + V). The
-// result is identical to ShortedTerminalsWith on the same instance —
-// the returned pair depends only on the contracted component partition
-// and the terminal scan order, not on the union-find internals.
+// result is identical to ShortedTerminalsWith on the same instance.
 func (inst *Instance) ShortedTerminalsFromList(edges []int32, states []State, sc *Scratch) (a, b int32) {
-	sc.sdsu.Reset()
+	sc.uf.Reset()
 	for i, e := range edges {
 		if states[i] == Closed {
-			sc.sdsu.Union(int(inst.G.EdgeFrom(e)), int(inst.G.EdgeTo(e)))
+			sc.uf.Union(int(inst.G.EdgeFrom(e)), int(inst.G.EdgeTo(e)))
 		}
 	}
-	sc.bumpOwnerEpoch()
-	if x, y := sc.claimTerminals(inst.G.Inputs(), sc.sdsu); x >= 0 {
-		return x, y
-	}
-	return sc.claimTerminals(inst.G.Outputs(), sc.sdsu)
+	return sc.shortedPair(inst.G)
 }
 
-// bumpOwnerEpoch starts a fresh owner table in O(1) (O(n) only on the
-// ~4-billion-call wraparound).
-func (sc *Scratch) bumpOwnerEpoch() {
+// shortedPair assigns each terminal of g, inputs then outputs, to its
+// component root in sc.uf and returns the first pair of terminals found
+// sharing a root, or (-1, -1). The pair depends only on the contracted
+// partition and that scan order, not on the forest's internals.
+func (sc *Scratch) shortedPair(g *graph.Graph) (int32, int32) {
 	sc.ownerCur++
 	if sc.ownerCur == 0 {
+		// The ~4-billion-call wraparound: clear the stale stamps.
 		for i := range sc.ownerEpoch {
 			sc.ownerEpoch[i] = 0
 		}
 		sc.ownerCur = 1
 	}
-}
-
-// finder abstracts the two disjoint-set forests claimTerminals runs over.
-type finder interface{ Find(int) int }
-
-// claimTerminals assigns each terminal's component root to it, returning
-// the first pair of terminals found sharing a root.
-func (sc *Scratch) claimTerminals(terms []int32, dsu finder) (int32, int32) {
-	for _, t := range terms {
-		root := dsu.Find(int(t))
-		if sc.ownerEpoch[root] == sc.ownerCur {
-			return sc.owner[root], t
+	for _, terms := range [2][]int32{g.Inputs(), g.Outputs()} {
+		for _, t := range terms {
+			root := sc.uf.Find(int(t))
+			if sc.ownerEpoch[root] == sc.ownerCur {
+				return sc.owner[root], t
+			}
+			sc.ownerEpoch[root] = sc.ownerCur
+			sc.owner[root] = t
 		}
-		sc.ownerEpoch[root] = sc.ownerCur
-		sc.owner[root] = t
 	}
 	return -1, -1
 }

@@ -1,5 +1,5 @@
-// Package unionfind implements disjoint-set forests with union by rank and
-// path halving.
+// Package unionfind implements a disjoint-set forest with union by rank,
+// path halving and an O(1) Reset.
 //
 // In the random switch failure model of Pippenger & Lin, a closed failure
 // contracts the two endpoints of a switch into a single electrical node.
@@ -9,30 +9,52 @@
 // data structure for that contraction.
 package unionfind
 
-// DSU is a disjoint-set union structure over elements [0, n).
-type DSU struct {
+// Sparse is a disjoint-set forest whose Reset is O(1): elements are
+// lazily re-initialized on first touch after a reset, via epoch stamps.
+// It serves workloads that union only a handful of the n elements per
+// round — e.g. the closed switches of one Monte-Carlo fault trial, where
+// an O(n) reset would dwarf the O(#closed) useful work.
+type Sparse struct {
 	parent []int32
 	rank   []int8
-	count  int // number of live components
+	epoch  []uint32
+	cur    uint32
 }
 
-// New returns a DSU with n singleton components.
-func New(n int) *DSU {
-	d := &DSU{parent: make([]int32, n), rank: make([]int8, n), count: n}
-	for i := range d.parent {
-		d.parent[i] = int32(i)
+// NewSparse returns a forest over elements [0, n), all singletons.
+func NewSparse(n int) *Sparse {
+	return &Sparse{
+		parent: make([]int32, n),
+		rank:   make([]int8, n),
+		epoch:  make([]uint32, n),
+		cur:    1,
 	}
-	return d
 }
 
-// Len returns the number of elements.
-func (d *DSU) Len() int { return len(d.parent) }
+// Reset returns every element to a singleton component in O(1) (O(n) only
+// on the ~4-billion-reset epoch wraparound).
+func (d *Sparse) Reset() {
+	d.cur++
+	if d.cur == 0 {
+		for i := range d.epoch {
+			d.epoch[i] = 0
+		}
+		d.cur = 1
+	}
+}
 
-// Components returns the current number of disjoint components.
-func (d *DSU) Components() int { return d.count }
+// touch lazily initializes x for the current epoch.
+func (d *Sparse) touch(x int) {
+	if d.epoch[x] != d.cur {
+		d.epoch[x] = d.cur
+		d.parent[x] = int32(x)
+		d.rank[x] = 0
+	}
+}
 
 // Find returns the representative of x's component, with path halving.
-func (d *DSU) Find(x int) int {
+func (d *Sparse) Find(x int) int {
+	d.touch(x)
 	for d.parent[x] != int32(x) {
 		d.parent[x] = d.parent[d.parent[x]]
 		x = int(d.parent[x])
@@ -42,7 +64,7 @@ func (d *DSU) Find(x int) int {
 
 // Union merges the components of x and y and reports whether they were
 // previously distinct.
-func (d *DSU) Union(x, y int) bool {
+func (d *Sparse) Union(x, y int) bool {
 	rx, ry := d.Find(x), d.Find(y)
 	if rx == ry {
 		return false
@@ -54,19 +76,8 @@ func (d *DSU) Union(x, y int) bool {
 	if d.rank[rx] == d.rank[ry] {
 		d.rank[rx]++
 	}
-	d.count--
 	return true
 }
 
 // Same reports whether x and y are in one component.
-func (d *DSU) Same(x, y int) bool { return d.Find(x) == d.Find(y) }
-
-// Reset returns every element to its own singleton component, reusing the
-// allocation.
-func (d *DSU) Reset() {
-	for i := range d.parent {
-		d.parent[i] = int32(i)
-		d.rank[i] = 0
-	}
-	d.count = len(d.parent)
-}
+func (d *Sparse) Same(x, y int) bool { return d.Find(x) == d.Find(y) }
