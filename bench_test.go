@@ -584,18 +584,23 @@ func BenchmarkIncrementalGuideEpoch(b *testing.B) {
 
 	// Fixed diffs: k switches spread evenly across the stages, so the
 	// reverse cones start at different levels of the same instance.
-	makeDiff := func(k int) []fault.DiffEntry {
-		diff := make([]fault.DiffEntry, k)
+	makeDiff := func(k int) []int32 {
+		diff := make([]int32, k)
 		stride := g.NumEdges() / k
 		for i := range diff {
-			diff[i] = fault.DiffEntry{Edge: int32(i*stride + i), Old: fault.Normal, New: fault.Open}
+			diff[i] = int32(i*stride + i)
 		}
 		return diff
 	}
-	epoch := func(diff []fault.DiffEntry, notify func(edges []int32)) {
-		fault.ApplyDiff(inst, diff)
+	setAll := func(diff []int32, s fault.State) {
+		for _, e := range diff {
+			inst.SetState(e, s)
+		}
+	}
+	epoch := func(diff []int32, notify func(edges []int32)) {
+		setAll(diff, fault.Open)
 		notify(mu.Apply(inst, &m, diff))
-		fault.RevertDiff(inst, diff)
+		setAll(diff, fault.Normal)
 		notify(mu.Apply(inst, &m, diff))
 	}
 

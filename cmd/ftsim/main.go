@@ -37,11 +37,7 @@ func main() {
 	trials := flag.Int("trials", 200, "Monte-Carlo trials per ε")
 	churn := flag.Int("churn", 100, "churn operations per trial (network-n only)")
 	seed := flag.Uint64("seed", 1, "root seed")
-	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	flag.Parse()
-	if *workers < 0 {
-		die(fmt.Errorf("-workers must be >= 0, got %d", *workers))
-	}
 	if *trials < 1 {
 		die(fmt.Errorf("-trials must be >= 1, got %d", *trials))
 	}
@@ -98,7 +94,7 @@ func main() {
 		fmt.Printf("%s: n=%d edges=%d\n", *kind, len(g.Inputs()), g.NumEdges())
 		tab := stats.NewTable("ε", "P[survive basic checks] (95% CI)")
 		for _, eps := range epss {
-			p := montecarlo.RunBool(montecarlo.Config{Trials: *trials, Workers: *workers, Seed: *seed},
+			p := montecarlo.RunBool(montecarlo.Config{Trials: *trials, Seed: *seed},
 				func(r *rng.RNG) bool {
 					inst := fault.Inject(g, fault.Symmetric(eps), r)
 					return inst.SurvivesBasicChecks()

@@ -196,32 +196,19 @@ type Network struct {
 	P Params
 	G *graph.Graph
 
-	// StageBase[s] is the first vertex ID of stage s; stages run 0..4ν.
-	StageBase []int32
-	// StageSize[s] is the number of vertices on stage s.
+	// StageSize[s] is the number of vertices on stage s; stages run
+	// 0..4ν.
 	StageSize []int32
 	// MiddleStage is 2ν, the central stage of 𝓜 whose majority
 	// accessibility (Lemma 6) certifies nonblocking routing.
 	MiddleStage int
 }
 
-// NumStages returns 4ν+1 for 𝒩, or the level count for a wrapped network
-// (see WrapGraph).
-func (nw *Network) NumStages() int { return len(nw.StageSize) }
-
 // Inputs returns the input terminals (stage 0).
 func (nw *Network) Inputs() []int32 { return nw.G.Inputs() }
 
 // Outputs returns the output terminals (stage 4ν).
 func (nw *Network) Outputs() []int32 { return nw.G.Outputs() }
-
-// VertexAt returns the idx-th vertex of stage s.
-func (nw *Network) VertexAt(s, idx int) int32 {
-	if s < 0 || s >= len(nw.StageBase) || idx < 0 || idx >= int(nw.StageSize[s]) {
-		panic(fmt.Sprintf("core: VertexAt(%d,%d) out of range", s, idx))
-	}
-	return nw.StageBase[s] + int32(idx)
-}
 
 // Build materializes Network 𝒩 for the given parameters.
 func Build(p Params) (*Network, error) {
@@ -350,7 +337,6 @@ func Build(p Params) (*Network, error) {
 	nw := &Network{
 		P:           p,
 		G:           g,
-		StageBase:   stageBase,
 		StageSize:   stageSize,
 		MiddleStage: 2 * nu,
 	}

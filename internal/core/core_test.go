@@ -82,6 +82,18 @@ func TestBuildMatchesAccounting(t *testing.T) {
 	}
 }
 
+// stageStarts returns the first vertex ID of each stage of nw, read off
+// the graph's leveling: Build numbers vertices stage by stage, so its
+// leveling is the stage assignment over level-sorted IDs.
+func stageStarts(t *testing.T, nw *Network) []int32 {
+	t.Helper()
+	lv, err := nw.G.Levels()
+	if err != nil || !lv.Sorted() {
+		t.Fatalf("no level-sorted leveling (err %v)", err)
+	}
+	return lv.First()
+}
+
 func TestBuildStageStructure(t *testing.T) {
 	p := testParams(2)
 	nw, err := Build(p)
@@ -89,8 +101,8 @@ func TestBuildStageStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, L := p.N(), p.L()
-	if nw.NumStages() != 9 {
-		t.Fatalf("stages = %d", nw.NumStages())
+	if len(nw.StageSize) != 9 {
+		t.Fatalf("stages = %d", len(nw.StageSize))
 	}
 	if int(nw.StageSize[0]) != n || int(nw.StageSize[8]) != n {
 		t.Fatal("terminal stage sizes wrong")
@@ -101,8 +113,9 @@ func TestBuildStageStructure(t *testing.T) {
 		}
 	}
 	// Every vertex carries its stage.
-	for s := 0; s < nw.NumStages(); s++ {
-		v := nw.VertexAt(s, 0)
+	first := stageStarts(t, nw)
+	for s := range nw.StageSize {
+		v := first[s]
 		if int(nw.G.Stage(v)) != s {
 			t.Fatalf("stage tag of first vertex of stage %d is %d", s, nw.G.Stage(v))
 		}
@@ -117,6 +130,7 @@ func TestBuildDegrees(t *testing.T) {
 	}
 	g := nw.G
 	L := p.L()
+	first := stageStarts(t, nw)
 	// Inputs: out-degree L, in-degree 0.
 	for _, in := range nw.Inputs() {
 		if g.OutDegree(in) != L || g.InDegree(in) != 0 {
@@ -130,23 +144,23 @@ func TestBuildDegrees(t *testing.T) {
 		}
 	}
 	// Grid interior (stage 1): in-degree 1 (from input), out-degree 2.
-	v := nw.VertexAt(1, 0)
+	v := first[1]
 	if g.InDegree(v) != 1 || g.OutDegree(v) != 2 {
 		t.Fatalf("stage-1 vertex degrees: in=%d out=%d", g.InDegree(v), g.OutDegree(v))
 	}
 	// Stage ν (=2): in-degree 2 from grid (the paper's "vertices on stage ν
 	// (in-degree 2)"), out-degree 4·DQ into the expanders.
-	v = nw.VertexAt(2, 0)
+	v = first[2]
 	if g.InDegree(v) != 2 || g.OutDegree(v) != 4*p.DQ {
 		t.Fatalf("stage-ν vertex degrees: in=%d out=%d", g.InDegree(v), g.OutDegree(v))
 	}
 	// Middle stage (2ν=4): in/out 4·DQ.
-	v = nw.VertexAt(4, 0)
+	v = first[4]
 	if g.InDegree(v) != 4*p.DQ || g.OutDegree(v) != 4*p.DQ {
 		t.Fatalf("middle vertex degrees: in=%d out=%d", g.InDegree(v), g.OutDegree(v))
 	}
 	// Stage 3ν (=6): in-degree 4·DQ, out-degree 2 into the output grid.
-	v = nw.VertexAt(6, 0)
+	v = first[6]
 	if g.InDegree(v) != 4*p.DQ || g.OutDegree(v) != 2 {
 		t.Fatalf("stage-3ν vertex degrees: in=%d out=%d", g.InDegree(v), g.OutDegree(v))
 	}
@@ -157,8 +171,8 @@ func TestBuildNu1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nw.NumStages() != 5 {
-		t.Fatalf("nu=1 stages = %d", nw.NumStages())
+	if len(nw.StageSize) != 5 {
+		t.Fatalf("nu=1 stages = %d", len(nw.StageSize))
 	}
 	d, _ := nw.G.Depth()
 	if d != 4 {
@@ -230,7 +244,7 @@ func TestMirrorSymmetryOfEdgeCounts(t *testing.T) {
 	p := testParams(2)
 	nw, _ := Build(p)
 	g := nw.G
-	counts := make([]int, nw.NumStages()-1)
+	counts := make([]int, len(nw.StageSize)-1)
 	for e := int32(0); e < int32(g.NumEdges()); e++ {
 		counts[g.Stage(g.EdgeFrom(e))]++
 	}
@@ -400,16 +414,6 @@ func TestLowerBoundFormulas(t *testing.T) {
 	}
 }
 
-func TestVertexAtPanics(t *testing.T) {
-	nw, _ := Build(testParams(1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("VertexAt out of range did not panic")
-		}
-	}()
-	nw.VertexAt(0, 1000)
-}
-
 func TestExplicitExpanderBuild(t *testing.T) {
 	p := Params{Nu: 2, Gamma: 0, M: 4, Explicit: true, DQ: 1, Seed: 1}
 	nw, err := Build(p)
@@ -417,7 +421,7 @@ func TestExplicitExpanderBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Per-quarter degree 5 → middle vertex degree 20 each way.
-	v := nw.VertexAt(4, 0)
+	v := stageStarts(t, nw)[4]
 	if nw.G.OutDegree(v) != 20 || nw.G.InDegree(v) != 20 {
 		t.Fatalf("explicit middle degrees: out=%d in=%d", nw.G.OutDegree(v), nw.G.InDegree(v))
 	}
@@ -465,8 +469,8 @@ func TestQuarterDegree(t *testing.T) {
 func TestChurnPathLengthsAreDepthBounded(t *testing.T) {
 	nw, _ := Build(testParams(2))
 	out := nw.Evaluate(fault.Symmetric(0), 9, 300)
-	if got := out.AvgPathLen(); got != float64(4*nw.P.Nu) {
-		// Every input→output path in the staged DAG has exactly 4ν switches.
-		t.Fatalf("avg path length %v, want %d", got, 4*nw.P.Nu)
+	// Every input→output path in the staged DAG has exactly 4ν switches.
+	if ok := out.ChurnConnects - out.ChurnFailures; ok == 0 || out.ChurnPathTotal != ok*4*nw.P.Nu {
+		t.Fatalf("%d paths with %d switches in all, want %d each", ok, out.ChurnPathTotal, 4*nw.P.Nu)
 	}
 }

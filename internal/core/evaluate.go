@@ -40,18 +40,6 @@ type TrialOutcome struct {
 	Success bool
 }
 
-// AvgPathLen returns the mean established-path length in switches.
-func (t TrialOutcome) AvgPathLen() float64 {
-	if t.ChurnConnects == 0 {
-		return 0
-	}
-	ok := t.ChurnConnects - t.ChurnFailures
-	if ok == 0 {
-		return 0
-	}
-	return float64(t.ChurnPathTotal) / float64(ok)
-}
-
 // Evaluator owns every per-trial buffer of the Theorem-2 pipeline — fault
 // instance, block injector, incremental repair masks, access checker,
 // majority report, churn engine, and churn scratch — so repeated trials on

@@ -75,7 +75,6 @@ func FuzzBatchedMajorityAccess(f *testing.F) {
 			}
 		}
 		check(-1)
-		var diff []fault.DiffEntry
 		for i := 0; i+2 < len(data); i += 3 {
 			id := int32(binary.LittleEndian.Uint16(data[i:]))
 			if loose {
@@ -89,10 +88,9 @@ func FuzzBatchedMajorityAccess(f *testing.F) {
 			}
 			e := id % nE
 			s := fault.State(data[i+2] % 3)
-			if old := inst.Edge[e]; old != s {
+			if inst.Edge[e] != s {
 				inst.SetState(e, s)
-				diff = append(diff[:0], fault.DiffEntry{Edge: e, Old: old, New: s})
-				mu.Apply(inst, &m, diff)
+				mu.Apply(inst, &m, []int32{e})
 				check(i)
 			}
 		}
@@ -154,7 +152,7 @@ func FuzzIncrementalRepairMasks(f *testing.F) {
 			}
 		}
 
-		var diff []fault.DiffEntry
+		var diff []int32
 		flush := func(step int) {
 			if len(diff) == 0 {
 				return
@@ -167,9 +165,9 @@ func FuzzIncrementalRepairMasks(f *testing.F) {
 			e := int32(binary.LittleEndian.Uint16(data[i:])) % nE
 			op := data[i+2]
 			s := fault.State(op & 3 % 3)
-			if old := inst.Edge[e]; old != s {
+			if inst.Edge[e] != s {
 				inst.SetState(e, s)
-				diff = append(diff, fault.DiffEntry{Edge: e, Old: old, New: s})
+				diff = append(diff, e)
 			}
 			if op&4 != 0 {
 				flush(i)

@@ -5,8 +5,9 @@ import (
 	"ftcsn/internal/graph"
 )
 
-// MaskUpdater maintains repair masks incrementally: given the diff of edge
-// states between consecutive fault trials (fault.BatchInjector.ApplyNext),
+// MaskUpdater maintains repair masks incrementally: given the switches
+// whose state changed between consecutive fault trials (the diff
+// fault.BatchInjector.ApplyNext returns, or any list a caller builds),
 // Apply recomputes only the stage-neighborhoods of the changed edges —
 // each changed edge's endpoints, and the switches incident to any endpoint
 // whose usability flipped — instead of the O(E) rescan of RepairMasksInto.
@@ -40,8 +41,12 @@ func (mu *MaskUpdater) Init(inst *fault.Instance, m *Masks) {
 	RepairMasksInto(inst, m)
 }
 
-// Apply updates m for the given edge-state changes. m must be current for
-// inst's state before the diff was applied (via Init or a previous Apply).
+// Apply updates m after the switches in diff changed state on inst. m
+// must be current for inst's state before those changes (via Init or a
+// previous Apply), and diff must name every switch that changed; it may
+// name one twice, or name one that did not change, and need not be
+// sorted. It reads only inst's current states, so setting the listed
+// switches back and calling Apply with the same list undoes an update.
 // It returns the IDs of the edges whose mask entries were recomputed — a
 // superset of those that actually changed — valid until the next call.
 // An edge may be listed more than once (a changed switch whose endpoint
@@ -49,14 +54,13 @@ func (mu *MaskUpdater) Init(inst *fault.Instance, m *Masks) {
 // route.Engine.MasksChangedDiff accepts repeats, since its worklist
 // deduplicates. ChangedVertices lists each flip once: a repeated dirty
 // vertex recomputes to "no flip".
-func (mu *MaskUpdater) Apply(inst *fault.Instance, m *Masks, diff []fault.DiffEntry) []int32 {
+func (mu *MaskUpdater) Apply(inst *fault.Instance, m *Masks, diff []int32) []int32 {
 	g := mu.g
 	mu.dirtyV = mu.dirtyV[:0]
-	mu.dirtyE = mu.dirtyE[:0]
+	mu.dirtyE = append(mu.dirtyE[:0], diff...)
 	mu.flipped = mu.flipped[:0]
-	for _, d := range diff {
-		mu.dirtyE = append(mu.dirtyE, d.Edge)
-		mu.dirtyV = append(mu.dirtyV, g.EdgeFrom(d.Edge), g.EdgeTo(d.Edge))
+	for _, e := range diff {
+		mu.dirtyV = append(mu.dirtyV, g.EdgeFrom(e), g.EdgeTo(e))
 	}
 	// Usability of a vertex depends only on its incident switches: it is
 	// discarded iff it is a non-terminal touching a failed switch.
@@ -93,19 +97,6 @@ func (mu *MaskUpdater) Apply(inst *fault.Instance, m *Masks, diff []fault.DiffEn
 // derived state incrementally (route.Engine.MasksChangedDiff). Valid
 // until the next Apply.
 func (mu *MaskUpdater) ChangedVertices() []int32 { return mu.flipped }
-
-// Revert undoes a previously applied diff on both the instance and the
-// masks: it restores every entry's Old state (fault.RevertDiff) and then
-// re-derives the affected mask neighborhood exactly as Apply does — legal
-// because Apply reads only the diff's edge IDs against inst's current
-// state. The returned edge list (and ChangedVertices) describe the revert
-// itself, ready to hand to MasksChangedDiff. Note fault.RevertDiff's
-// caveat: a BatchInjector's applied-list tracking is not updated — re-
-// apply the diff (or Rebase) before the injector's next ApplyNext.
-func (mu *MaskUpdater) Revert(inst *fault.Instance, m *Masks, diff []fault.DiffEntry) []int32 {
-	fault.RevertDiff(inst, diff)
-	return mu.Apply(inst, m, diff)
-}
 
 // hasFailedIncident reports whether any switch incident to v failed.
 func hasFailedIncident(inst *fault.Instance, g *graph.Graph, v int32) bool {

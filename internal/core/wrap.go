@@ -18,8 +18,7 @@ import (
 //
 // P is left zero: the wrapped network has no 𝒩 parameters, so
 // 𝒩-specific measurements (Lemma 3's grid access, Theorem-2 bounds) do
-// not apply. StageBase is populated only when vertex IDs are level-sorted;
-// VertexAt panics otherwise.
+// not apply.
 //
 // Errors: graphs that fail graph.Validate (missing or repeated
 // terminals, a switch into an input or out of an output, through which
@@ -43,13 +42,9 @@ func WrapGraph(g *graph.Graph) (*Network, error) {
 	for l := 0; l < L; l++ {
 		sizes[l] = first[l+1] - first[l]
 	}
-	nw := &Network{
+	return &Network{
 		G:           g,
 		StageSize:   sizes,
 		MiddleStage: L / 2,
-	}
-	if lv.Sorted() {
-		nw.StageBase = first[:L:L]
-	}
-	return nw, nil
+	}, nil
 }

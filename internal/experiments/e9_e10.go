@@ -62,7 +62,7 @@ func E9Routing(mode Mode) Result {
 	p := scaledParams(2)
 	nw, err := core.Build(p)
 	if err == nil {
-		thr := stats.NewTable("engine", "workers", "requests", "established")
+		thr := stats.NewTable("engine", "requests", "established")
 		n := p.N()
 		reqs := make([]route.Request, n)
 		perm := rng.New(0xE9).Perm(n)
@@ -87,15 +87,14 @@ func E9Routing(mode Mode) Result {
 			return done
 		}
 		type engineRow struct {
-			name    string
-			workers int
-			eng     route.Engine
+			name string
+			eng  route.Engine
 		}
 		rt := route.NewRouter(nw.G)
 		rt.EnablePathReuse()
 		engines := []engineRow{
-			{"sequential", 1, rt},
-			{"guided (live claims)", 1, route.NewShardedEngine(nw.G, 1)},
+			{"sequential", rt},
+			{"guided (live claims)", route.NewShardedEngine(nw.G, 1)},
 		}
 		seqDone := 0
 		for i, row := range engines {
@@ -112,7 +111,7 @@ func E9Routing(mode Mode) Result {
 				// it. Make it visible in the artifact instead.
 				name += " BROKEN PARITY"
 			}
-			thr.AddRow(name, row.workers, rounds*n, done)
+			thr.AddRow(name, rounds*n, done)
 		}
 		res.Tables = append(res.Tables, thr)
 	}

@@ -7,19 +7,14 @@ import (
 	"ftcsn/internal/rng"
 )
 
-// DiffEntry records one edge-state transition between consecutive fault
-// trials: edge Edge moved from Old to New. A slice of entries is a
-// revertible delta — see ApplyDiff and RevertDiff.
-type DiffEntry struct {
-	Edge     int32
-	Old, New State
-}
-
 // BatchInjector draws the failure positions for a whole block of
 // Monte-Carlo trials in one sweep and replays them onto a reusable
 // Instance trial by trial as diffs, so advancing from trial k to trial
 // k+1 costs O(#failures of k + #failures of k+1) instead of the O(E)
-// Reset+redraw of InjectInto.
+// Reset+redraw of InjectInto. A diff is the ascending list of switches
+// whose state changed, found by one merge of the two trials' failure
+// lists (both ascending, as the draw emits them); the injector keeps no
+// per-switch table.
 //
 // Determinism contract: trial j of a block filled with FillStream(m, seed,
 // first, n) draws its failures from exactly the stream rng.Stream(seed,
@@ -41,8 +36,6 @@ type BatchInjector struct {
 	pos    []int32
 	st     []State
 	off    []int
-	opens  []int32
-	closes []int32
 	states []rng.State
 
 	// Failure list currently in force on the instance (survives across
@@ -52,12 +45,7 @@ type BatchInjector struct {
 
 	next int // index of the next unapplied trial in the block
 
-	// Diff scratch: epoch-stamped per-edge "old state" table.
-	touched    []int32
-	oldState   []State
-	touchEpoch []uint32
-	touchCur   uint32
-	diff       []DiffEntry
+	diff []int32 // ApplyNext's result, reused
 
 	r rng.RNG
 }
@@ -65,12 +53,7 @@ type BatchInjector struct {
 // NewBatchInjector returns an injector for graphs over g. The paired
 // Instance must start fault-free (as NewInstance returns it).
 func NewBatchInjector(g *graph.Graph) *BatchInjector {
-	return &BatchInjector{
-		g:          g,
-		off:        []int{0},
-		oldState:   make([]State, g.NumEdges()),
-		touchEpoch: make([]uint32, g.NumEdges()),
-	}
+	return &BatchInjector{g: g, off: []int{0}}
 }
 
 // Len returns the number of trials in the current block.
@@ -137,8 +120,6 @@ func (bi *BatchInjector) beginFill(m Model, n int) {
 	bi.pos = bi.pos[:0]
 	bi.st = bi.st[:0]
 	bi.off = append(bi.off[:0], 0)
-	bi.opens = growInt32s(bi.opens, n)[:0]
-	bi.closes = growInt32s(bi.closes, n)[:0]
 	if cap(bi.states) < n {
 		bi.states = make([]rng.State, n)
 	}
@@ -149,60 +130,49 @@ func (bi *BatchInjector) beginFill(m Model, n int) {
 // fillTrial appends one trial's failure list, drawn from bi.r by the
 // draw that Instance.Reinject uses, so both consume the same randomness.
 func (bi *BatchInjector) fillTrial() {
-	var opens, closes int32
 	draw(bi.m, bi.g.NumEdges(), &bi.r, func(e int32, s State) {
 		bi.pos = append(bi.pos, e)
 		bi.st = append(bi.st, s)
-		if s == Open {
-			opens++
-		} else {
-			closes++
-		}
 	})
 	bi.off = append(bi.off, len(bi.pos))
-	bi.opens = append(bi.opens, opens)
-	bi.closes = append(bi.closes, closes)
 	bi.states = append(bi.states, bi.r.State())
 }
 
 // ApplyNext advances inst from the previously applied trial's switch
-// states to the next trial's, and returns the diff: exactly the edges
-// whose state changed, each once, with old and new states. The returned
-// slice is reused by the next call. After ApplyNext, inst is bit-identical
-// to a fresh InjectInto with the trial's generator.
+// states to the next trial's and returns the diff: the switches whose
+// state changed, each once, in ascending order. The returned slice is
+// reused by the next call. After ApplyNext, inst is bit-identical to a
+// fresh InjectInto with the trial's generator.
 //
 //ftcsn:hotpath per-trial fault advance; the O(#changes) diff is why trials beat O(E) re-injection
-func (bi *BatchInjector) ApplyNext(inst *Instance) []DiffEntry {
+func (bi *BatchInjector) ApplyNext(inst *Instance) []int32 {
 	j := bi.next
 	if j >= bi.Len() {
 		panic("fault: BatchInjector block exhausted")
 	}
 	newPos, newSt := bi.TrialFailures(j)
 
-	// Record the pre-apply state of every edge either list touches.
-	bi.bumpTouch()
-	bi.touched = bi.touched[:0]
-	for i, e := range bi.applied {
-		bi.mark(e, bi.appliedSt[i])
-	}
-	for _, e := range newPos {
-		bi.mark(e, inst.Edge[e]) // Normal unless also in applied
-	}
-
-	// Clear the old failures, then set the new ones.
-	for _, e := range bi.applied {
-		inst.Edge[e] = Normal
-	}
-	for i, e := range newPos {
-		inst.Edge[e] = newSt[i]
-	}
-	inst.opens = int(bi.opens[j])
-	inst.closes = int(bi.closes[j])
-
+	// Merge the applied list with the new one. A switch only the applied
+	// list names heals; any other takes its new failure state. Either way
+	// it joins the diff only if its state moves.
+	old := bi.applied
 	bi.diff = bi.diff[:0]
-	for _, e := range bi.touched {
-		if s := inst.Edge[e]; s != bi.oldState[e] {
-			bi.diff = append(bi.diff, DiffEntry{Edge: e, Old: bi.oldState[e], New: s})
+	for a, b := 0, 0; a < len(old) || b < len(newPos); {
+		var e int32
+		s := Normal
+		if b == len(newPos) || a < len(old) && old[a] < newPos[b] {
+			e = old[a]
+			a++
+		} else {
+			e, s = newPos[b], newSt[b]
+			if a < len(old) && old[a] == e {
+				a++
+			}
+			b++
+		}
+		if inst.Edge[e] != s {
+			inst.SetState(e, s)
+			bi.diff = append(bi.diff, e)
 		}
 	}
 
@@ -213,55 +183,12 @@ func (bi *BatchInjector) ApplyNext(inst *Instance) []DiffEntry {
 }
 
 // Rebase resets inst to the fault-free state and forgets the applied
-// list. Call it when the instance was mutated outside the injector (e.g.
-// by a direct InjectInto) before the next ApplyNext.
+// list, so the next ApplyNext diffs against no failures. Call it when
+// the instance was mutated outside the injector (e.g. by a direct
+// InjectInto, or a caller setting a diff's switches back) before the
+// next ApplyNext.
 func (bi *BatchInjector) Rebase(inst *Instance) {
 	inst.Reset()
 	bi.applied = bi.applied[:0]
 	bi.appliedSt = bi.appliedSt[:0]
-}
-
-func (bi *BatchInjector) bumpTouch() {
-	bi.touchCur++
-	if bi.touchCur == 0 {
-		for i := range bi.touchEpoch {
-			bi.touchEpoch[i] = 0
-		}
-		bi.touchCur = 1
-	}
-}
-
-func (bi *BatchInjector) mark(e int32, old State) {
-	if bi.touchEpoch[e] != bi.touchCur {
-		bi.touchEpoch[e] = bi.touchCur
-		bi.oldState[e] = old
-		bi.touched = append(bi.touched, e)
-	}
-}
-
-// ApplyDiff applies a diff to inst (sets every entry's New state),
-// maintaining the failure counters.
-func ApplyDiff(inst *Instance, diff []DiffEntry) {
-	for _, d := range diff {
-		inst.SetState(d.Edge, d.New)
-	}
-}
-
-// RevertDiff undoes a diff on inst (restores every entry's Old state),
-// maintaining the failure counters. ApplyDiff followed by RevertDiff
-// round-trips the instance exactly. Note that neither function updates a
-// BatchInjector's applied-list tracking: after reverting, re-apply the
-// diff (or Rebase) before the injector's next ApplyNext.
-func RevertDiff(inst *Instance, diff []DiffEntry) {
-	for i := len(diff) - 1; i >= 0; i-- {
-		inst.SetState(diff[i].Edge, diff[i].Old)
-	}
-}
-
-// growInt32s resizes s to n elements, reusing capacity when possible.
-func growInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
 }

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -106,72 +107,39 @@ func TestBatchDiffApplyMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestBatchDiffRoundTrip: an applied-then-reverted diff restores the prior
-// trial's state exactly, and re-applying restores the new one.
-func TestBatchDiffRoundTrip(t *testing.T) {
-	g := batchTestGraph(t)
-	inst := NewInstance(g)
-	bi := NewBatchInjector(g)
-	const trials = 12
-	bi.FillStream(Symmetric(0.2), 99, 0, trials)
-
-	prev := NewInstance(g) // snapshot of the state before each ApplyNext
-	snap := func(dst, src *Instance) {
-		copy(dst.Edge, src.Edge)
-		dst.opens, dst.closes = src.opens, src.closes
-	}
-	for j := 0; j < trials; j++ {
-		snap(prev, inst)
-		diff := bi.ApplyNext(inst)
-		cur := NewInstance(g)
-		snap(cur, inst)
-
-		RevertDiff(inst, diff)
-		requireSameInstance(t, "revert", inst, prev)
-		ApplyDiff(inst, diff)
-		requireSameInstance(t, "re-apply", inst, cur)
-	}
-}
-
-// TestBatchDiffEntriesAreChangesOnly: every diff entry reports a real
-// state change (Old != New, Old matching the prior state), with no edge
-// repeated.
+// TestBatchDiffEntriesAreChangesOnly: ApplyNext returns exactly the
+// switches whose state changed, each once, in strictly ascending order —
+// within a block, across a refill with a different block length, and
+// after a Rebase.
 func TestBatchDiffEntriesAreChangesOnly(t *testing.T) {
 	g := batchTestGraph(t)
 	inst := NewInstance(g)
 	bi := NewBatchInjector(g)
-	const trials = 20
-	bi.FillStream(Symmetric(0.3), 3, 0, trials)
+	m := Symmetric(0.3)
 	prev := make([]State, g.NumEdges())
-	for j := 0; j < trials; j++ {
-		copy(prev, inst.Edge)
-		diff := bi.ApplyNext(inst)
-		seen := make(map[int32]bool, len(diff))
-		changed := 0
-		for _, d := range diff {
-			if seen[d.Edge] {
-				t.Fatalf("trial %d: edge %d appears twice in diff", j, d.Edge)
+	trial := uint64(0)
+	run := func(label string, n int) {
+		t.Helper()
+		bi.FillStream(m, 3, trial, n)
+		for j := 0; j < n; j, trial = j+1, trial+1 {
+			copy(prev, inst.Edge)
+			diff := bi.ApplyNext(inst)
+			var changed []int32
+			for e := range prev {
+				if prev[e] != inst.Edge[e] {
+					changed = append(changed, int32(e))
+				}
 			}
-			seen[d.Edge] = true
-			if d.Old == d.New {
-				t.Fatalf("trial %d: no-op diff entry %+v", j, d)
+			if !slices.Equal(diff, changed) {
+				t.Fatalf("%s trial %d: diff %v, want the changed switches %v in ascending order",
+					label, trial, diff, changed)
 			}
-			if prev[d.Edge] != d.Old {
-				t.Fatalf("trial %d: diff entry %+v but prior state %v", j, d, prev[d.Edge])
-			}
-			if inst.Edge[d.Edge] != d.New {
-				t.Fatalf("trial %d: diff entry %+v but new state %v", j, d, inst.Edge[d.Edge])
-			}
-		}
-		for e := range prev {
-			if prev[e] != inst.Edge[e] {
-				changed++
-			}
-		}
-		if changed != len(diff) {
-			t.Fatalf("trial %d: %d edges changed but diff has %d entries", j, changed, len(diff))
 		}
 	}
+	run("first block", 20)
+	run("refill", 7)
+	bi.Rebase(inst)
+	run("after rebase", 5)
 }
 
 // TestShortedTerminalsFromListMatches cross-checks the failure-list

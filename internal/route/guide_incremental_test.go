@@ -258,8 +258,12 @@ func guideSequence(t *testing.T, g *graph.Graph, pieces int, eps float64, trials
 	ins, outs := g.Inputs(), g.Outputs()
 	batch := len(ins)/2 + 1
 
+	before := make([]fault.State, g.NumEdges())
+	after := make([]fault.State, g.NumEdges())
 	for trial := 0; trial < trials; trial++ {
+		copy(before, inst.Edge)
 		diff := bi.ApplyNext(inst)
+		copy(after, inst.Edge)
 		edges := mu.Apply(inst, &m, diff)
 		inc.MasksChangedDiff(mu.ChangedVertices(), edges)
 		ref.MasksChanged()
@@ -271,7 +275,8 @@ func guideSequence(t *testing.T, g *graph.Graph, pieces int, eps float64, trials
 		// Revert the trial's faults while circuits are live — the
 		// interleaved-churn case the epoch-stamped worklist must
 		// survive — then connect more and re-apply.
-		edges = mu.Revert(inst, &m, diff)
+		setStates(inst, diff, before)
+		edges = mu.Apply(inst, &m, diff)
 		inc.MasksChangedDiff(mu.ChangedVertices(), edges)
 		ref.MasksChanged()
 		check(fmt.Sprintf("trial %d revert", trial))
@@ -289,7 +294,7 @@ func guideSequence(t *testing.T, g *graph.Graph, pieces int, eps float64, trials
 			}
 		}
 
-		fault.ApplyDiff(inst, diff)
+		setStates(inst, diff, after)
 		edges = mu.Apply(inst, &m, diff)
 		inc.MasksChangedDiff(mu.ChangedVertices(), edges)
 		ref.MasksChanged()
@@ -455,18 +460,23 @@ func FuzzIncrementalGuide(f *testing.F) {
 			checkGuide(t, step+" (incremental)", inc, g, m.OutAllowed)
 			checkGuide(t, step+" (rebuild)", ref, g, m.OutAllowed)
 		}
+		before := make([]fault.State, g.NumEdges())
+		after := make([]fault.State, g.NumEdges())
 		for trial := 0; trial < nTrials; trial++ {
+			copy(before, inst.Edge)
 			diff := bi.ApplyNext(inst)
+			copy(after, inst.Edge)
 			edges := mu.Apply(inst, &m, diff)
 			inc.MasksChangedDiff(mu.ChangedVertices(), edges)
 			ref.MasksChanged()
 			check(fmt.Sprintf("trial %d apply", trial))
 			if seed>>uint(trial%48)&1 == 1 {
-				edges = mu.Revert(inst, &m, diff)
+				setStates(inst, diff, before)
+				edges = mu.Apply(inst, &m, diff)
 				inc.MasksChangedDiff(mu.ChangedVertices(), edges)
 				ref.MasksChanged()
 				check(fmt.Sprintf("trial %d revert", trial))
-				fault.ApplyDiff(inst, diff)
+				setStates(inst, diff, after)
 				edges = mu.Apply(inst, &m, diff)
 				inc.MasksChangedDiff(mu.ChangedVertices(), edges)
 				ref.MasksChanged()

@@ -25,6 +25,15 @@ func sameResults(t *testing.T, label string, a, b []route.Result) {
 	}
 }
 
+// setStates sets each listed switch of inst to its state in snap, a copy
+// of inst.Edge taken earlier: it reverts (or re-applies) a fault diff, and
+// MaskUpdater.Apply with the same list then brings the masks along.
+func setStates(inst *fault.Instance, edges []int32, snap []fault.State) {
+	for _, e := range edges {
+		inst.SetState(e, snap[e])
+	}
+}
+
 // TestRepairedShardedEngineMatchesSharedMasks: a sharded engine that
 // derived the repaired network itself from the fault instance, one that
 // adopts core.MaskUpdater's incrementally maintained masks and traversal
@@ -59,7 +68,7 @@ func TestRepairedShardedEngineMatchesSharedMasks(t *testing.T) {
 }
 
 // TestShardedSharedMasksTrackUpdates: the adopted slices are shared, so a
-// MaskUpdater.Apply (and its Revert) between batches, announced through
+// MaskUpdater.Apply (and its undo) between batches, announced through
 // MasksChangedDiff, shows up in the next batch exactly as a freshly
 // repaired router sees it. The revert leg fails if the guide is not
 // refreshed: a guide left from the faulty epoch would prune the restored
@@ -93,9 +102,9 @@ func TestShardedSharedMasksTrackUpdates(t *testing.T) {
 
 	// Fail every switch out of the path's second vertex: the updater
 	// recomputes the masks and traversal bytes in place.
-	var diff []fault.DiffEntry
-	for _, e := range nw.G.OutEdges(victim) {
-		diff = append(diff, fault.DiffEntry{Edge: e, Old: inst.Edge[e], New: fault.Open})
+	snap := slices.Clone(inst.Edge)
+	diff := nw.G.OutEdges(victim)
+	for _, e := range diff {
 		inst.SetState(e, fault.Open)
 	}
 	edges := mu.Apply(inst, &m, diff)
@@ -105,7 +114,8 @@ func TestShardedSharedMasksTrackUpdates(t *testing.T) {
 		t.Fatalf("path %v passes through discarded vertex %d", res[0].Path, victim)
 	}
 
-	edges = mu.Revert(inst, &m, diff)
+	setStates(inst, diff, snap)
+	edges = mu.Apply(inst, &m, diff)
 	se.MasksChangedDiff(mu.ChangedVertices(), edges)
 	step("after revert")
 	if !slices.Contains(res[0].Path, victim) {
@@ -158,7 +168,8 @@ func TestVerifyStateFlagsBlockedLiveCircuit(t *testing.T) {
 	if e < 0 {
 		t.Fatalf("no switch %d->%d", u, v)
 	}
-	diff := []fault.DiffEntry{{Edge: e, Old: inst.Edge[e], New: fault.Open}}
+	snap := slices.Clone(inst.Edge)
+	diff := []int32{e}
 	inst.SetState(e, fault.Open)
 	edges := mu.Apply(inst, &m, diff)
 	se.MasksChangedDiff(mu.ChangedVertices(), edges)
@@ -170,7 +181,8 @@ func TestVerifyStateFlagsBlockedLiveCircuit(t *testing.T) {
 		t.Fatalf("after releasing the severed circuit: %v", err)
 	}
 
-	edges = mu.Revert(inst, &m, diff)
+	setStates(inst, diff, snap)
+	edges = mu.Apply(inst, &m, diff)
 	se.MasksChangedDiff(mu.ChangedVertices(), edges)
 	path = connect()
 	out := path[len(path)-1]
@@ -198,9 +210,8 @@ func TestVerifyStateChecksGuide(t *testing.T) {
 	}
 
 	// Fail every switch out of one input: its row loses every output.
-	var diff []fault.DiffEntry
-	for _, e := range nw.G.OutEdges(nw.Inputs()[0]) {
-		diff = append(diff, fault.DiffEntry{Edge: e, Old: inst.Edge[e], New: fault.Open})
+	diff := nw.G.OutEdges(nw.Inputs()[0])
+	for _, e := range diff {
 		inst.SetState(e, fault.Open)
 	}
 	edges := mu.Apply(inst, &m, diff)

@@ -74,9 +74,6 @@ func (s *SLO) ObserveRelease(t float64) {
 // Live returns the current live-circuit gauge.
 func (s *SLO) Live() int64 { return s.live }
 
-// Now returns the virtual time of the last observed event.
-func (s *SLO) Now() float64 { return s.now }
-
 // SLOSnapshot is a point-in-time summary of one accumulation scope.
 // Latency quantiles are in events-behind terms (see LogHist for the
 // quantization contract); OfferedLoad is in Erlangs — offered holding

@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit used by the
-// Monte-Carlo experiments: streaming moments, binomial proportion
+// Monte-Carlo experiments: streaming means, binomial proportion
 // confidence intervals, log-bucketed latency histograms, SLO accounting,
 // and fixed-width table rendering for the benchmark harness.
 package stats
@@ -7,15 +7,14 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
-// Sample accumulates streaming first and second moments (Welford's
-// algorithm) plus extrema. The zero value is an empty sample.
+// Sample accumulates a streaming mean (Welford's update) plus extrema.
+// The zero value is an empty sample.
 type Sample struct {
 	n        int
-	mean, m2 float64
+	mean     float64
 	min, max float64
 }
 
@@ -34,7 +33,6 @@ func (s *Sample) Add(x float64) {
 	}
 	d := x - s.mean
 	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
 }
 
 // N returns the number of observations.
@@ -42,14 +40,6 @@ func (s *Sample) N() int { return s.n }
 
 // Mean returns the sample mean (0 for an empty sample).
 func (s *Sample) Mean() float64 { return s.mean }
-
-// Var returns the unbiased sample variance.
-func (s *Sample) Var() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
 
 // Min returns the smallest observation (0 for an empty sample).
 func (s *Sample) Min() float64 { return s.min }
@@ -69,7 +59,6 @@ func (s *Sample) Merge(t *Sample) {
 	n1, n2 := float64(s.n), float64(t.n)
 	d := t.mean - s.mean
 	tot := n1 + n2
-	s.m2 += t.m2 + d*d*n1*n2/tot
 	s.mean += d * n2 / tot
 	s.n += t.n
 	if t.min < s.min {
@@ -135,29 +124,6 @@ func (p Proportion) Wilson(z float64) (lo, hi float64) {
 func (p Proportion) String() string {
 	lo, hi := p.Wilson(1.96)
 	return fmt.Sprintf("%.4f [%.4f,%.4f] (n=%d)", p.Estimate(), lo, hi, p.Trials)
-}
-
-// Quantile returns the q-quantile (0<=q<=1) of xs by linear interpolation.
-// xs is copied and sorted; an empty slice yields 0.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[i]*(1-frac) + s[i+1]*frac
 }
 
 // Table renders aligned experiment tables. Columns are sized to their

@@ -19,10 +19,6 @@ func TestSampleMoments(t *testing.T) {
 	if math.Abs(s.Mean()-5) > 1e-12 {
 		t.Fatalf("Mean = %v", s.Mean())
 	}
-	// Unbiased variance of the classic dataset: population var 4, sample 32/7.
-	if math.Abs(s.Var()-32.0/7.0) > 1e-12 {
-		t.Fatalf("Var = %v", s.Var())
-	}
 	if s.Min() != 2 || s.Max() != 9 {
 		t.Fatalf("extrema = %v %v", s.Min(), s.Max())
 	}
@@ -54,8 +50,7 @@ func TestSampleMergeMatchesSequential(t *testing.T) {
 		if whole.N() == 0 {
 			return true
 		}
-		return math.Abs(left.Mean()-whole.Mean()) < 1e-6 &&
-			math.Abs(left.Var()-whole.Var()) < 1e-6
+		return math.Abs(left.Mean()-whole.Mean()) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -102,22 +97,6 @@ func TestProportionMerge(t *testing.T) {
 	a.Merge(Proportion{Successes: 2, Trials: 5})
 	if a.Successes != 5 || a.Trials != 15 {
 		t.Fatalf("merge = %+v", a)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if q := Quantile(xs, 0); q != 1 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := Quantile(xs, 1); q != 5 {
-		t.Fatalf("q1 = %v", q)
-	}
-	if q := Quantile(xs, 0.5); q != 3 {
-		t.Fatalf("median = %v", q)
-	}
-	if q := Quantile(nil, 0.5); q != 0 {
-		t.Fatalf("empty quantile = %v", q)
 	}
 }
 
