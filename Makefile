@@ -12,18 +12,20 @@ test:
 	$(GO) test ./...
 
 # Static contract gate: go vet plus the in-tree ftlint analyzers
-# (determinism, hotpath, seamcontract — see internal/analysis), and go vet
-# of the e2ebench module, which ./... does not reach (it is a module of
-# its own), so a root API change that breaks it fails here. Single
-# source of truth: the CI lint job runs exactly this target.
+# (determinism, deadexport, hotpath, seamcontract — see
+# internal/analysis), and go vet of the e2ebench module, which ./... does
+# not reach (it is a module of its own), so a root API change that breaks
+# it fails here. ftlint takes no arguments: it always loads the whole
+# module, e2ebench included, in one pass. Single source of truth: the CI
+# lint job runs exactly this target.
 lint:
 	$(GO) vet ./...
 	cd e2ebench && $(GO) vet .
-	$(GO) run ./cmd/ftlint ./...
+	$(GO) run ./cmd/ftlint
 
 # ftlint alone (skip vet), e.g. while iterating on suppressions.
 ftlint:
-	$(GO) run ./cmd/ftlint ./...
+	$(GO) run ./cmd/ftlint
 
 race:
 	$(GO) test -race ./...

@@ -18,6 +18,7 @@ import (
 	"ftcsn/internal/montecarlo"
 	"ftcsn/internal/multibutterfly"
 	"ftcsn/internal/netsim"
+	"ftcsn/internal/netsim/netsimtest"
 	"ftcsn/internal/rng"
 	"ftcsn/internal/route"
 	"ftcsn/internal/stats"
@@ -193,14 +194,14 @@ func BenchmarkGreedyConnect(b *testing.B) {
 }
 
 // benchChurn drives any route.Engine with the operational connect/release
-// churn stream (netsim.Workload) at 50% circuit occupancy and reports
+// churn stream (netsimtest.Workload) at 50% circuit occupancy and reports
 // operational requests served per second — connect requests plus release
 // requests, the two request kinds of the circuit-switching protocol —
 // alongside connects/s alone. Every engine
 // makes bit-identical decisions on this stream (route's differential
 // harness), so the rows compare pure serving throughput.
 func benchChurn(b *testing.B, nw *Network, eng route.Engine, batch int) {
-	wl := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0x5AD)
+	wl := netsimtest.NewWorkload(nw.Inputs(), nw.Outputs(), 0x5AD)
 	n := len(nw.Inputs())
 	var res []route.Result
 	for wl.Live() < n/2 {
@@ -208,23 +209,31 @@ func benchChurn(b *testing.B, nw *Network, eng route.Engine, batch int) {
 		res = eng.ConnectBatch(reqs, res)
 		wl.Commit(res[:len(reqs)])
 	}
+	// One round is a connect batch, then as many releases.
+	round := func() (connects, released int) {
+		reqs := wl.NextConnects(batch)
+		res = eng.ConnectBatch(reqs, res)
+		wl.Commit(res[:len(reqs)])
+		for _, rel := range wl.NextReleases(len(reqs)) {
+			if err := eng.Disconnect(rel.In, rel.Out); err != nil {
+				b.Fatal(err)
+			}
+			released++
+		}
+		return len(reqs), released
+	}
+	// The fill above only connects, so warm one full round before the
+	// timer: the first releases stock the engine's path pool, which the
+	// timed rounds then recycle.
+	round()
 	served := 0
 	connects := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reqs := wl.NextConnects(batch)
-		res = eng.ConnectBatch(reqs, res)
-		connects += len(reqs)
-		wl.Commit(res[:len(reqs)])
-		k := len(reqs)
-		for _, rel := range wl.NextReleases(k) {
-			if err := eng.Disconnect(rel.In, rel.Out); err != nil {
-				b.Fatal(err)
-			}
-			served++
-		}
-		served += k
+		k, released := round()
+		connects += k
+		served += k + released
 	}
 	b.StopTimer()
 	el := b.Elapsed().Seconds()
@@ -256,7 +265,7 @@ func BenchmarkOpenLoopServe(b *testing.B) {
 	run := func() {
 		src.Reset(seed)
 		se.Reset()
-		slo.Reset()
+		slo = stats.SLO{}
 		if err := l.Serve(se, src, cfg, &slo); err != nil {
 			b.Fatal(err)
 		}

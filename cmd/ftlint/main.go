@@ -1,18 +1,19 @@
 // Command ftlint runs the repository's contract analyzers — determinism,
-// hotpath, seamcontract (see internal/analysis) — over the module and
-// exits nonzero on any finding. It is the static half of the invariants
-// the test suite pins at runtime, and `make lint` wires it next to go vet
-// so CI and local runs are identical.
+// deadexport, hotpath, seamcontract (see internal/analysis) — over the
+// whole module and exits nonzero on any finding. It is the static half of
+// the invariants the test suite pins at runtime, and `make lint` wires it
+// next to go vet so CI and local runs are identical.
 //
 // Usage:
 //
-//	ftlint [packages]
+//	ftlint
 //
-// With no arguments (or "./...") every buildable package in the module is
-// linted; otherwise arguments are import paths (ftcsn/internal/route).
+// It takes no arguments: one pass loads every buildable package of the
+// module containing the working directory — e2ebench, the commands and
+// the examples included — because a rule such as deadexport ("no
+// non-test file references this name") means nothing on a subset.
 // Analyzer scoping is policy, not per-invocation choice: each analyzer
-// runs only on the packages its contract covers (internal/analysis
-// scopes).
+// covers the packages its contract names (analysis.Analyzer.Scope).
 package main
 
 import (
@@ -24,55 +25,43 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if len(os.Args) > 1 {
+		fmt.Fprintln(os.Stderr, "usage: ftlint (it takes no arguments and lints the whole module)")
+		os.Exit(2)
+	}
+	n, err := run()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "ftlint:", err)
 		os.Exit(2)
 	}
+	if n > 0 {
+		fmt.Printf("ftlint: %d finding(s)\n", n)
+		os.Exit(1)
+	}
 }
 
-func run(args []string) error {
+func run() (int, error) {
 	wd, err := os.Getwd()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	ld, err := analysis.NewLoader(wd)
 	if err != nil {
-		return err
+		return 0, err
 	}
-
-	var paths []string
-	if len(args) == 0 || (len(args) == 1 && (args[0] == "./..." || args[0] == "...")) {
-		paths, err = ld.ListPackages()
-		if err != nil {
-			return err
-		}
-	} else {
-		paths = args
+	pkgs, err := ld.LoadAll(ld.ModulePath)
+	if err != nil {
+		return 0, err
 	}
-
-	total := 0
-	for _, path := range paths {
-		analyzers := analysis.AnalyzersFor(path)
-		pkg, err := ld.Load(path)
-		if err != nil {
-			return err
-		}
-		findings, err := analysis.RunPackage(pkg, analyzers)
-		if err != nil {
-			return err
-		}
-		for _, f := range findings {
-			pos := f.Pos
-			if rel, err := filepath.Rel(wd, pos.Filename); err == nil {
-				pos.Filename = rel
-			}
-			fmt.Printf("%s: [%s] %s\n", pos, f.Analyzer, f.Message)
-		}
-		total += len(findings)
+	findings, err := analysis.Run(pkgs, analysis.Analyzers())
+	if err != nil {
+		return 0, err
 	}
-	if total > 0 {
-		fmt.Printf("ftlint: %d finding(s)\n", total)
-		os.Exit(1)
+	for _, f := range findings {
+		if rel, err := filepath.Rel(wd, f.Pos.Filename); err == nil {
+			f.Pos.Filename = rel
+		}
+		fmt.Println(f)
 	}
-	return nil
+	return len(findings), nil
 }

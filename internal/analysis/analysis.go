@@ -1,26 +1,31 @@
-// Package analysis is ftlint's static-analysis framework: a minimal,
-// dependency-free mirror of the golang.org/x/tools/go/analysis API
-// (Analyzer / Pass / Diagnostic) plus a source loader and a suppression
+// Package analysis is ftlint's static-analysis framework: analyzers, one
+// module-wide pass that runs them, a source loader and a suppression
 // grammar, built entirely on the standard library's go/ast + go/types.
 //
-// Why mirror instead of depend: this module is deliberately
-// dependency-free (go.mod lists nothing), and the build environments it
-// must lint in are offline — so the contract checkers that guard the
-// repository's invariants cannot themselves hinge on fetching x/tools.
-// The API shape is kept intentionally identical to go/analysis so the
-// three analyzers (determinism, hotpath, seamcontract) port verbatim if a
-// pinned x/tools dependency ever becomes acceptable.
+// Why in-tree instead of golang.org/x/tools/go/analysis: this module is
+// deliberately dependency-free (go.mod lists nothing), and the build
+// environments it must lint in are offline — so the contract checkers
+// that guard the repository's invariants cannot themselves hinge on
+// fetching x/tools. The Analyzer / Pass / Diagnostic names follow
+// go/analysis, but a Pass here sees every package in the analyzer's
+// scope at once: two of the rules (deadexport, hotpath) are about what
+// one package's code does to another's, which go/analysis could express
+// only through facts.
 //
-// The three shipped analyzers enforce, at build speed, the contracts the
-// repository otherwise enforces only at runtime (see DESIGN.md §2.11):
+// The four shipped analyzers enforce, at build speed, the contracts the
+// repository otherwise enforces only at runtime or by review (see
+// DESIGN.md §2.11):
 //
 //   - determinism: the committed probability tables are a pure function of
 //     the code, so the packages that feed them must not iterate maps into
 //     decisions, read wall clocks, use global math/rand, or select over
 //     multiple ready channels.
+//   - deadexport: an exported name under internal/ exists for a caller, so
+//     one that no non-test file in the module references is dead code.
 //   - hotpath: functions annotated //ftcsn:hotpath — the 0-allocs/trial
 //     paths pinned by AllocsPerRun gates — must not allocate, transitively
-//     through their same-package callees.
+//     through every module function they call, statically or through an
+//     interface.
 //   - seamcontract: edge admission inside route/core goes through
 //     graph.SlotAdmits or the shared traversal bytes, never by indexing
 //     fault masks directly; the claim array is written only by
@@ -29,8 +34,8 @@
 // # Annotation grammar
 //
 //	//ftcsn:hotpath [prose]
-//	    on a function's doc comment: the function (and its same-package
-//	    static callees) must be allocation-free; checked by hotpath.
+//	    on a function's doc comment: the function and every module
+//	    function it reaches must be allocation-free; checked by hotpath.
 //
 //	//ftcsn:claimowner [prose]
 //	    on a function's doc comment: this function is an audited writer
@@ -42,35 +47,49 @@
 //	    is reviewable documentation of a known-safe exception, and an
 //	    unused suppression is itself reported so stale exceptions rot
 //	    loudly.
+//
+//	//ftlint:ignore hotpath cold edge: <reason>
+//	    marks a call on the comment's line or the next as a cold edge
+//	    (run once per block or per run, say) that the hotpath closure
+//	    does not enter. It silences no finding, and it is reported as
+//	    unused when the closure follows no call there.
 package analysis
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
 
-// An Analyzer describes one analysis: its name, its documentation, and its
-// entry point. The shape mirrors golang.org/x/tools/go/analysis.Analyzer.
+// An Analyzer describes one analysis: its name, its documentation, the
+// packages it covers, and its entry point.
 type Analyzer struct {
 	Name string
 	Doc  string
-	Run  func(*Pass) error
+	// Scope lists the import paths the analyzer covers; nil means every
+	// package. This is the driver policy: the determinism contract covers
+	// the packages whose outputs reach committed tables or engine
+	// decisions, the seam contract covers the two packages that share the
+	// admission/claim seam, and the module-wide rules see everything.
+	Scope []string
+	Run   func(*Pass) error
 }
 
-// A Pass provides one analyzer run over one package — the analyzer's view
-// of the loaded syntax and type information, and the Report sink for its
-// diagnostics. It mirrors go/analysis.Pass.
+// A Pass is one analyzer's run over the packages in its scope: the loaded
+// syntax and type information, and the sinks for its diagnostics.
 type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-	Report    func(Diagnostic)
+	Analyzer *Analyzer
+	Fset     *token.FileSet
+	Pkgs     []*Package // sorted by import path
+	Report   func(Diagnostic)
+	// ColdEdge reports whether a cold-edge suppression of this analyzer
+	// (//ftlint:ignore <analyzer> cold edge: <reason>) covers pos, and
+	// counts it as used. Findings are matched to plain suppressions by
+	// the driver; a cold edge silences none, it only tells hotpath's
+	// closure which calls not to follow.
+	ColdEdge func(pos token.Pos) bool
 }
 
 // Reportf reports a diagnostic at pos with a formatted message.
@@ -97,97 +116,68 @@ func (f Finding) String() string {
 
 // Analyzers returns the full ftlint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Determinism, Hotpath, SeamContract}
+	return []*Analyzer{Determinism, DeadExport, Hotpath, SeamContract}
 }
 
-// scopes maps each analyzer to the import paths it applies to; a nil entry
-// means every package. This is the single source of the driver policy: the
-// determinism contract covers the packages whose outputs reach committed
-// tables or engine decisions, the seam contract covers the two packages
-// that share the admission/claim seam, and hotpath is annotation-driven so
-// it runs everywhere.
-var scopes = map[string][]string{
-	"determinism": {
-		"ftcsn/internal/core",
-		"ftcsn/internal/experiments",
-		"ftcsn/internal/netsim",
-		"ftcsn/internal/fault",
-		"ftcsn/internal/route",
-	},
-	"seamcontract": {
-		"ftcsn/internal/route",
-		"ftcsn/internal/core",
-	},
-	"hotpath": nil,
-}
-
-// AnalyzersFor returns the analyzers whose scope covers importPath.
-func AnalyzersFor(importPath string) []*Analyzer {
-	var out []*Analyzer
-	for _, a := range Analyzers() {
-		paths, ok := scopes[a.Name]
-		if !ok || paths == nil {
-			out = append(out, a)
-			continue
+func (a *Analyzer) covers(importPath string) bool {
+	if a.Scope == nil {
+		return true
+	}
+	for _, p := range a.Scope {
+		if p == importPath {
+			return true
 		}
-		for _, p := range paths {
-			if p == importPath {
-				out = append(out, a)
-				break
+	}
+	return false
+}
+
+// Run is the one ftlint pass: it runs each analyzer over the packages in
+// its scope, applies every //ftlint:ignore line of pkgs to the findings —
+// a suppression absorbs a finding in its own file wherever the finding's
+// cause lies — and returns the surviving findings sorted by position.
+// Malformed and unused suppressions are themselves findings (analyzer
+// "ftlint"). ftlint passes every package of the module; analysistest
+// passes one fixture tree.
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
+	if len(pkgs) == 0 {
+		return nil, nil
+	}
+	fset := pkgs[0].Fset
+	sup, findings := collectSuppressions(pkgs)
+	for _, a := range analyzers {
+		var scoped []*Package
+		for _, pkg := range pkgs {
+			if a.covers(pkg.Path) {
+				scoped = append(scoped, pkg)
 			}
 		}
-	}
-	return out
-}
-
-// RunPackage runs the given analyzers over one loaded package, applies the
-// //ftlint:ignore suppressions, and returns the surviving findings sorted
-// by position. Malformed and unused suppressions are themselves findings
-// (analyzer "ftlint").
-func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
-	type raw struct {
-		analyzer string
-		d        Diagnostic
-	}
-	var diags []raw
-	for _, a := range analyzers {
 		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.TypesInfo,
-			Report:    func(d Diagnostic) { diags = append(diags, raw{a.Name, d}) },
+			Analyzer: a,
+			Fset:     fset,
+			Pkgs:     scoped,
+			Report: func(d Diagnostic) {
+				pos := fset.Position(d.Pos)
+				if !sup.use(a.Name, pos, false) {
+					findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
+				}
+			},
+			ColdEdge: func(p token.Pos) bool { return sup.use(a.Name, fset.Position(p), true) },
 		}
 		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
-	}
-
-	sup, findings := collectSuppressions(pkg, analyzers)
-	ran := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		ran[a.Name] = true
-	}
-	for _, r := range diags {
-		pos := pkg.Fset.Position(r.d.Pos)
-		if s := sup.match(r.analyzer, pos); s != nil {
-			s.used = true
-			continue
-		}
-		findings = append(findings, Finding{Analyzer: r.analyzer, Pos: pos, Message: r.d.Message})
-	}
-	// Stale suppressions rot loudly: an ignore whose analyzer ran but that
-	// silenced nothing must be deleted (or its finding has moved).
-	for _, s := range sup.all {
-		if !s.used && ran[s.analyzer] {
-			findings = append(findings, Finding{
-				Analyzer: "ftlint",
-				Pos:      s.pos,
-				Message: fmt.Sprintf(
-					"unused //ftlint:ignore %s suppression: no %s finding on this or the next line",
-					s.analyzer, s.analyzer),
-			})
+		// Stale suppressions rot loudly: an ignore whose analyzer covered
+		// its package but that silenced nothing must be deleted (or its
+		// finding has moved).
+		for _, s := range sup.all {
+			if s.analyzer != a.Name || s.used || !a.covers(s.pkg) {
+				continue
+			}
+			msg := fmt.Sprintf("unused //ftlint:ignore %s suppression: no %s finding on this or the next line", s.analyzer, s.analyzer)
+			if s.coldEdge {
+				msg = fmt.Sprintf("unused //ftlint:ignore %s cold edge: %s follows no call on this or the next line", s.analyzer, s.analyzer)
+			}
+			findings = append(findings, Finding{Analyzer: "ftlint", Pos: s.pos, Message: msg})
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool {
@@ -203,77 +193,90 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 	return findings, nil
 }
 
-// ignorePrefix is the suppression directive; see the package comment for
-// the grammar.
-const ignorePrefix = "ftlint:ignore"
+// ignorePrefix is the suppression directive and coldEdgePrefix the reason
+// prefix that makes it a cold edge; see the package comment for the
+// grammar.
+const (
+	ignorePrefix   = "ftlint:ignore"
+	coldEdgePrefix = "cold edge:"
+)
 
 type suppression struct {
 	analyzer string
-	reason   string
+	pkg      string // import path of the package holding the line
 	pos      token.Position
+	coldEdge bool
 	used     bool
+}
+
+type suppressionKey struct {
+	analyzer, file string
+	line           int
 }
 
 type suppressionSet struct {
 	all []*suppression
 	// byKey indexes analyzer+file+line → suppression; one suppression
 	// covers its own line and the next.
-	byKey map[string]*suppression
+	byKey map[suppressionKey]*suppression
 }
 
-func (ss *suppressionSet) match(analyzer string, pos token.Position) *suppression {
-	if ss.byKey == nil {
-		return nil
-	}
+// use reports whether a suppression of analyzer, a cold edge or a plain
+// one as coldEdge says, covers pos, marking it used.
+func (ss *suppressionSet) use(analyzer string, pos token.Position, coldEdge bool) bool {
 	for _, line := range [2]int{pos.Line, pos.Line - 1} {
-		if s, ok := ss.byKey[fmt.Sprintf("%s\x00%s\x00%d", analyzer, pos.Filename, line)]; ok {
-			return s
+		if s, ok := ss.byKey[suppressionKey{analyzer, pos.Filename, line}]; ok && s.coldEdge == coldEdge {
+			s.used = true
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
-// collectSuppressions scans every comment of the package for
-// //ftlint:ignore directives. Malformed directives (missing analyzer,
-// unknown analyzer, or missing reason) are returned as findings: a
-// suppression that silently fails to parse would un-suppress — or worse,
-// appear to suppress — without review.
-func collectSuppressions(pkg *Package, analyzers []*Analyzer) (*suppressionSet, []Finding) {
+// collectSuppressions scans every comment of pkgs for //ftlint:ignore
+// directives. Malformed directives (missing analyzer, unknown analyzer,
+// or missing reason) are returned as findings: a suppression that
+// silently fails to parse would un-suppress — or worse, appear to
+// suppress — without review.
+func collectSuppressions(pkgs []*Package) (*suppressionSet, []Finding) {
 	known := map[string]bool{}
+	var names []string
 	for _, a := range Analyzers() {
 		known[a.Name] = true
+		names = append(names, a.Name)
 	}
-	ss := &suppressionSet{byKey: map[string]*suppression{}}
+	ss := &suppressionSet{byKey: map[suppressionKey]*suppression{}}
 	var malformed []Finding
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, ignorePrefix) {
-					continue
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+					if !strings.HasPrefix(text, ignorePrefix) {
+						continue
+					}
+					pos := pkg.Fset.Position(c.Pos())
+					rest := strings.TrimSpace(strings.TrimPrefix(text, ignorePrefix))
+					name, reason, _ := strings.Cut(rest, " ")
+					reason = strings.TrimSpace(reason)
+					switch {
+					case name == "":
+						malformed = append(malformed, Finding{Analyzer: "ftlint", Pos: pos,
+							Message: "malformed suppression: //ftlint:ignore needs an analyzer name and a reason"})
+						continue
+					case !known[name]:
+						malformed = append(malformed, Finding{Analyzer: "ftlint", Pos: pos,
+							Message: fmt.Sprintf("malformed suppression: unknown analyzer %q (have %s)", name, strings.Join(names, ", "))})
+						continue
+					case reason == "":
+						malformed = append(malformed, Finding{Analyzer: "ftlint", Pos: pos,
+							Message: fmt.Sprintf("suppression of %s without a reason: the reason is the audit trail", name)})
+						continue
+					}
+					s := &suppression{analyzer: name, pkg: pkg.Path, pos: pos, coldEdge: strings.HasPrefix(reason, coldEdgePrefix)}
+					ss.all = append(ss.all, s)
+					ss.byKey[suppressionKey{name, pos.Filename, pos.Line}] = s
 				}
-				pos := pkg.Fset.Position(c.Pos())
-				rest := strings.TrimSpace(strings.TrimPrefix(text, ignorePrefix))
-				name, reason, _ := strings.Cut(rest, " ")
-				reason = strings.TrimSpace(reason)
-				switch {
-				case name == "":
-					malformed = append(malformed, Finding{Analyzer: "ftlint", Pos: pos,
-						Message: "malformed suppression: //ftlint:ignore needs an analyzer name and a reason"})
-					continue
-				case !known[name]:
-					malformed = append(malformed, Finding{Analyzer: "ftlint", Pos: pos,
-						Message: fmt.Sprintf("malformed suppression: unknown analyzer %q (have determinism, hotpath, seamcontract)", name)})
-					continue
-				case reason == "":
-					malformed = append(malformed, Finding{Analyzer: "ftlint", Pos: pos,
-						Message: fmt.Sprintf("suppression of %s without a reason: the reason is the audit trail", name)})
-					continue
-				}
-				s := &suppression{analyzer: name, reason: reason, pos: pos}
-				ss.all = append(ss.all, s)
-				ss.byKey[fmt.Sprintf("%s\x00%s\x00%d", name, pos.Filename, pos.Line)] = s
 			}
 		}
 	}

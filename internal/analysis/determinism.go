@@ -7,7 +7,7 @@ import (
 )
 
 // Determinism enforces the reproducibility contract of the deterministic
-// packages (see scopes): every committed probability table and every
+// packages (its Scope): every committed probability table and every
 // engine decision must be a pure function of the code and the seed. Four
 // constructs break that purity and are flagged:
 //
@@ -28,7 +28,15 @@ import (
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "flags map iteration, wall-clock reads, global math/rand, and multi-ready select in deterministic packages",
-	Run:  runDeterminism,
+	Scope: []string{
+		"ftcsn/internal/core",
+		"ftcsn/internal/experiments",
+		"ftcsn/internal/netsim",
+		"ftcsn/internal/netsim/netsimtest",
+		"ftcsn/internal/fault",
+		"ftcsn/internal/route",
+	},
+	Run: runDeterminism,
 }
 
 // wallClockFuncs are the time package entry points that read or arm the
@@ -40,7 +48,15 @@ var wallClockFuncs = map[string]bool{
 }
 
 func runDeterminism(pass *Pass) error {
-	for _, f := range pass.Files {
+	for _, pkg := range pass.Pkgs {
+		checkDeterminism(pass, pkg)
+	}
+	return nil
+}
+
+func checkDeterminism(pass *Pass, pkg *Package) {
+	info := pkg.TypesInfo
+	for _, f := range pkg.Files {
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
@@ -54,7 +70,7 @@ func runDeterminism(pass *Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.RangeStmt:
-				if t := pass.TypesInfo.TypeOf(n.X); t != nil {
+				if t := info.TypeOf(n.X); t != nil {
 					if _, ok := t.Underlying().(*types.Map); ok {
 						pass.Reportf(n.Pos(),
 							"map iteration order is randomized per run; sort keys first or use an order-insensitive fold")
@@ -72,7 +88,7 @@ func runDeterminism(pass *Pass) error {
 						"select with %d channel cases: the runtime picks uniformly at random among ready cases", ready)
 				}
 			case *ast.CallExpr:
-				if obj := calleeObject(pass, n); obj != nil &&
+				if obj := calleeObject(info, n); obj != nil &&
 					obj.Pkg() != nil && obj.Pkg().Path() == "time" && wallClockFuncs[obj.Name()] {
 					pass.Reportf(n.Pos(),
 						"time.%s reads the wall clock; deterministic outputs must not depend on timing", obj.Name())
@@ -81,7 +97,6 @@ func runDeterminism(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // unparen strips any enclosing parentheses. (ast.Unparen needs go1.22;
@@ -99,25 +114,25 @@ func unparen(e ast.Expr) ast.Expr {
 // calleeObject resolves the object a call expression statically invokes
 // (function, method, or imported function), or nil for dynamic calls,
 // builtins, and conversions.
-func calleeObject(pass *Pass, call *ast.CallExpr) types.Object {
+func calleeObject(info *types.Info, call *ast.CallExpr) types.Object {
 	switch fun := unparen(call.Fun).(type) {
 	case *ast.Ident:
-		return pass.TypesInfo.Uses[fun]
+		return info.Uses[fun]
 	case *ast.SelectorExpr:
-		return pass.TypesInfo.Uses[fun.Sel]
+		return info.Uses[fun.Sel]
 	case *ast.IndexExpr: // generic instantiation f[T](...)
 		if id, ok := unparen(fun.X).(*ast.Ident); ok {
-			return pass.TypesInfo.Uses[id]
+			return info.Uses[id]
 		}
 		if sel, ok := unparen(fun.X).(*ast.SelectorExpr); ok {
-			return pass.TypesInfo.Uses[sel.Sel]
+			return info.Uses[sel.Sel]
 		}
 	case *ast.IndexListExpr:
 		if id, ok := unparen(fun.X).(*ast.Ident); ok {
-			return pass.TypesInfo.Uses[id]
+			return info.Uses[id]
 		}
 		if sel, ok := unparen(fun.X).(*ast.SelectorExpr); ok {
-			return pass.TypesInfo.Uses[sel.Sel]
+			return info.Uses[sel.Sel]
 		}
 	}
 	return nil

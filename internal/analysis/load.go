@@ -13,8 +13,7 @@ import (
 	"strings"
 )
 
-// A Package is one loaded, type-checked package: the unit RunPackage
-// analyzes.
+// A Package is one loaded, type-checked package.
 type Package struct {
 	Path      string // import path ("ftcsn/internal/route")
 	Dir       string
@@ -28,7 +27,7 @@ type Package struct {
 // import paths (under the module path from go.mod) resolve to directories
 // beneath the module root; everything else goes to the compiler's source
 // importer, which type-checks the standard library from GOROOT. Extra
-// roots (AddRoot) let tests load fixture packages from testdata with
+// roots (AddRoot) let tests load fixture trees from testdata with
 // synthetic import paths. Packages are cached; import cycles are errors.
 type Loader struct {
 	Fset       *token.FileSet
@@ -60,10 +59,55 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// AddRoot registers dir as the source directory for importPath, overriding
-// normal resolution. Used by analysistest to mount fixture packages.
+// AddRoot registers dir as the source tree for importPath, overriding
+// normal resolution: importPath resolves to dir and importPath/x to
+// dir/x. Used by analysistest to mount fixture trees.
 func (l *Loader) AddRoot(importPath, dir string) {
 	l.extra[importPath] = dir
+}
+
+// LoadAll loads every buildable package in the tree rooted at importPath
+// — the module path for the whole module, e2ebench, the commands and the
+// examples included, or an AddRoot path for a fixture tree — sorted by
+// import path. testdata, vendor, hidden and underscore directories are
+// skipped, exactly as the go tool skips them.
+func (l *Loader) LoadAll(importPath string) ([]*Package, error) {
+	root, err := l.dirFor(importPath)
+	if err != nil {
+		return nil, err
+	}
+	var pkgs []*Package
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != root && (name == "testdata" || name == "vendor" ||
+			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if !hasSources(path) {
+			return nil
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		ip := importPath
+		if rel != "." {
+			ip += "/" + filepath.ToSlash(rel)
+		}
+		pkg, err := l.Load(ip)
+		if err != nil {
+			return err
+		}
+		pkgs = append(pkgs, pkg)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
+	return pkgs, nil
 }
 
 // Load parses and type-checks the package at importPath (and, recursively,
@@ -128,23 +172,30 @@ func (l *Loader) Load(importPath string) (*Package, error) {
 // isLocal reports whether path resolves inside this loader (module-local
 // or a registered fixture root) rather than via the stdlib importer.
 func (l *Loader) isLocal(path string) bool {
-	if _, ok := l.extra[path]; ok {
-		return true
-	}
-	return path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/")
+	_, err := l.dirFor(path)
+	return err == nil
 }
 
 func (l *Loader) dirFor(importPath string) (string, error) {
-	if dir, ok := l.extra[importPath]; ok {
-		return dir, nil
+	for ip, dir := range l.extra {
+		if rest, ok := under(importPath, ip); ok {
+			return filepath.Join(dir, rest), nil
+		}
 	}
-	if importPath == l.ModulePath {
-		return l.ModRoot, nil
-	}
-	if rest, ok := strings.CutPrefix(importPath, l.ModulePath+"/"); ok {
-		return filepath.Join(l.ModRoot, filepath.FromSlash(rest)), nil
+	if rest, ok := under(importPath, l.ModulePath); ok {
+		return filepath.Join(l.ModRoot, rest), nil
 	}
 	return "", fmt.Errorf("cannot resolve import %q (not under module %q)", importPath, l.ModulePath)
+}
+
+// under reports whether importPath is root or lies beneath it, and returns
+// the remainder as a relative file path.
+func under(importPath, root string) (string, bool) {
+	if importPath == root {
+		return "", true
+	}
+	rest, ok := strings.CutPrefix(importPath, root+"/")
+	return filepath.FromSlash(rest), ok
 }
 
 // parseDir parses the non-test .go files of dir, with comments (the
@@ -156,12 +207,10 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	}
 	var files []*ast.File
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		if e.IsDir() || !isSource(e.Name()) {
 			continue
 		}
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
@@ -170,58 +219,21 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// ListPackages returns the import paths of every buildable non-test
-// package in the module, sorted. testdata, vendor, hidden, and underscore
-// directories are skipped, exactly as the go tool skips them.
-func (l *Loader) ListPackages() ([]string, error) {
-	var out []string
-	err := filepath.WalkDir(l.ModRoot, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != l.ModRoot && (name == "testdata" || name == "vendor" ||
-				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		name := d.Name()
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			return nil
-		}
-		dir := filepath.Dir(path)
-		rel, err := filepath.Rel(l.ModRoot, dir)
-		if err != nil {
-			return err
-		}
-		ip := l.ModulePath
-		if rel != "." {
-			ip = l.ModulePath + "/" + filepath.ToSlash(rel)
-		}
-		out = append(out, ip)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(out)
-	// The walk appends once per .go file; dedupe to once per package.
-	out = uniq(out)
-	return out, nil
+// isSource reports whether a file name is a buildable non-test Go file.
+func isSource(name string) bool {
+	return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") &&
+		!strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_")
 }
 
-func uniq(s []string) []string {
-	w := 0
-	for i, v := range s {
-		if i == 0 || v != s[w-1] {
-			s[w] = v
-			w++
+// hasSources reports whether dir holds a buildable non-test Go file.
+func hasSources(dir string) bool {
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if !e.IsDir() && isSource(e.Name()) {
+			return true
 		}
 	}
-	return s[:w]
+	return false
 }
 
 func findModule(dir string) (root, modulePath string, err error) {

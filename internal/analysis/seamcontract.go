@@ -29,9 +29,10 @@ import (
 // on owner[v]. Unsanctioned claim writes are exactly how an engine
 // corrupts disjointness.
 var SeamContract = &Analyzer{
-	Name: "seamcontract",
-	Doc:  "forbids direct fault-mask admission reads and unsanctioned claim-array writes in route/core",
-	Run:  runSeamContract,
+	Name:  "seamcontract",
+	Doc:   "forbids direct fault-mask admission reads and unsanctioned claim-array writes in route/core",
+	Scope: []string{"ftcsn/internal/route", "ftcsn/internal/core"},
+	Run:   runSeamContract,
 }
 
 // maskNames are the identifier names (lowercased) that mark a []bool as
@@ -45,7 +46,14 @@ var atomicWrites = map[string]bool{"Store": true, "Swap": true, "CompareAndSwap"
 const claimArray = "owner"
 
 func runSeamContract(pass *Pass) error {
-	for _, f := range pass.Files {
+	for _, pkg := range pass.Pkgs {
+		checkSeamContract(pass, pkg.TypesInfo, pkg.Files)
+	}
+	return nil
+}
+
+func checkSeamContract(pass *Pass, info *types.Info, files []*ast.File) {
+	for _, f := range files {
 		for _, d := range f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
@@ -63,33 +71,32 @@ func runSeamContract(pass *Pass) error {
 					for _, lhs := range n.Lhs {
 						writes[unparen(lhs)] = true
 						if !claimOwner {
-							checkClaimStore(pass, lhs)
+							checkClaimStore(pass, info, lhs)
 						}
 					}
 				case *ast.IncDecStmt:
 					if !claimOwner {
-						checkClaimStore(pass, n.X)
+						checkClaimStore(pass, info, n.X)
 					}
 				case *ast.IndexExpr:
 					if !writes[n] {
-						checkMaskRead(pass, n)
+						checkMaskRead(pass, info, n)
 					}
 				case *ast.CallExpr:
 					if !claimOwner {
-						checkClaimWrite(pass, n)
+						checkClaimWrite(pass, info, n)
 					}
 				}
 				return true
 			})
 		}
 	}
-	return nil
 }
 
 // checkMaskRead flags ix when it reads an admission mask directly: a
 // []bool named like a mask, or any []fault.State.
-func checkMaskRead(pass *Pass, ix *ast.IndexExpr) {
-	t := pass.TypesInfo.TypeOf(ix.X)
+func checkMaskRead(pass *Pass, info *types.Info, ix *ast.IndexExpr) {
+	t := info.TypeOf(ix.X)
 	if t == nil {
 		return
 	}
@@ -118,8 +125,8 @@ func checkMaskRead(pass *Pass, ix *ast.IndexExpr) {
 // checkClaimStore flags x when it is an element of the claim array, the
 // target of an assignment, op-assignment, increment or decrement outside
 // //ftcsn:claimowner functions.
-func checkClaimStore(pass *Pass, x ast.Expr) {
-	if ix, ok := unparen(x).(*ast.IndexExpr); ok && isClaimArray(pass, ix.X) {
+func checkClaimStore(pass *Pass, info *types.Info, x ast.Expr) {
+	if ix, ok := unparen(x).(*ast.IndexExpr); ok && isClaimArray(info, ix.X) {
 		pass.Reportf(x.Pos(),
 			"write to the claim array outside a //ftcsn:claimowner function: claim writes go through the claim/release helpers")
 	}
@@ -127,9 +134,9 @@ func checkClaimStore(pass *Pass, x ast.Expr) {
 
 // checkClaimWrite flags, outside //ftcsn:claimowner functions, clear on
 // the claim array and mutating sync/atomic calls on its elements.
-func checkClaimWrite(pass *Pass, call *ast.CallExpr) {
+func checkClaimWrite(pass *Pass, info *types.Info, call *ast.CallExpr) {
 	if id, ok := unparen(call.Fun).(*ast.Ident); ok && len(call.Args) == 1 {
-		if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "clear" && isClaimArray(pass, call.Args[0]) {
+		if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "clear" && isClaimArray(info, call.Args[0]) {
 			pass.Reportf(call.Pos(),
 				"clear of the claim array outside a //ftcsn:claimowner function: claim writes go through the claim/release helpers")
 		}
@@ -139,7 +146,7 @@ func checkClaimWrite(pass *Pass, call *ast.CallExpr) {
 	if !ok || !atomicWrites[sel.Sel.Name] {
 		return
 	}
-	obj, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	obj, ok := info.Uses[sel.Sel].(*types.Func)
 	if !ok || obj.Pkg() == nil || obj.Pkg().Path() != "sync/atomic" {
 		return
 	}
@@ -149,7 +156,7 @@ func checkClaimWrite(pass *Pass, call *ast.CallExpr) {
 	if u, ok := recv.(*ast.UnaryExpr); ok && u.Op == token.AND {
 		recv = unparen(u.X)
 	}
-	if ix, ok := recv.(*ast.IndexExpr); ok && isClaimArray(pass, ix.X) {
+	if ix, ok := recv.(*ast.IndexExpr); ok && isClaimArray(info, ix.X) {
 		pass.Reportf(call.Pos(),
 			"%s on the claim array outside a //ftcsn:claimowner function: claim writes go through the claim/release helpers",
 			sel.Sel.Name)
@@ -158,11 +165,11 @@ func checkClaimWrite(pass *Pass, call *ast.CallExpr) {
 
 // isClaimArray reports whether e is a slice named like the claim array
 // (maps and other types of that name are not claims).
-func isClaimArray(pass *Pass, e ast.Expr) bool {
+func isClaimArray(info *types.Info, e ast.Expr) bool {
 	if strings.ToLower(baseName(e)) != claimArray {
 		return false
 	}
-	t := pass.TypesInfo.TypeOf(e)
+	t := info.TypeOf(e)
 	if t == nil {
 		return false
 	}

@@ -1,10 +1,17 @@
 // Package hotpath is the ftlint fixture for the hotpath analyzer: Hot is
-// the annotated root, helper is reached transitively, Cold proves
-// unannotated code is exempt, and the sanctioned arena-append idiom stays
-// silent.
+// the annotated root, helper is reached transitively, package callee is
+// reached across the package boundary (statically and through an
+// interface) except over a cold edge, Cold proves unannotated code is
+// exempt, and the sanctioned arena-append idiom stays silent. A plain
+// suppression silences findings but keeps its line's callees hot; a cold
+// edge drops its callee but silences nothing.
 package hotpath
 
-import "fmt"
+import (
+	"fmt"
+
+	"hotpath/callee"
+)
 
 type sink interface{ M() }
 
@@ -19,7 +26,7 @@ func pair(a, b int) int { return a + b }
 func variadic(xs ...int) {}
 
 //ftcsn:hotpath fixture root
-func Hot(n int, s []int32, name, suffix string) {
+func Hot(n int, s []int32, name, suffix string, sz callee.Sizer) {
 	buf := make([]int32, n) // want "make allocates"
 	sl := []int32{1, 2, 3}  // want "slice literal allocates"
 	mp := map[int]int{}     // want "map literal allocates"
@@ -47,6 +54,13 @@ func Hot(n int, s []int32, name, suffix string) {
 
 	//ftlint:ignore hotpath fixture: proves the suppression is honored on the next line
 	quiet := make([]int, n)
+
+	_ = callee.Static(n) // the closure follows the call into package callee
+	_ = sz.Size()        // and resolves the interface call to (*callee.Box).Size
+	//ftlint:ignore hotpath fixture: silences the make below, yet the closure still enters callee.Also
+	_ = callee.Also(make([]int, n))
+	//ftlint:ignore hotpath cold edge: fixture, so the closure does not enter callee.Block
+	_ = callee.Block(make([]int, n)) // want "make allocates"
 
 	_, _, _, _, _, _, _, _, _ = buf, sl, mp, f, t, iface, full, prefix, quiet
 }

@@ -6,33 +6,27 @@ import (
 	"ftcsn/internal/analysis"
 )
 
-// TestTreeIsClean runs the full ftlint suite over every buildable package
-// in the module and requires zero findings — the same sweep `make lint`
-// runs, but wired into `go test` so the tier-1 gate catches a new
-// violation even when the lint job is skipped.
+// TestTreeIsClean runs the full ftlint pass over the whole module and
+// requires zero findings — the same pass `make lint` runs, but wired into
+// `go test` so the tier-1 gate catches a new violation even when the lint
+// job is skipped.
 func TestTreeIsClean(t *testing.T) {
 	ld, err := analysis.NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := ld.ListPackages()
+	pkgs, err := ld.LoadAll(ld.ModulePath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pkgs) == 0 {
-		t.Fatal("ListPackages returned no packages")
+		t.Fatal("LoadAll returned no packages")
 	}
-	for _, path := range pkgs {
-		pkg, err := ld.Load(path)
-		if err != nil {
-			t.Fatalf("loading %s: %v", path, err)
-		}
-		findings, err := analysis.RunPackage(pkg, analysis.AnalyzersFor(path))
-		if err != nil {
-			t.Fatalf("linting %s: %v", path, err)
-		}
-		for _, f := range findings {
-			t.Errorf("%s", f)
-		}
+	findings, err := analysis.Run(pkgs, analysis.Analyzers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Errorf("%s", f)
 	}
 }

@@ -66,14 +66,6 @@ func New(k int) (*Network, error) {
 	return &Network{K: k, N: n, Columns: columns, G: b.Freeze()}, nil
 }
 
-// Wire returns the vertex of wire w at column c.
-func (nw *Network) Wire(c, w int) int32 {
-	if c < 0 || c >= nw.Columns || w < 0 || w >= nw.N {
-		panic(fmt.Sprintf("benes: Wire(%d,%d) out of range", c, w))
-	}
-	return int32(c*nw.N + w)
-}
-
 // circuit is one request inside the looping recursion, with wire indices
 // local to the current subnetwork.
 type circuit struct {
@@ -199,13 +191,4 @@ func (nw *Network) VerifyRouting(perm []int, paths [][]int) error {
 		}
 	}
 	return nil
-}
-
-// PathVertices converts a wire path to graph vertex IDs.
-func (nw *Network) PathVertices(path []int) []int32 {
-	vs := make([]int32, len(path))
-	for c, w := range path {
-		vs[c] = nw.Wire(c, w)
-	}
-	return vs
 }

@@ -153,19 +153,6 @@ func TestRouteRejectsNonPermutation(t *testing.T) {
 	}
 }
 
-func TestPathVertices(t *testing.T) {
-	nw, _ := New(2)
-	perm := []int{1, 0, 3, 2}
-	paths, _ := nw.RoutePermutation(perm)
-	vs := nw.PathVertices(paths[0])
-	if len(vs) != nw.Columns {
-		t.Fatalf("vertices = %d", len(vs))
-	}
-	if vs[0] != nw.G.Inputs()[0] || vs[len(vs)-1] != nw.G.Outputs()[1] {
-		t.Fatal("endpoints wrong")
-	}
-}
-
 func TestConstantTerminalDegree(t *testing.T) {
 	// The fragility root cause: every Beneš terminal has degree exactly 2,
 	// independent of n.
@@ -204,14 +191,4 @@ func TestFaultFragilityGrowsWithN(t *testing.T) {
 	if large < 0.5 {
 		t.Fatalf("n=128 Beneš at ε=0.05 failed only %v of trials; expected gross fragility", large)
 	}
-}
-
-func TestWirePanics(t *testing.T) {
-	nw, _ := New(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Wire out of range did not panic")
-		}
-	}()
-	nw.Wire(0, 99)
 }

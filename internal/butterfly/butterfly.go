@@ -51,37 +51,3 @@ func New(k int) (*Network, error) {
 	}
 	return &Network{K: k, N: n, Columns: cols, G: b.Freeze()}, nil
 }
-
-// Wire returns the vertex of wire w at column c.
-func (nw *Network) Wire(c, w int) int32 {
-	if c < 0 || c >= nw.Columns || w < 0 || w >= nw.N {
-		panic(fmt.Sprintf("butterfly: Wire(%d,%d) out of range", c, w))
-	}
-	return int32(c*nw.N + w)
-}
-
-// UniquePath returns the single wire path from input `in` to output `out`:
-// at transition t the path adopts bit k−1−t of the destination.
-func (nw *Network) UniquePath(in, out int) []int {
-	if in < 0 || in >= nw.N || out < 0 || out >= nw.N {
-		panic("butterfly: terminal out of range")
-	}
-	path := make([]int, nw.Columns)
-	path[0] = in
-	w := in
-	for t := 0; t < nw.K; t++ {
-		bit := uint(nw.K - 1 - t)
-		w = w&^(1<<bit) | out&(1<<bit)
-		path[t+1] = w
-	}
-	return path
-}
-
-// PathVertices converts a wire path to graph vertex IDs.
-func (nw *Network) PathVertices(path []int) []int32 {
-	vs := make([]int32, len(path))
-	for c, w := range path {
-		vs[c] = nw.Wire(c, w)
-	}
-	return vs
-}

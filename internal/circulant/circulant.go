@@ -98,14 +98,3 @@ func New(n int, strides []int, depth int) (*Network, error) {
 	nw.G = b.Freeze()
 	return nw, nil
 }
-
-// Relay returns the vertex ID of ring position i in column t.
-func (nw *Network) Relay(t, i int) int32 {
-	if t < 0 || t > nw.Depth || i < 0 || i >= nw.N {
-		panic(fmt.Sprintf("circulant: Relay(%d,%d) out of range", t, i))
-	}
-	return nw.colBase[t] + int32(i)
-}
-
-// Size returns the switch (edge) count — the paper's size measure.
-func (nw *Network) Size() int { return nw.G.NumEdges() }

@@ -1,6 +1,9 @@
 package circulant
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestNewValidates(t *testing.T) {
 	for _, bad := range []struct {
@@ -56,7 +59,7 @@ func TestLevels(t *testing.T) {
 	}
 	for tcol := 0; tcol <= nw.Depth; tcol++ {
 		for i := 0; i < nw.N; i++ {
-			if got := lv.Of(nw.Relay(tcol, i)); got != int32(tcol+1) {
+			if got := lv.PerVertex()[nw.Relay(tcol, i)]; got != int32(tcol+1) {
 				t.Fatalf("relay (%d,%d) at level %d, want %d", tcol, i, got, tcol+1)
 			}
 		}
@@ -109,9 +112,17 @@ func FuzzBuild(f *testing.F) {
 		}
 		for e := int32(0); e < int32(nw.G.NumEdges()); e++ {
 			u, v := nw.G.EdgeFrom(e), nw.G.EdgeTo(e)
-			if lv.Of(v) != lv.Of(u)+1 {
-				t.Fatalf("edge %d→%d spans levels %d→%d", u, v, lv.Of(u), lv.Of(v))
+			if lv.PerVertex()[v] != lv.PerVertex()[u]+1 {
+				t.Fatalf("edge %d→%d spans levels %d→%d", u, v, lv.PerVertex()[u], lv.PerVertex()[v])
 			}
 		}
 	})
+}
+
+// Relay returns the vertex ID of ring position i in column t.
+func (nw *Network) Relay(t, i int) int32 {
+	if t < 0 || t > nw.Depth || i < 0 || i >= nw.N {
+		panic(fmt.Sprintf("circulant: Relay(%d,%d) out of range", t, i))
+	}
+	return nw.colBase[t] + int32(i)
 }

@@ -164,3 +164,39 @@ func TestClosSizeComparison(t *testing.T) {
 		t.Fatalf("Clos grew sublinearly: size ratio %v vs N ratio %v", ratio, nRatio)
 	}
 }
+
+// NewRearrangeable builds the minimal rearrangeable Clos network:
+// m = n₀ (Slepian–Duguid).
+func NewRearrangeable(n0, r int) (*Network, error) { return New(n0, n0, r) }
+
+// BlockingWitness constructs, for m < 2n₀−1 (and r ≥ 2, n₀ ≥ 2), a
+// classic adversarial configuration that blocks a greedy router: it
+// returns a sequence of (input, output) requests such that after
+// establishing all of them, the final request (last element) cannot be
+// routed even though its terminals are idle — IF the router chose the
+// middle switches the adversary dictates. Used by tests to show the m
+// threshold is tight in the worst case over routing choices.
+//
+// The witness pairs requests so that input crossbar 0 has n₀−1 circuits
+// pinned to distinct middles and output crossbar 0 has n₀−1 circuits
+// pinned to n₀−2... — for the graph-model experiments we need only the
+// greedy-router fact that at m = 2n₀−1 no sequence can block, which
+// TestStrictNeverBlocks exercises by randomized adversarial churn.
+func (nw *Network) BlockingWitness() ([][2]int, bool) {
+	if nw.IsStrictSenseNonblocking() || nw.R < 2 || nw.N0 < 2 {
+		return nil, false
+	}
+	// Saturate input crossbar 0's first n₀−1 inputs toward output
+	// crossbars ≥ 1, and output crossbar 0's first n₀−1 outputs from input
+	// crossbars ≥ 1; the final request (last input of crossbar 0 → last
+	// output of crossbar 0) then competes for middles with all of them.
+	var reqs [][2]int
+	for i := 0; i < nw.N0-1; i++ {
+		reqs = append(reqs, [2]int{i, nw.N0 + i%((nw.R-1)*nw.N0)})
+	}
+	for i := 0; i < nw.N0-1; i++ {
+		reqs = append(reqs, [2]int{nw.N0 + i%((nw.R-1)*nw.N0), i})
+	}
+	reqs = append(reqs, [2]int{nw.N0 - 1, nw.N0 - 1})
+	return reqs, true
+}

@@ -143,26 +143,3 @@ func (r *StrategyRouter) Disconnect(in, out int) error {
 	r.outBusy[out] = false
 	return nil
 }
-
-// Active returns the number of live circuits.
-func (r *StrategyRouter) Active() int { return len(r.circuit) }
-
-// VerifyOccupancy checks the internal port bookkeeping against the
-// circuit table.
-func (r *StrategyRouter) VerifyOccupancy() error {
-	load := make([]int, r.nw.M)
-	for key, j := range r.circuit {
-		load[j]++
-		g := key[0] / r.nw.N0
-		h := key[1] / r.nw.N0
-		if !r.busyIn[g][j] || !r.busyOut[h][j] {
-			return fmt.Errorf("clos: circuit %v on middle %d has free ports", key, j)
-		}
-	}
-	for j := range load {
-		if load[j] != r.load[j] {
-			return fmt.Errorf("clos: middle %d load %d, counted %d", j, r.load[j], load[j])
-		}
-	}
-	return nil
-}

@@ -30,8 +30,8 @@ import (
 // (fault.InjectInto), scans every switch for the shorting witness
 // (ShortedTerminalsWith), rebuilds the masks from scratch
 // (RepairMasksInto), certifies with the per-terminal BFS oracle, and
-// churns on a sequential Router that derives its own traversal bytes from
-// the masks.
+// churns on a sequential Router that adopts the from-scratch OutAllowed
+// that RepairMasksInto builds.
 type refTrial struct {
 	nw    *Network
 	inst  *fault.Instance
@@ -72,7 +72,7 @@ func (rf *refTrial) run(m fault.Model, r *rng.RNG, churnOps int) TrialOutcome {
 	out.MinInputAccess = minOf(rf.rep.InputAccess)
 	out.MinOutputAccess = minOf(rf.rep.OutputAccess)
 	if churnOps > 0 {
-		rf.rt.SetMasks(rf.masks.VertexOK, rf.masks.EdgeOK)
+		rf.rt.SetMasksShared(rf.masks.VertexOK, rf.masks.EdgeOK, rf.masks.OutAllowed)
 		out.ChurnConnects, out.ChurnFailures, out.ChurnPathTotal =
 			rf.cd.Run(rf.rt, rf.nw.Inputs(), rf.nw.Outputs(), churnOps, r)
 	}

@@ -141,7 +141,7 @@ func TestQuickRepairMasksConsistent(t *testing.T) {
 				}
 			}
 		}
-		faulty := inst.FaultyVertices()
+		faulty := inst.FaultyVerticesInto(nil)
 		for v := int32(0); v < int32(nw.G.NumVertices()); v++ {
 			if !masks.VertexOK[v] {
 				if nw.G.IsTerminal(v) {

@@ -82,17 +82,6 @@ func GabberGalil(m int) *Bipartite {
 	return b
 }
 
-// Degree returns the (maximum) out-degree.
-func (b *Bipartite) Degree() int {
-	d := 0
-	for _, adj := range b.To {
-		if len(adj) > d {
-			d = len(adj)
-		}
-	}
-	return d
-}
-
 // NumEdges returns the total number of switches.
 func (b *Bipartite) NumEdges() int {
 	m := 0
@@ -138,95 +127,6 @@ func (b *Bipartite) AddToBuilderReversed(gb *graph.Builder, outletBase, inletBas
 		}
 	}
 	return added
-}
-
-// neighborCount returns |Γ(S)| for the inlet set S (given as indices).
-func (b *Bipartite) neighborCount(set []int, mark []bool) int {
-	for i := range mark {
-		mark[i] = false
-	}
-	cnt := 0
-	for _, i := range set {
-		for _, o := range b.To[i] {
-			if !mark[o] {
-				mark[o] = true
-				cnt++
-			}
-		}
-	}
-	return cnt
-}
-
-// VerifyExhaustive checks the (c,c′) expansion property over every inlet
-// subset of size exactly c. It returns the first violating set, or nil if
-// the property holds. The number of subsets C(t,c) must not exceed limit
-// (guarding against accidental exponential blowups).
-func (b *Bipartite) VerifyExhaustive(c, cPrime int, limit int64) ([]int, error) {
-	if c < 1 || c > b.T {
-		return nil, fmt.Errorf("expander: c=%d out of range", c)
-	}
-	if binom(b.T, c) > limit {
-		return nil, fmt.Errorf("expander: C(%d,%d) exceeds limit %d", b.T, c, limit)
-	}
-	set := make([]int, c)
-	for i := range set {
-		set[i] = i
-	}
-	mark := make([]bool, b.T)
-	for {
-		if b.neighborCount(set, mark) < cPrime {
-			bad := append([]int(nil), set...)
-			return bad, nil
-		}
-		// Next combination in lexicographic order.
-		i := c - 1
-		for i >= 0 && set[i] == b.T-c+i {
-			i--
-		}
-		if i < 0 {
-			return nil, nil
-		}
-		set[i]++
-		for j := i + 1; j < c; j++ {
-			set[j] = set[j-1] + 1
-		}
-	}
-}
-
-func binom(n, k int) int64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	v := int64(1)
-	for i := 0; i < k; i++ {
-		v = v * int64(n-i) / int64(i+1)
-		if v < 0 || v > (1<<62) {
-			return 1 << 62
-		}
-	}
-	return v
-}
-
-// VerifySampled draws `samples` uniform inlet sets of size c and returns
-// the smallest neighborhood seen and the number of violations of the c′
-// requirement. A zero violation count is evidence, not proof.
-func (b *Bipartite) VerifySampled(c, cPrime, samples int, r *rng.RNG) (minNeighbors, violations int) {
-	mark := make([]bool, b.T)
-	minNeighbors = b.T + 1
-	for s := 0; s < samples; s++ {
-		set := r.Sample(b.T, c)
-		n := b.neighborCount(set, mark)
-		if n < minNeighbors {
-			minNeighbors = n
-		}
-		if n < cPrime {
-			violations++
-		}
-	}
-	return minNeighbors, violations
 }
 
 // AdversarialMinNeighbors greedily searches for a small-expansion inlet set
@@ -291,13 +191,6 @@ func (b *Bipartite) AdversarialMinNeighbors(c int) int {
 		add(bestI)
 	}
 	return covered
-}
-
-// ExpectedCoverage returns the expected number of distinct outlets covered
-// by a uniform set of c inlets in a random d-regular multigraph:
-// t·(1 − (1 − 1/t)^(c·d)). Used to sanity-check the random construction.
-func ExpectedCoverage(t, c, d int) float64 {
-	return float64(t) * (1 - math.Pow(1-1/float64(t), float64(c*d)))
 }
 
 // SpectralGap estimates the second-largest eigenvalue of the symmetric

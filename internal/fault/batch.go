@@ -143,8 +143,6 @@ func (bi *BatchInjector) fillTrial() {
 // state changed, each once, in ascending order. The returned slice is
 // reused by the next call. After ApplyNext, inst is bit-identical to a
 // fresh InjectInto with the trial's generator.
-//
-//ftcsn:hotpath per-trial fault advance; the O(#changes) diff is why trials beat O(E) re-injection
 func (bi *BatchInjector) ApplyNext(inst *Instance) []int32 {
 	j := bi.next
 	if j >= bi.Len() {

@@ -182,16 +182,11 @@ func (inst *Instance) SetState(e int32, s State) {
 	inst.Edge[e] = s
 }
 
-// FaultyVertices returns the mask of vertices incident to at least one
-// failed switch. Terminals are included in the mask if they qualify; the
-// repair rule (see Repair) is what exempts terminals from being discarded.
-func (inst *Instance) FaultyVertices() []bool {
-	return inst.FaultyVerticesInto(nil)
-}
-
-// FaultyVerticesInto is FaultyVertices writing into faulty, which is grown
-// if needed and returned; passing the previous trial's slice makes the call
-// allocation-free.
+// FaultyVerticesInto returns the mask of vertices incident to at least one
+// failed switch, written into faulty, which is grown if needed; passing
+// the previous trial's slice makes the call allocation-free. Terminals
+// are included in the mask if they qualify; the repair rule (see Repair)
+// is what exempts terminals from being discarded.
 func (inst *Instance) FaultyVerticesInto(faulty []bool) []bool {
 	faulty = growBools(faulty, inst.G.NumVertices())
 	for i := range faulty {

@@ -144,7 +144,7 @@ func TestFaultyVertices(t *testing.T) {
 	g := line()
 	inst := NewInstance(g)
 	inst.SetState(1, Open) // a -> b fails
-	f := inst.FaultyVertices()
+	f := inst.FaultyVerticesInto(nil)
 	want := []bool{false, true, true, false}
 	for i, w := range want {
 		if f[i] != w {

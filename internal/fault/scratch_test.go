@@ -74,7 +74,7 @@ func TestIntoVariantsMatch(t *testing.T) {
 		InjectInto(inst, Symmetric(0.2), &r)
 		faulty = inst.FaultyVerticesInto(faulty)
 		usable = inst.RepairInto(usable)
-		wantF := inst.FaultyVertices()
+		wantF := inst.FaultyVerticesInto(nil)
 		wantU := inst.Repair()
 		for v := range wantF {
 			if faulty[v] != wantF[v] {

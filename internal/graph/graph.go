@@ -79,12 +79,6 @@ func (b *Builder) MarkInput(v int32) { b.inputs = append(b.inputs, v) }
 // MarkOutput declares v a network output terminal.
 func (b *Builder) MarkOutput(v int32) { b.outputs = append(b.outputs, v) }
 
-// NumVertices returns the number of vertices added so far.
-func (b *Builder) NumVertices() int { return len(b.stage) }
-
-// NumEdges returns the number of edges added so far.
-func (b *Builder) NumEdges() int { return len(b.edgeFrom) }
-
 // Freeze converts the accumulated topology into an immutable Graph.
 // The Builder must not be used afterwards.
 func (b *Builder) Freeze() *Graph {

@@ -359,8 +359,8 @@ func checkLevels(t *testing.T, g *Graph, lv *Levels) {
 	n := int32(g.NumVertices())
 	for e := int32(0); e < int32(g.NumEdges()); e++ {
 		u, v := g.EdgeFrom(e), g.EdgeTo(e)
-		if lv.Of(u) >= lv.Of(v) {
-			t.Fatalf("edge %d: level %d -> %d not strictly increasing", e, lv.Of(u), lv.Of(v))
+		if lv.PerVertex()[u] >= lv.PerVertex()[v] {
+			t.Fatalf("edge %d: level %d -> %d not strictly increasing", e, lv.PerVertex()[u], lv.PerVertex()[v])
 		}
 	}
 	first := lv.First()
@@ -376,7 +376,7 @@ func checkLevels(t *testing.T, g *Graph, lv *Levels) {
 			t.Fatalf("order repeats vertex %d", v)
 		}
 		seen[v] = true
-		l := lv.Of(v)
+		l := lv.PerVertex()[v]
 		if pos < first[l] || pos >= first[l+1] {
 			t.Fatalf("vertex %d (level %d) at position %d outside [%d,%d)", v, l, pos, first[l], first[l+1])
 		}
@@ -423,8 +423,8 @@ func TestLevelsStagedSorted(t *testing.T) {
 		}
 	}
 	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		if lv.Of(v) != g.Stage(v) {
-			t.Fatalf("vertex %d: level %d != stage %d", v, lv.Of(v), g.Stage(v))
+		if lv.PerVertex()[v] != g.Stage(v) {
+			t.Fatalf("vertex %d: level %d != stage %d", v, lv.PerVertex()[v], g.Stage(v))
 		}
 	}
 	checkLevels(t, g, lv)
@@ -456,8 +456,8 @@ func TestLevelsLongestPath(t *testing.T) {
 	}
 	wantLevel := []int32{3, 0, 1, 1, 2}
 	for v, w := range wantLevel {
-		if lv.Of(int32(v)) != w {
-			t.Fatalf("vertex %d: level %d, want %d", v, lv.Of(int32(v)), w)
+		if lv.PerVertex()[int32(v)] != w {
+			t.Fatalf("vertex %d: level %d, want %d", v, lv.PerVertex()[int32(v)], w)
 		}
 	}
 	if lv.Sorted() {
@@ -478,7 +478,7 @@ func TestLevelsStagedUnsorted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Levels: %v", err)
 	}
-	if lv.Of(hi) != 1 || lv.Of(lo) != 0 || lv.Sorted() {
+	if lv.PerVertex()[hi] != 1 || lv.PerVertex()[lo] != 0 || lv.Sorted() {
 		t.Fatalf("levels = %v sorted=%v", lv.PerVertex(), lv.Sorted())
 	}
 	checkLevels(t, g, lv)
@@ -496,7 +496,7 @@ func TestLevelsNonMonotoneStagesFallBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Levels: %v", err)
 	}
-	if lv.Of(u) != 0 || lv.Of(v) != 1 {
+	if lv.PerVertex()[u] != 0 || lv.PerVertex()[v] != 1 {
 		t.Fatalf("levels = %v", lv.PerVertex())
 	}
 	checkLevels(t, g, lv)
@@ -549,8 +549,8 @@ func TestLevelsMirrorDerived(t *testing.T) {
 	lv, _ := g.Levels()
 	maxLevel := int32(lv.NumLevels() - 1)
 	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		if mlv.Of(v) != maxLevel-lv.Of(v) {
-			t.Fatalf("vertex %d: mirror level %d, want %d", v, mlv.Of(v), maxLevel-lv.Of(v))
+		if mlv.PerVertex()[v] != maxLevel-lv.PerVertex()[v] {
+			t.Fatalf("vertex %d: mirror level %d, want %d", v, mlv.PerVertex()[v], maxLevel-lv.PerVertex()[v])
 		}
 	}
 	if mlv.Sorted() {

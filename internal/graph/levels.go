@@ -42,9 +42,6 @@ type Levels struct {
 // mirror-derived assignments.
 func (lv *Levels) NumLevels() int { return len(lv.first) - 1 }
 
-// Of returns the level of v.
-func (lv *Levels) Of(v int32) int32 { return lv.level[v] }
-
 // PerVertex returns the per-vertex level array (shared; do not mutate).
 func (lv *Levels) PerVertex() []int32 { return lv.level }
 

@@ -49,8 +49,6 @@ func NewLevelWorklist(lv *Levels, n int) *LevelWorklist {
 // Begin starts a new seed/drain round, forgetting any previous membership
 // in O(levels touched) (epoch bump; the mark array is cleared only on the
 // ~4-billion-round wraparound).
-//
-//ftcsn:hotpath per-epoch guide maintenance entry; runs once per fault diff
 func (wl *LevelWorklist) Begin() {
 	wl.epoch++
 	if wl.epoch == 0 {
@@ -71,8 +69,6 @@ func (wl *LevelWorklist) Begin() {
 // strictly lower levels than the one being drained — the reverse-cone
 // contract: a consumer may only wake predecessors. Violating it panics
 // rather than silently mis-ordering the sweep.
-//
-//ftcsn:hotpath inner loop of per-epoch guide maintenance
 func (wl *LevelWorklist) Push(v int32) bool {
 	if wl.mark[v] == wl.epoch {
 		return false
@@ -94,8 +90,6 @@ func (wl *LevelWorklist) Push(v int32) bool {
 // order — fully deterministic), or ok=false when the round is drained.
 // After a false return the worklist is empty and ready for the next
 // Begin.
-//
-//ftcsn:hotpath drains the reverse cone of each fault diff
 func (wl *LevelWorklist) Next() (v int32, ok bool) {
 	if wl.cur == len(wl.buckets) {
 		// First pull of the round: start at the highest seeded level.

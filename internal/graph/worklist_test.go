@@ -43,10 +43,10 @@ func TestLevelWorklistDescendingOrder(t *testing.T) {
 	var got []int32
 	last := int32(1 << 30)
 	for v, ok := wl.Next(); ok; v, ok = wl.Next() {
-		if lv.Of(v) > last {
-			t.Fatalf("visited %d (level %d) after level %d", v, lv.Of(v), last)
+		if lv.PerVertex()[v] > last {
+			t.Fatalf("visited %d (level %d) after level %d", v, lv.PerVertex()[v], last)
 		}
-		last = lv.Of(v)
+		last = lv.PerVertex()[v]
 		got = append(got, v)
 		// Wake v's predecessors — all strictly lower level.
 		for _, e := range g.InEdges(v) {

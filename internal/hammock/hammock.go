@@ -70,15 +70,6 @@ func (g *Grid) VertexAt(i, j int) int32 {
 // final Graph so the Grid's vertex IDs can be interpreted.
 func (g *Grid) Bind(gr *graph.Graph) { g.G = gr }
 
-// EdgeCount returns the number of switches the grid contributes.
-func (g *Grid) EdgeCount() int {
-	per := 2*g.L - 1
-	if g.Cyclic {
-		per = 2 * g.L
-	}
-	return per * (g.W - 1)
-}
-
 // Network is a standalone two-terminal hammock network: a source joined by
 // a switch to every row of the first stage and a sink joined from every row
 // of the last stage. It realizes the (ε,ε′)-1-network of Proposition 1.

@@ -368,3 +368,12 @@ func TestBuildIntoPanicsOnBadDims(t *testing.T) {
 	}()
 	BuildInto(graph.NewBuilder(0, 0), 0, 5, false)
 }
+
+// EdgeCount returns the number of switches the grid contributes.
+func (g *Grid) EdgeCount() int {
+	per := 2*g.L - 1
+	if g.Cyclic {
+		per = 2 * g.L
+	}
+	return per * (g.W - 1)
+}

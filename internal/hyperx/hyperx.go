@@ -121,14 +121,3 @@ func New(dims []int, depth int) (*Network, error) {
 	nw.G = b.Freeze()
 	return nw, nil
 }
-
-// Switch returns the vertex ID of lattice rank r in column t.
-func (nw *Network) Switch(t, r int) int32 {
-	if t < 0 || t > nw.Depth || r < 0 || r >= nw.N {
-		panic(fmt.Sprintf("hyperx: Switch(%d,%d) out of range", t, r))
-	}
-	return nw.colBase[t] + int32(r)
-}
-
-// Size returns the switch (edge) count — the paper's size measure.
-func (nw *Network) Size() int { return nw.G.NumEdges() }

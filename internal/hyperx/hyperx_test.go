@@ -1,6 +1,9 @@
 package hyperx
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestNewValidates(t *testing.T) {
 	for _, bad := range []struct {
@@ -55,18 +58,18 @@ func TestLevels(t *testing.T) {
 		t.Fatalf("NumLevels = %d, want %d", got, want)
 	}
 	for _, in := range nw.G.Inputs() {
-		if lv.Of(in) != 0 {
-			t.Fatalf("input %d at level %d, want 0", in, lv.Of(in))
+		if lv.PerVertex()[in] != 0 {
+			t.Fatalf("input %d at level %d, want 0", in, lv.PerVertex()[in])
 		}
 	}
 	for _, out := range nw.G.Outputs() {
-		if got := lv.Of(out); got != int32(nw.Depth+2) {
+		if got := lv.PerVertex()[out]; got != int32(nw.Depth+2) {
 			t.Fatalf("output %d at level %d, want %d", out, got, nw.Depth+2)
 		}
 	}
 	for tcol := 0; tcol <= nw.Depth; tcol++ {
 		for r := 0; r < nw.N; r++ {
-			if got := lv.Of(nw.Switch(tcol, r)); got != int32(tcol+1) {
+			if got := lv.PerVertex()[nw.Switch(tcol, r)]; got != int32(tcol+1) {
 				t.Fatalf("switch (%d,%d) at level %d, want %d", tcol, r, got, tcol+1)
 			}
 		}
@@ -120,9 +123,17 @@ func FuzzBuild(f *testing.F) {
 		}
 		for e := int32(0); e < int32(nw.G.NumEdges()); e++ {
 			u, v := nw.G.EdgeFrom(e), nw.G.EdgeTo(e)
-			if lv.Of(v) != lv.Of(u)+1 {
-				t.Fatalf("edge %d→%d spans levels %d→%d", u, v, lv.Of(u), lv.Of(v))
+			if lv.PerVertex()[v] != lv.PerVertex()[u]+1 {
+				t.Fatalf("edge %d→%d spans levels %d→%d", u, v, lv.PerVertex()[u], lv.PerVertex()[v])
 			}
 		}
 	})
+}
+
+// Switch returns the vertex ID of lattice rank r in column t.
+func (nw *Network) Switch(t, r int) int32 {
+	if t < 0 || t > nw.Depth || r < 0 || r >= nw.N {
+		panic(fmt.Sprintf("hyperx: Switch(%d,%d) out of range", t, r))
+	}
+	return nw.colBase[t] + int32(r)
 }

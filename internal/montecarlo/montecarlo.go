@@ -40,7 +40,6 @@ const DefaultBlock = 32
 
 func (c Config) workers() int {
 	if c.Workers < 0 {
-		//ftlint:ignore hotpath panic path for a caller bug (negative worker count); never taken on a valid Config
 		panic(fmt.Sprintf("montecarlo: Config.Workers must be >= 0, got %d", c.Workers))
 	}
 	if c.Workers > 0 {
@@ -51,7 +50,6 @@ func (c Config) workers() int {
 
 func (c Config) block() int {
 	if c.Block < 0 {
-		//ftlint:ignore hotpath panic path for a caller bug (negative block size); never taken on a valid Config
 		panic(fmt.Sprintf("montecarlo: Config.Block must be >= 0, got %d", c.Block))
 	}
 	if c.Block > 0 {
@@ -85,12 +83,8 @@ func RunBool(cfg Config, trial func(r *rng.RNG) bool) stats.Proportion {
 // allocation-free in steady state. Results are identical to RunBool for a
 // pure trial function: trial i still sees the stream rng.Stream(cfg.Seed, i)
 // and proportions merge commutatively.
-//
-//ftcsn:hotpath harness entry for the 0-allocs/trial pipelines; per-run setup in callees carries in-place suppressions
 func RunBoolWith[S any](cfg Config, newScratch func() S, trial func(r *rng.RNG, s S) bool) stats.Proportion {
-	//ftlint:ignore hotpath per-run setup: one counter slice, amortized over cfg.Trials trials
 	perWorker := make([]stats.Proportion, cfg.workers())
-	//ftlint:ignore hotpath per-run setup: one trial adapter closure shared by every trial
 	parallelFor(cfg, newScratch, func(w int, r *rng.RNG, s S, i uint64) {
 		perWorker[w].Add(trial(r, s))
 	})
@@ -155,7 +149,6 @@ func parallelFor[S any](cfg Config, newScratch func() S, body func(worker int, r
 		// possibly a materialized evaluator) than there are blocks to claim.
 		workers = numBlocks
 	}
-	//ftlint:ignore hotpath per-run setup: one scratch slot per worker, amortized over cfg.Trials trials
 	scratches := make([]S, workers)
 	if cfg.Trials <= 0 {
 		return scratches
@@ -164,12 +157,10 @@ func parallelFor[S any](cfg Config, newScratch func() S, body func(worker int, r
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		//ftlint:ignore hotpath per-run setup: one goroutine and one spawn closure per worker, amortized over the run
 		go func(w int) {
 			defer wg.Done()
 			s := newScratch()
 			scratches[w] = s
-			//ftlint:ignore hotpath once per worker per run: the BlockStarter probe boxes the scratch a single time
 			starter, _ := any(s).(BlockStarter)
 			workerLoop(cfg, w, int64(numBlocks), block, &next, s, starter, body)
 		}(w)
@@ -199,6 +190,7 @@ func workerLoop[S any](cfg Config, w int, numBlocks int64, block int, next *atom
 			end = cfg.Trials
 		}
 		if starter != nil {
+			//ftlint:ignore hotpath cold edge: once per block of cfg.Block trials, block setup grows scratch to a high-water mark and validates the fault model
 			starter.StartBlock(cfg.Seed, uint64(first), end-first)
 		}
 		for i := first; i < end; i++ {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ftcsn/internal/rng"
+	"ftcsn/internal/stats"
 )
 
 func TestRunBoolEstimates(t *testing.T) {
@@ -32,17 +33,19 @@ func TestRunBoolReproducibleAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestRunSample pins RunSampleWith's reduction: the mean merged from three
+// workers' samples equals the mean of the same 10,000 draws taken in trial
+// order, so no worker's partial sample is dropped, repeated or misweighted.
 func TestRunSample(t *testing.T) {
-	s := RunSampleWith(Config{Trials: 10000, Workers: 3, Seed: 5}, func() struct{} { return struct{}{} },
+	const trials, seed = 10000, 5
+	s := RunSampleWith(Config{Trials: trials, Workers: 3, Seed: seed}, func() struct{} { return struct{}{} },
 		func(r *rng.RNG, _ struct{}) float64 { return r.Float64() })
-	if s.N() != 10000 {
-		t.Fatalf("N = %d", s.N())
+	var sum float64
+	for i := uint64(0); i < trials; i++ {
+		sum += rng.Stream(seed, i).Float64()
 	}
-	if math.Abs(s.Mean()-0.5) > 0.02 {
-		t.Fatalf("mean = %v", s.Mean())
-	}
-	if s.Min() < 0 || s.Max() >= 1 {
-		t.Fatalf("range [%v,%v]", s.Min(), s.Max())
+	if want := sum / trials; math.Abs(s.Mean()-want) > 1e-9 {
+		t.Fatalf("mean = %v, want %v (the trials' mean in order)", s.Mean(), want)
 	}
 }
 
@@ -64,7 +67,7 @@ func TestZeroTrials(t *testing.T) {
 	}
 	s := RunSampleWith(Config{Trials: 0, Seed: 3}, func() struct{} { return struct{}{} },
 		func(*rng.RNG, struct{}) float64 { return 1 })
-	if s.N() != 0 {
+	if s != (stats.Sample{}) {
 		t.Fatal("phantom samples")
 	}
 }

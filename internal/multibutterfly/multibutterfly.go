@@ -80,61 +80,3 @@ func New(k, d int, seed uint64) (*Network, error) {
 	}
 	return &Network{K: k, N: n, D: d, Columns: cols, G: b.Freeze()}, nil
 }
-
-// Wire returns the vertex of wire w at column c.
-func (nw *Network) Wire(c, w int) int32 {
-	if c < 0 || c >= nw.Columns || w < 0 || w >= nw.N {
-		panic(fmt.Sprintf("multibutterfly: Wire(%d,%d) out of range", c, w))
-	}
-	return int32(c*nw.N + w)
-}
-
-// SubBlockOf returns the half-interval [lo,hi) of wires at column t+1 that
-// a circuit heading for output `out` must enter from column t.
-func (nw *Network) SubBlockOf(t, out int) (lo, hi int) {
-	blockSize := nw.N >> uint(t)
-	half := blockSize / 2
-	block := (out >> uint(nw.K-t)) << uint(nw.K-t) // top t bits of out
-	bit := out >> uint(nw.K-1-t) & 1
-	lo = block + bit*half
-	return lo, lo + half
-}
-
-// RouteGreedy routes a single request from input `in` to output `out`
-// around faulty/busy vertices: at each stage it takes any allowed switch
-// into the correct sub-block (the Leighton–Maggs greedy step). blocked may
-// be nil. It returns the vertex path or nil if the request is stuck.
-func (nw *Network) RouteGreedy(in, out int, blocked func(int32) bool) []int32 {
-	path := make([]int32, 0, nw.Columns)
-	v := nw.Wire(0, in)
-	if blocked != nil && blocked(v) {
-		return nil
-	}
-	path = append(path, v)
-	w := in
-	for t := 0; t < nw.K; t++ {
-		lo, hi := nw.SubBlockOf(t, out)
-		next := -1
-		for _, e := range nw.G.OutEdges(nw.Wire(t, w)) {
-			tv := nw.G.EdgeTo(e)
-			tw := int(tv) % nw.N
-			if tw < lo || tw >= hi {
-				continue
-			}
-			if blocked != nil && blocked(tv) {
-				continue
-			}
-			next = tw
-			break
-		}
-		if next < 0 {
-			return nil
-		}
-		w = next
-		path = append(path, nw.Wire(t+1, w))
-	}
-	if w != out {
-		return nil
-	}
-	return path
-}

@@ -15,9 +15,9 @@ package netsim
 // per-op (connects, failures, pathTotal) on the same RNG, every
 // established circuit takes the identical path, and the generator's final
 // RNG state matches — so Theorem-2 probability tables cannot move. Like
-// Workload above, the generator owns the idle/live bookkeeping; unlike
-// Workload's free-form operational stream, this one replays a fixed
-// protocol, which forces the batching to be speculative:
+// the test-support netsimtest.Workload, the generator owns the idle/live
+// bookkeeping; unlike Workload's free-form operational stream, this one
+// replays a fixed protocol, which forces the batching to be speculative:
 //
 // Per-op, the RNG draws for op t+1 depend on op t's outcome (pool sizes
 // and the live count feed the coin short-circuit and the Intn bounds), so
@@ -60,6 +60,8 @@ import (
 	"ftcsn/internal/route"
 )
 
+type liveCircuit struct{ in, out int32 }
+
 // churnBatchCap bounds one speculative connect run, and so the rollback
 // scratch. The cap only splits batches, it cannot change any op's outcome
 // (after a full-accept capped batch the next decision is drawn from
@@ -90,8 +92,6 @@ type ChurnDriver struct {
 // The engine must start with no live circuit on these terminals; circuits
 // left live at the end belong to the caller (typically released by the
 // next trial's engine Reset).
-//
-//ftcsn:hotpath the per-trial churn serve loop; runs once per trial inside the 0-alloc pipeline
 func (cd *ChurnDriver) Run(eng route.Engine, inputs, outputs []int32, ops int, r *rng.RNG) (connects, failures, pathTotal int) {
 	cd.live = cd.live[:0]
 	cd.idleIn = append(cd.idleIn[:0], inputs...)

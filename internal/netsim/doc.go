@@ -13,9 +13,9 @@
 // clock anywhere: a (seed, config) pair reproduces the run bit for bit,
 // which the ftlint determinism analyzer enforces statically.
 //
-// The closed-loop layer (workload.go, churn.go) is the Theorem-2 churn
-// protocol: Workload generates connect/release batches by coin flip with
-// engine feedback, and ChurnDriver drives the whole protocol against an
-// engine, bit-identical to a per-op replay of the same protocol (the
-// test-only reference in churn_test.go).
+// The closed-loop layer (churn.go) is the Theorem-2 churn protocol:
+// ChurnDriver drives it against an engine, bit-identical to a per-op
+// replay of the same protocol (the test-only reference in churn_test.go).
+// The free-form closed-loop generator the engine differentials use,
+// Workload, is test support in netsimtest.
 package netsim

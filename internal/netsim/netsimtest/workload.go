@@ -1,7 +1,11 @@
-package netsim
+// Package netsimtest is test support for the routing engines: the
+// closed-loop churn generator that route's differentials and the gated
+// BenchmarkShardedChurn rows drive both engines with. Only tests import
+// it, so its exports are exempt from ftlint's deadexport rule.
+package netsimtest
 
 // Workload is the closed-loop churn generator — the feedback-coupled
-// counterpart of the open-loop Source seam (source.go): instead of
+// counterpart of netsim's open-loop Source seam: instead of
 // timestamped arrivals drawn independently of the network, it emits
 // connect batches and release picks whose composition depends on the
 // engine's own accept/reject decisions, the Theorem-2 churn protocol.

@@ -83,8 +83,6 @@ func NewTrafficSource(seed uint64, arr ArrivalProcess, hold HoldingDist, pat Pat
 }
 
 // Next emits the next arrival. A TrafficSource stream never ends.
-//
-//ftcsn:hotpath per-event generation on the open-loop serve path
 func (s *TrafficSource) Next(a *Arrival) bool {
 	s.now += s.arr.NextGap(&s.r, s.now)
 	a.At = s.now
@@ -97,6 +95,8 @@ func (s *TrafficSource) Next(a *Arrival) bool {
 // given seed: the virtual clock returns to zero and every stateful
 // component (see Resetter) is re-armed, so the next stream replays bit
 // for bit.
+//
+//ftlint:ignore deadexport BenchmarkOpenLoopServe (gated in BENCH.json) replays one source per iteration without allocating
 func (s *TrafficSource) Reset(seed uint64) {
 	s.r.Reseed(seed)
 	s.now = 0
@@ -137,8 +137,6 @@ func NewPoisson(rate float64) Poisson {
 }
 
 // NextGap draws one exponential gap.
-//
-//ftcsn:hotpath per-event gap draw on the open-loop serve path
 func (p Poisson) NextGap(r *rng.RNG, now float64) float64 {
 	return expDraw(r, p.rate)
 }
@@ -172,8 +170,6 @@ func NewMMPP(baseRate, burstRate, meanBase, meanBurst float64) *MMPP {
 
 // NextGap draws the gap to the next arrival, crossing state boundaries
 // as needed.
-//
-//ftcsn:hotpath per-event gap draw on the open-loop serve path
 func (m *MMPP) NextGap(r *rng.RNG, now float64) float64 {
 	total := 0.0
 	for {
@@ -229,8 +225,6 @@ func NewDiurnal(base, depth, period float64) Diurnal {
 }
 
 // NextGap draws the gap to the next accepted (thinned) arrival.
-//
-//ftcsn:hotpath per-event gap draw on the open-loop serve path
 func (d Diurnal) NextGap(r *rng.RNG, now float64) float64 {
 	peak := d.base * (1 + d.depth)
 	t := now
@@ -261,8 +255,6 @@ func NewExpHolding(mean float64) ExpHolding {
 }
 
 // NextHold draws one holding time.
-//
-//ftcsn:hotpath per-event hold draw on the open-loop serve path
 func (e ExpHolding) NextHold(r *rng.RNG) float64 {
 	return expDraw(r, 1/e.mean)
 }
@@ -283,8 +275,6 @@ func NewLognormalHolding(mu, sigma float64) LognormalHolding {
 }
 
 // NextHold draws one holding time.
-//
-//ftcsn:hotpath per-event hold draw on the open-loop serve path
 func (l LognormalHolding) NextHold(r *rng.RNG) float64 {
 	return math.Exp(l.mu + l.sigma*r.NormFloat64())
 }
@@ -307,8 +297,6 @@ func NewParetoHolding(shape, scale float64) ParetoHolding {
 }
 
 // NextHold draws one holding time.
-//
-//ftcsn:hotpath per-event hold draw on the open-loop serve path
 func (p ParetoHolding) NextHold(r *rng.RNG) float64 {
 	return p.scale * math.Pow(1-r.Float64(), -1/p.shape)
 }
@@ -334,8 +322,6 @@ func NewUniformPattern(inputs, outputs []int32) *UniformPattern {
 }
 
 // NextPair draws one pair (two draws: input, then output).
-//
-//ftcsn:hotpath per-event pair draw on the open-loop serve path
 func (p *UniformPattern) NextPair(r *rng.RNG) (int32, int32) {
 	return p.ins[r.Intn(len(p.ins))], p.outs[r.Intn(len(p.outs))]
 }
@@ -369,8 +355,6 @@ func NewHotspotPattern(inputs, outputs []int32, hotCount int, hotFrac float64) *
 }
 
 // NextPair draws one pair (three draws: input, hot coin, output).
-//
-//ftcsn:hotpath per-event pair draw on the open-loop serve path
 func (p *HotspotPattern) NextPair(r *rng.RNG) (int32, int32) {
 	in := p.ins[r.Intn(len(p.ins))]
 	n := len(p.outs)
@@ -415,8 +399,6 @@ func NewPermutationPattern(inputs, outputs []int32) *PermutationPattern {
 
 // NextPair draws one pair (one draw per event, plus the one-time
 // permutation draw on first use).
-//
-//ftcsn:hotpath per-event pair draw on the open-loop serve path
 func (p *PermutationPattern) NextPair(r *rng.RNG) (int32, int32) {
 	if !p.drawn {
 		p.draw(r)

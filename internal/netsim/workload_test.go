@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"ftcsn/internal/core"
-	"ftcsn/internal/netsim"
+	"ftcsn/internal/netsim/netsimtest"
 	"ftcsn/internal/route"
 )
 
@@ -38,8 +38,8 @@ func decisions(reqs []route.Request, ok func(i int) bool) []route.Result {
 // decision feedback produce identical request streams.
 func TestWorkloadDeterminism(t *testing.T) {
 	nw := buildSmall(t)
-	a := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 7)
-	b := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 7)
+	a := netsimtest.NewWorkload(nw.Inputs(), nw.Outputs(), 7)
+	b := netsimtest.NewWorkload(nw.Inputs(), nw.Outputs(), 7)
 	for round := 0; round < 20; round++ {
 		ra := a.NextConnects(3)
 		rb := b.NextConnects(3)
@@ -67,7 +67,7 @@ func TestWorkloadDeterminism(t *testing.T) {
 func TestWorkloadPoolsConsistent(t *testing.T) {
 	nw := buildSmall(t)
 	n := len(nw.Inputs())
-	w := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 3)
+	w := netsimtest.NewWorkload(nw.Inputs(), nw.Outputs(), 3)
 	for round := 0; round < 50; round++ {
 		reqs := w.NextConnects(3)
 		w.Commit(decisions(reqs, func(i int) bool { return (round+i)%3 != 0 }))
@@ -85,7 +85,7 @@ func TestWorkloadPoolsConsistent(t *testing.T) {
 // does not cover the pending batch.
 func TestWorkloadCommitShortResults(t *testing.T) {
 	nw := buildSmall(t)
-	w := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 9)
+	w := netsimtest.NewWorkload(nw.Inputs(), nw.Outputs(), 9)
 	reqs := w.NextConnects(3)
 	if len(reqs) < 2 {
 		t.Fatalf("batch too small to test: %d", len(reqs))
@@ -105,8 +105,8 @@ func TestWorkloadAgreesAcrossEngines(t *testing.T) {
 	nw := buildSmall(t)
 	rt := route.NewRouter(nw.G)
 	se := route.NewShardedEngine(nw.G, 1)
-	wa := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 5)
-	wb := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 5)
+	wa := netsimtest.NewWorkload(nw.Inputs(), nw.Outputs(), 5)
+	wb := netsimtest.NewWorkload(nw.Inputs(), nw.Outputs(), 5)
 	var res []route.Result
 	for round := 0; round < 40; round++ {
 		ra := wa.NextConnects(3)
@@ -143,7 +143,7 @@ func TestWorkloadDecisionStreamGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0xF00D)
+	wl := netsimtest.NewWorkload(nw.Inputs(), nw.Outputs(), 0xF00D)
 	rt := route.NewRouter(nw.G)
 	rt.EnablePathReuse()
 	var res []route.Result

@@ -334,17 +334,3 @@ func TestAmplifierRejectsBadEps(t *testing.T) {
 		t.Fatal("accepted s=1")
 	}
 }
-
-func TestWorse(t *testing.T) {
-	a := TwoTerminal{POpen: 0.1, PShort: 0.1}
-	b := TwoTerminal{POpen: 0.2, PShort: 0.05}
-	if !b.Worse(a) {
-		t.Fatal("b should be worse on POpen")
-	}
-	if !a.Worse(b) {
-		t.Fatal("a should be worse on PShort")
-	}
-	if a.Worse(a) {
-		t.Fatal("module worse than itself")
-	}
-}

@@ -17,8 +17,9 @@ package route
 //     in decisions or paths. A request whose In is not an input terminal
 //     or whose Out is not an output terminal is refused.
 //   - Disconnect releases a circuit previously established by
-//     ConnectBatch; PathOf returns its path (pooled slices: valid only
-//     while the circuit is live). Reset releases every live circuit.
+//     ConnectBatch, and returns ErrNoCircuit when none is live; PathOf
+//     returns its path (pooled slices: valid only while the circuit is
+//     live). Reset releases every live circuit.
 //   - SetMasksShared adopts the caller-maintained repair masks and
 //     CSR-slot traversal bytes (core.MaskUpdater's slices); MasksChanged
 //     tells the engine those adopted bytes were edited in place between
@@ -130,11 +131,10 @@ func (c *circuits) remove(in, out int32) ([]int32, bool) {
 	return p, true
 }
 
-// drain unregisters every live circuit, handing each (input, path) to f
-// (which releases claims, retires pooled paths, or simply forgets).
-func (c *circuits) drain(f func(in int32, path []int32)) {
+// reset unregisters every live circuit; callers first release the paths
+// they still need to (ins and path[in] list them).
+func (c *circuits) reset() {
 	for _, in := range c.ins {
-		f(in, c.path[in])
 		c.path[in] = nil
 		c.out[in] = -1
 		c.pos[in] = -1
@@ -145,6 +145,7 @@ func (c *circuits) drain(f func(in int32, path []int32)) {
 // growResults resizes res to n entries, reusing capacity when possible.
 func growResults(res []Result, n int) []Result {
 	if cap(res) < n {
+		//ftlint:ignore hotpath result-slice growth fallback: steady-state callers pass a recycled res of full capacity
 		return make([]Result, n)
 	}
 	return res[:n]

@@ -37,6 +37,10 @@ var ErrBusyTerminal = errors.New("route: terminal already busy")
 // repair (its vertex mask bit is off).
 var ErrDiscardedTerminal = errors.New("route: terminal discarded by repair")
 
+// ErrNoCircuit is returned by an Engine's Disconnect when no live circuit
+// joins the given terminals.
+var ErrNoCircuit = errors.New("route: no such circuit")
+
 // ErrNotTerminal is returned when the requested input is not an input
 // terminal or the requested output is not an output terminal of the
 // network, IDs outside the network included.
@@ -53,9 +57,9 @@ type Router struct {
 
 	// allowed is the CSR-slot-aligned traversal byte array the BFS hot
 	// loop reads instead of the edgeOK/vertexOK/IsTerminal triple (see
-	// graph.AdjBlocked/AdjTerminal). It is either owned (rebuilt by
-	// SetMasks into allowedOwned) or shared (adopted from a caller that
-	// maintains it incrementally, via SetMasksShared).
+	// graph.AdjBlocked/AdjTerminal). It is either owned (built from the
+	// constructor's masks into allowedOwned) or shared (adopted from a
+	// caller that maintains it incrementally, via SetMasksShared).
 	allowed      []uint8
 	allowedOwned []uint8
 
@@ -122,28 +126,18 @@ func newRouter(g *graph.Graph, vertexOK, edgeOK []bool) *Router {
 // EnablePathReuse switches the router to pooled path slices: the slice
 // returned by Connect is recycled once its circuit is Disconnected (or the
 // router is Reset), so callers must not retain it past the circuit's
-// lifetime. Together with SetMasks and Reset this makes a long-lived router
-// allocation-free in steady state; core.Evaluator relies on it.
+// lifetime. Together with SetMasksShared and Reset this makes a long-lived
+// router allocation-free in steady state; core.Evaluator relies on it.
 func (rt *Router) EnablePathReuse() { rt.pooled = true }
 
-// SetMasks replaces the usable-vertex and usable-switch masks (as produced
-// by fault.Instance.Repair / RepairedEdgeUsable) and releases every
-// established circuit, since a mask change invalidates existing paths. It
-// lets one router serve many fault instances without reallocating its BFS
-// and circuit state.
-func (rt *Router) SetMasks(vertexOK, edgeOK []bool) {
-	rt.vertexOK, rt.edgeOK = vertexOK, edgeOK
-	rt.allowedOwned = rt.g.BuildOutAllowed(edgeOK, vertexOK, rt.allowedOwned)
-	rt.allowed = rt.allowedOwned
-	rt.Reset()
-}
-
-// SetMasksShared is SetMasks taking, in addition, the caller-maintained
-// CSR-slot-aligned traversal byte array for the same masks (as built by
-// graph.BuildOutAllowed and kept current by core's incremental mask
-// updater). The router adopts all three slices without copying: as the
-// caller updates them in place between trials, only Reset is needed per
-// trial, so mask changes cost O(#changes) instead of O(E).
+// SetMasksShared replaces the usable-vertex and usable-switch masks and
+// the caller-maintained CSR-slot-aligned traversal byte array for the
+// same masks (as built by graph.BuildOutAllowed and kept current by
+// core's incremental mask updater), releasing every established circuit,
+// since a mask change invalidates existing paths. The router adopts all
+// three slices without copying: as the caller updates them in place
+// between trials, only Reset is needed per trial, so mask changes cost
+// O(#changes) instead of O(E).
 func (rt *Router) SetMasksShared(vertexOK, edgeOK []bool, outAllowed []uint8) {
 	rt.vertexOK, rt.edgeOK = vertexOK, edgeOK
 	rt.allowed = outAllowed
@@ -169,8 +163,6 @@ func (rt *Router) usableEdge(e int32) bool {
 // (a repeat of a live circuit included: its endpoints stay busy),
 // ErrDiscardedTerminal if repair discarded an endpoint, and ErrNoPath if
 // the greedy search finds no idle route.
-//
-//ftcsn:hotpath sequential reference router; 0 allocs/op pinned by BenchmarkGreedyConnect
 func (rt *Router) Connect(in, out int32) ([]int32, error) {
 	if !rt.g.IsInput(in) || !rt.g.IsOutput(out) {
 		return nil, ErrNotTerminal
@@ -296,12 +288,13 @@ func (rt *Router) retirePath(p []int32) {
 	}
 }
 
-// Disconnect releases the circuit between in and out.
+// Disconnect releases the circuit between in and out, or returns
+// ErrNoCircuit.
 func (rt *Router) Disconnect(in, out int32) error {
 	key := circuitKey(in, out)
 	path, ok := rt.circuits[key]
 	if !ok {
-		return fmt.Errorf("route: no circuit (%d,%d)", in, out)
+		return ErrNoCircuit
 	}
 	for _, v := range path {
 		rt.busy[v] = false
@@ -313,9 +306,6 @@ func (rt *Router) Disconnect(in, out int32) error {
 
 // ActiveCircuits returns the number of established circuits.
 func (rt *Router) ActiveCircuits() int { return len(rt.circuits) }
-
-// Busy reports whether vertex v is held by a circuit.
-func (rt *Router) Busy(v int32) bool { return rt.busy[v] }
 
 // PathOf returns the established path for (in, out), or nil.
 func (rt *Router) PathOf(in, out int32) []int32 { return rt.circuits[circuitKey(in, out)] }

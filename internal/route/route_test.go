@@ -194,8 +194,8 @@ func TestRepairedRouterAvoidsFaultyVertices(t *testing.T) {
 func TestDisconnectUnknown(t *testing.T) {
 	g := crossbar()
 	rt := NewRouter(g)
-	if err := rt.Disconnect(g.Inputs()[0], g.Outputs()[0]); err == nil {
-		t.Fatal("disconnect of unknown circuit succeeded")
+	if err := rt.Disconnect(g.Inputs()[0], g.Outputs()[0]); !errors.Is(err, ErrNoCircuit) {
+		t.Fatalf("disconnect of unknown circuit: err = %v, want ErrNoCircuit", err)
 	}
 }
 
@@ -308,7 +308,7 @@ func TestConcurrentRepairedRouter(t *testing.T) {
 		t.Fatal("repaired sharded engine found no alternate path")
 	}
 	for _, v := range res[0].Path {
-		if faulty := inst.FaultyVertices(); faulty[v] && !g.IsTerminal(v) {
+		if faulty := inst.FaultyVerticesInto(nil); faulty[v] && !g.IsTerminal(v) {
 			t.Fatal("path used discarded vertex")
 		}
 	}

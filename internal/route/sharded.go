@@ -207,14 +207,8 @@ func (se *ShardedEngine) Stats() EngineStats {
 // semantics, reusing res (grown as needed) and returning per-request
 // results in input order. Result.Path is pooled: valid until that circuit
 // is disconnected.
-//
-//ftcsn:hotpath the Engine-seam batch entry point; steady-state allocs are pinned by BenchmarkShardedChurn
 func (se *ShardedEngine) ConnectBatch(reqs []Request, res []Result) []Result {
-	if cap(res) < len(reqs) {
-		//ftlint:ignore hotpath result-slice growth fallback: steady-state callers pass a recycled res of full capacity
-		res = make([]Result, len(reqs))
-	}
-	res = res[:len(reqs)]
+	res = growResults(res, len(reqs))
 	se.stats.Batches++
 	se.stats.Requests += int64(len(reqs))
 	for i, rq := range reqs {
@@ -389,8 +383,6 @@ func (se *ShardedEngine) MasksChanged() { se.rebuildGuide() }
 // unchanged rows and early-out) but must cover every edge whose byte
 // changed since the guide was last current. Like MasksChanged, it must be
 // called between batches.
-//
-//ftcsn:hotpath per-epoch guide maintenance — the O(#changes) replacement for the full rebuild
 func (se *ShardedEngine) MasksChangedDiff(vertices, edges []int32) {
 	if se.reachOut == nil {
 		// No guide is derived from the bytes (unleveled graph or too many
@@ -450,9 +442,6 @@ func (se *ShardedEngine) GuideWords() ([]uint64, int) {
 	return se.reachOut, se.guideGroups
 }
 
-// ActiveCircuits returns the number of committed circuits.
-func (se *ShardedEngine) ActiveCircuits() int { return len(se.circ.ins) }
-
 // PathOf returns the committed path for (in, out), or nil. The slice is
 // pooled: valid only until the circuit is disconnected.
 func (se *ShardedEngine) PathOf(in, out int32) []int32 {
@@ -472,7 +461,10 @@ func (se *ShardedEngine) PathOf(in, out int32) []int32 {
 //ftcsn:claimowner a mask swap invalidates every outstanding claim; the bulk reset is this owner's job
 func (se *ShardedEngine) SetMasksShared(vertexOK, edgeOK []bool, outAllowed []uint8) {
 	_ = edgeOK
-	se.circ.drain(func(_ int32, path []int32) { se.retirePath(path) })
+	for _, in := range se.circ.ins {
+		se.retirePath(se.circ.path[in])
+	}
+	se.circ.reset()
 	se.vertexOK = vertexOK
 	se.allowed = outAllowed
 	se.freeAll()
@@ -487,17 +479,20 @@ func (se *ShardedEngine) usableVertex(v int32) bool {
 
 // Reset releases every committed circuit, keeping buffers and masks.
 func (se *ShardedEngine) Reset() {
-	se.circ.drain(func(_ int32, path []int32) {
+	for _, in := range se.circ.ins {
+		path := se.circ.path[in]
 		se.release(path)
 		se.retirePath(path)
-	})
+	}
+	se.circ.reset()
 }
 
-// Disconnect releases the committed circuit between in and out.
+// Disconnect releases the committed circuit between in and out, or
+// returns ErrNoCircuit.
 func (se *ShardedEngine) Disconnect(in, out int32) error {
 	path, ok := se.circ.remove(in, out)
 	if !ok {
-		return fmt.Errorf("route: no circuit (%d,%d)", in, out)
+		return ErrNoCircuit
 	}
 	se.release(path)
 	se.retirePath(path)

@@ -4,16 +4,17 @@ package route_test
 // engine's contract is strong: accept/reject decisions AND established
 // paths are bit-identical to a sequential Router processing the same
 // request stream in order, for every batch size. These tests drive
-// identical netsim.Workload churn streams through both engines and
+// identical netsimtest.Workload churn streams through both engines and
 // compare step by step.
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"ftcsn/internal/core"
 	"ftcsn/internal/fault"
-	"ftcsn/internal/netsim"
+	"ftcsn/internal/netsim/netsimtest"
 	"ftcsn/internal/rng"
 	"ftcsn/internal/route"
 )
@@ -47,7 +48,7 @@ type churnDiff struct {
 	t       *testing.T
 	rt      *route.Router
 	se      *route.ShardedEngine
-	wl      *netsim.Workload
+	wl      *netsimtest.Workload
 	pieces  int // ConnectBatch calls each round's connects are cut into
 	res     []route.Result
 	rounds  int
@@ -147,7 +148,7 @@ func TestShardedMatchesSequentialChurn(t *testing.T) {
 							}
 						}
 						d := &churnDiff{t: t, rt: rt, se: se, pieces: shards,
-							wl: netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0xC0FFEE+uint64(shards))}
+							wl: netsimtest.NewWorkload(nw.Inputs(), nw.Outputs(), 0xC0FFEE+uint64(shards))}
 						n := len(nw.Inputs())
 						for round := 0; round < 40; round++ {
 							d.round(n/2+1, n/4+1)
@@ -212,7 +213,7 @@ func TestShardedRaceStress(t *testing.T) {
 func TestShardedFastPathDominatesLightChurn(t *testing.T) {
 	nw := buildNet(t, 3)
 	se := route.NewShardedEngine(nw.G, 1)
-	wl := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0xFEED)
+	wl := netsimtest.NewWorkload(nw.Inputs(), nw.Outputs(), 0xFEED)
 	var res []route.Result
 	for round := 0; round < 50; round++ {
 		reqs := wl.NextConnects(4)
@@ -269,8 +270,8 @@ func TestShardedDisconnectErrors(t *testing.T) {
 	nw := buildNet(t, 1)
 	se := route.NewShardedEngine(nw.G, 1)
 	in, out := nw.Inputs()[0], nw.Outputs()[0]
-	if err := se.Disconnect(in, out); err == nil {
-		t.Fatal("disconnect of a nonexistent circuit succeeded")
+	if err := se.Disconnect(in, out); !errors.Is(err, route.ErrNoCircuit) {
+		t.Fatalf("disconnect of a nonexistent circuit: err = %v, want ErrNoCircuit", err)
 	}
 	res := se.ConnectBatch([]route.Request{{In: in, Out: out}}, nil)
 	if res[0].Path == nil {
@@ -282,8 +283,8 @@ func TestShardedDisconnectErrors(t *testing.T) {
 	if se.ActiveCircuits() != 1 {
 		t.Fatalf("ActiveCircuits = %d, want 1", se.ActiveCircuits())
 	}
-	if err := se.Disconnect(in, nw.Outputs()[1]); err == nil {
-		t.Fatal("disconnect with wrong output succeeded")
+	if err := se.Disconnect(in, nw.Outputs()[1]); !errors.Is(err, route.ErrNoCircuit) {
+		t.Fatalf("disconnect with wrong output: err = %v, want ErrNoCircuit", err)
 	}
 	// Busy endpoint: rejected at the endpoint screen, without probing.
 	before := se.ShardedStats()
@@ -353,7 +354,7 @@ func FuzzShardedVsSequential(f *testing.F) {
 		rt.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
 		se := route.NewShardedEngine(nw.G, 1)
 		se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-		wl := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), seed^0x9E3779B97F4A7C15)
+		wl := netsimtest.NewWorkload(nw.Inputs(), nw.Outputs(), seed^0x9E3779B97F4A7C15)
 		batch := int(batchRaw%16) + 1
 		var res []route.Result
 		for round := 0; round < 6; round++ {

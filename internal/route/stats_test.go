@@ -7,7 +7,7 @@ package route_test
 import (
 	"testing"
 
-	"ftcsn/internal/netsim"
+	"ftcsn/internal/netsim/netsimtest"
 	"ftcsn/internal/route"
 )
 
@@ -50,7 +50,7 @@ func TestShardedStatsIdentitiesUnderChurn(t *testing.T) {
 	m := repairedMasks(t, nw, 0.04, 0x151)
 	se := route.NewShardedEngine(nw.G, 1)
 	se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
-	wl := netsim.NewWorkload(nw.Inputs(), nw.Outputs(), 0x57A7)
+	wl := netsimtest.NewWorkload(nw.Inputs(), nw.Outputs(), 0x57A7)
 	var res []route.Result
 	n := len(nw.Inputs())
 	for round := 0; round < 40; round++ {

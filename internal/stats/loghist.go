@@ -57,8 +57,6 @@ type LogHist struct {
 }
 
 // Observe records v.
-//
-//ftcsn:hotpath per-event latency recording on the open-loop serve path
 func (h *LogHist) Observe(v uint64) {
 	h.counts[logBucketOf(v)]++
 	h.n++
@@ -67,9 +65,6 @@ func (h *LogHist) Observe(v uint64) {
 	}
 	h.sum += float64(v)
 }
-
-// Count returns the number of observations.
-func (h *LogHist) Count() uint64 { return h.n }
 
 // Max returns the largest observation (exact, not quantized).
 func (h *LogHist) Max() uint64 { return h.max }

@@ -35,8 +35,6 @@ type sloAccum struct {
 // (how many later arrivals were already due when this one was served —
 // 0 means served at the head of its batch), and whether the engine
 // admitted it.
-//
-//ftcsn:hotpath per-arrival accounting on the open-loop serve path
 func (s *SLO) ObserveConnect(t, hold float64, behind uint64, accepted bool) {
 	s.now = t
 	s.cum.offered++
@@ -62,17 +60,12 @@ func (s *SLO) ObserveConnect(t, hold float64, behind uint64, accepted bool) {
 }
 
 // ObserveRelease records one departure at virtual time t.
-//
-//ftcsn:hotpath per-departure accounting on the open-loop serve path
 func (s *SLO) ObserveRelease(t float64) {
 	s.now = t
 	s.live--
 	s.cum.departed++
 	s.win.departed++
 }
-
-// Live returns the current live-circuit gauge.
-func (s *SLO) Live() int64 { return s.live }
 
 // SLOSnapshot is a point-in-time summary of one accumulation scope.
 // Latency quantiles are in events-behind terms (see LogHist for the
@@ -116,17 +109,15 @@ func (a *sloAccum) snapshot(live int64, now float64) SLOSnapshot {
 	return sn
 }
 
-// Snapshot summarizes everything observed since the last Reset.
+// Snapshot summarizes everything observed since the SLO was last zero
+// (reset it by assignment: slo = stats.SLO{}).
 func (s *SLO) Snapshot() SLOSnapshot { return s.cum.snapshot(s.live, s.now) }
 
 // Window summarizes everything observed since the previous Window call
-// (or Reset), then starts a fresh window at the current virtual time
-// with the peak gauge re-armed to the current live count.
+// (or since the SLO was zero), then starts a fresh window at the current
+// virtual time with the peak gauge re-armed to the current live count.
 func (s *SLO) Window() SLOSnapshot {
 	sn := s.win.snapshot(s.live, s.now)
 	s.win = sloAccum{start: s.now, peakLive: s.live}
 	return sn
 }
-
-// Reset returns the SLO to its zero state.
-func (s *SLO) Reset() { *s = SLO{} }

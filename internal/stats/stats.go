@@ -10,42 +10,22 @@ import (
 	"strings"
 )
 
-// Sample accumulates a streaming mean (Welford's update) plus extrema.
-// The zero value is an empty sample.
+// Sample accumulates a streaming mean (Welford's update). The zero value
+// is an empty sample.
 type Sample struct {
-	n        int
-	mean     float64
-	min, max float64
+	n    int
+	mean float64
 }
 
 // Add incorporates x into the sample.
 func (s *Sample) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	d := x - s.mean
 	s.mean += d / float64(s.n)
 }
 
-// N returns the number of observations.
-func (s *Sample) N() int { return s.n }
-
 // Mean returns the sample mean (0 for an empty sample).
 func (s *Sample) Mean() float64 { return s.mean }
-
-// Min returns the smallest observation (0 for an empty sample).
-func (s *Sample) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 for an empty sample).
-func (s *Sample) Max() float64 { return s.max }
 
 // Merge folds t into s (parallel reduction of per-worker samples).
 func (s *Sample) Merge(t *Sample) {
@@ -61,12 +41,6 @@ func (s *Sample) Merge(t *Sample) {
 	tot := n1 + n2
 	s.mean += d * n2 / tot
 	s.n += t.n
-	if t.min < s.min {
-		s.min = t.min
-	}
-	if t.max > s.max {
-		s.max = t.max
-	}
 }
 
 // Proportion is a success counter for Bernoulli trials.

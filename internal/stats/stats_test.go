@@ -19,9 +19,6 @@ func TestSampleMoments(t *testing.T) {
 	if math.Abs(s.Mean()-5) > 1e-12 {
 		t.Fatalf("Mean = %v", s.Mean())
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("extrema = %v %v", s.Min(), s.Max())
-	}
 }
 
 func TestSampleMergeMatchesSequential(t *testing.T) {

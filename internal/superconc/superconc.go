@@ -327,7 +327,3 @@ func (nw *Network) VerifySampled(samples int, r *rng.RNG) (violations int) {
 	}
 	return violations
 }
-
-// Size returns the switch count; the construction is O(n): at most
-// (2d+2)·2n switches over the whole recursion.
-func (nw *Network) Size() int { return nw.G.NumEdges() }

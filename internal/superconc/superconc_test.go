@@ -124,3 +124,7 @@ func TestDeterministicBySeed(t *testing.T) {
 	c, _ := New(16, 3, 43)
 	_ = c // different seed may or may not change the size; just ensure it builds
 }
+
+// Size returns the switch count; the construction is O(n): at most
+// (2d+2)·2n switches over the whole recursion.
+func (nw *Network) Size() int { return nw.G.NumEdges() }

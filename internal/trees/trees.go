@@ -77,43 +77,6 @@ func (t *Tree) Leaves() []int32 {
 	return ls
 }
 
-// Validate checks that the structure is a single tree (connected, acyclic)
-// and that every internal (non-leaf) vertex has degree ≥ 3, Lemma 1's
-// hypothesis.
-func (t *Tree) Validate() error {
-	n := t.NumVertices()
-	if n == 0 {
-		return fmt.Errorf("trees: empty tree")
-	}
-	if t.NumEdges() != n-1 {
-		return fmt.Errorf("trees: %d edges for %d vertices", t.NumEdges(), n)
-	}
-	seen := make([]bool, n)
-	queue := []int32{0}
-	seen[0] = true
-	count := 1
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, h := range t.adj[v] {
-			if !seen[h.to] {
-				seen[h.to] = true
-				count++
-				queue = append(queue, h.to)
-			}
-		}
-	}
-	if count != n {
-		return fmt.Errorf("trees: not connected (%d of %d reachable)", count, n)
-	}
-	for v := range t.adj {
-		if d := len(t.adj[v]); d == 2 {
-			return fmt.Errorf("trees: internal vertex %d has degree 2", v)
-		}
-	}
-	return nil
-}
-
 // RandomLeafy generates a random tree with every internal vertex of degree
 // ≥ 3 and at least targetLeaves leaves: starting from a 3-star it
 // repeatedly either attaches a new leaf to a random internal vertex or
@@ -161,13 +124,6 @@ func RandomLeafy(targetLeaves int, r *rng.RNG) *Tree {
 type LeafPath struct {
 	A, B  int32   // the two leaf endpoints
 	Edges []int32 // original edge IDs, 1 ≤ len ≤ 3
-}
-
-// distanceUpTo3 finds leaves within distance 3 of leaf src in the reduced
-// tree, returning candidate (otherLeaf, edgeList) pairs.
-type candidate struct {
-	a, b  int32
-	edges []int32
 }
 
 // reduced is the degree-3 reduction of a tree: internal vertices of degree

@@ -1,6 +1,7 @@
 package trees
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -234,4 +235,41 @@ func TestQuickExtractNeverInvalid(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Validate checks that the structure is a single tree (connected, acyclic)
+// and that every internal (non-leaf) vertex has degree ≥ 3, Lemma 1's
+// hypothesis.
+func (t *Tree) Validate() error {
+	n := t.NumVertices()
+	if n == 0 {
+		return fmt.Errorf("trees: empty tree")
+	}
+	if t.NumEdges() != n-1 {
+		return fmt.Errorf("trees: %d edges for %d vertices", t.NumEdges(), n)
+	}
+	seen := make([]bool, n)
+	queue := []int32{0}
+	seen[0] = true
+	count := 1
+	for len(queue) > 0 {
+		v := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		for _, h := range t.adj[v] {
+			if !seen[h.to] {
+				seen[h.to] = true
+				count++
+				queue = append(queue, h.to)
+			}
+		}
+	}
+	if count != n {
+		return fmt.Errorf("trees: not connected (%d of %d reachable)", count, n)
+	}
+	for v := range t.adj {
+		if d := len(t.adj[v]); d == 2 {
+			return fmt.Errorf("trees: internal vertex %d has degree 2", v)
+		}
+	}
+	return nil
 }

@@ -78,6 +78,3 @@ func (d *Sparse) Union(x, y int) bool {
 	}
 	return true
 }
-
-// Same reports whether x and y are in one component.
-func (d *Sparse) Same(x, y int) bool { return d.Find(x) == d.Find(y) }
