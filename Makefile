@@ -3,7 +3,8 @@
 GO ?= go
 
 .PHONY: build test race lint ftlint bench experiments experiments-full \
-	fuzz-smoke bench-ci bench-baseline bench-check ftserve-smoke cli-smoke
+	fuzz-smoke bench-ci bench-baseline bench-check ftserve-smoke cli-smoke \
+	examples-smoke
 
 build:
 	$(GO) build ./...
@@ -86,6 +87,7 @@ CLI_BAD := \
 	"ftnetgen -kind network-n -nu 0" \
 	"ftnetgen -kind clos -r 0" \
 	"ftnetgen -kind superconcentrator -n 0" \
+	"ftnetgen -kind superconcentrator -n 16 -d 2" \
 	"ftnetgen -kind multibutterfly -k 3 -d 0" \
 	"ftroute -nu 30" \
 	"ftnetgen -kind network-n -nu 30" \
@@ -108,6 +110,21 @@ cli-smoke:
 	done; \
 	[ $$bad -eq 0 ]; \
 	echo "cli smoke: every bad invocation exits 1 with a message"
+
+# Examples smoke: build and run every program under examples/; a non-zero
+# exit (or a run past the timeout) fails the target and prints the
+# example's output. CI runs this in the test job.
+examples-smoke:
+	@set -e; bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
+	for d in examples/*/; do \
+		e=$$(basename "$$d"); \
+		$(GO) build -o "$$bin/$$e" "./$$d"; \
+		st=0; timeout 60 "$$bin/$$e" > "$$bin/out" 2>&1 || st=$$?; \
+		if [ $$st -ne 0 ]; then \
+			echo "FAIL: example $$e exited $$st"; cat "$$bin/out"; exit 1; \
+		fi; \
+	done; \
+	echo "examples smoke: every example exits 0"
 
 # --- fuzz smoke -------------------------------------------------------------
 # Single source of truth for the fuzz-smoke set: CI invokes this target, so

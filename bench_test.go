@@ -403,9 +403,9 @@ func BenchmarkEvaluatorBatchCertTrial(b *testing.B) {
 
 // benchZooNetwork builds the permuted-sweep benchmark family: a
 // DAG-unrolled HyperX (8×8 routers, 4 hops) behind WrapGraph. Its vertex
-// IDs are deliberately not level-sorted, so every sweep below runs
-// through the cached graph.Levels order rather than the historical
-// plain-ID loops — the same code path every non-staged topology takes.
+// IDs are deliberately not level-sorted, so every sweep below maps
+// positions to vertices through the cached graph.Levels order — the path
+// every non-staged topology takes.
 func benchZooNetwork(b *testing.B) *Network {
 	b.Helper()
 	hx, err := NewHyperX([]int{8, 8}, 4)

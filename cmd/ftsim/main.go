@@ -93,11 +93,19 @@ func main() {
 		}
 		fmt.Printf("%s: n=%d edges=%d\n", *kind, len(g.Inputs()), g.NumEdges())
 		tab := stats.NewTable("ε", "P[survive basic checks] (95% CI)")
+		// One fault instance and one witness scratch per worker, redrawn
+		// in place every trial.
+		type scratch struct {
+			inst *fault.Instance
+			sc   *fault.Scratch
+		}
+		newScratch := func() scratch { return scratch{fault.NewInstance(g), fault.NewScratch(g)} }
 		for _, eps := range epss {
-			p := montecarlo.RunBool(montecarlo.Config{Trials: *trials, Seed: *seed},
-				func(r *rng.RNG) bool {
-					inst := fault.Inject(g, fault.Symmetric(eps), r)
-					return inst.SurvivesBasicChecks()
+			m := fault.Symmetric(eps)
+			p := montecarlo.RunBoolWith(montecarlo.Config{Trials: *trials, Seed: *seed}, newScratch,
+				func(r *rng.RNG, s scratch) bool {
+					fault.InjectInto(s.inst, m, r)
+					return s.inst.SurvivesBasicChecksWith(s.sc)
 				})
 			tab.AddRow(eps, p.String())
 		}

@@ -119,11 +119,10 @@ type Graph = graph.Graph
 
 // Levels is a graph's cached topological leveling — the contract behind
 // every fast path (word-parallel certification, sharded prefilter and
-// probe guide, level-ordered sweeps): obtain it with Graph.Levels(). On
-// fully staged, stage-monotone graphs (Network 𝒩 and friends) the
-// leveling is the stage assignment verbatim, so historical results are
-// bit-identical by construction; any other DAG gets longest-path levels.
-// See DESIGN.md §2.9.
+// probe guide, level-ordered sweeps): obtain it with Graph.Levels(). Every
+// graph gets Kahn's longest-path levels; on Network 𝒩 and the other
+// staged constructions those are the stages, over level-sorted vertex
+// IDs. See DESIGN.md §2.9.
 type Levels = graph.Levels
 
 // Benes is the Beneš rearrangeable baseline network.

@@ -47,10 +47,8 @@ func New(k int) (*Network, error) {
 	}
 	n := 1 << uint(k)
 	columns := 2 * k
-	b := graph.NewBuilder(columns*n, (columns-1)*2*n)
-	for c := 0; c < columns; c++ {
-		b.AddVertices(int32(c), n)
-	}
+	b := graph.NewBuilder((columns - 1) * 2 * n)
+	b.AddVertices(columns * n)
 	at := func(c, w int) int32 { return int32(c*n + w) }
 	for t := 0; t < columns-1; t++ {
 		bit := TransitionBit(k, t)

@@ -173,11 +173,11 @@ func TestFaultFragilityGrowsWithN(t *testing.T) {
 	eps := 0.05
 	failRate := func(k int, trials int) float64 {
 		nw, _ := New(k)
-		inst := fault.NewInstance(nw.G)
+		inst, sc := fault.NewInstance(nw.G), fault.NewScratch(nw.G)
 		fails := 0
 		for i := 0; i < trials; i++ {
 			inst.Reinject(fault.Symmetric(eps), rng.Stream(42, uint64(i)))
-			if !inst.SurvivesBasicChecks() {
+			if !inst.SurvivesBasicChecksWith(sc) {
 				fails++
 			}
 		}

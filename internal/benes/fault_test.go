@@ -65,7 +65,7 @@ func TestInternalFaultsRarelyFatal(t *testing.T) {
 	nw, _ := New(4)
 	midEdges := []int32{}
 	for e := int32(0); e < int32(nw.G.NumEdges()); e++ {
-		if s := nw.G.Stage(nw.G.EdgeFrom(e)); s == int32(nw.K) { // middle transition
+		if nw.G.EdgeFrom(e)/int32(nw.N) == int32(nw.K) { // middle transition: the tail is in column K
 			midEdges = append(midEdges, e)
 		}
 	}
@@ -118,12 +118,12 @@ func TestLoopingVsRepairedGreedy(t *testing.T) {
 func TestSurvivalMonotoneInEps(t *testing.T) {
 	nw, _ := New(5)
 	rate := func(eps float64) float64 {
-		inst := fault.NewInstance(nw.G)
+		inst, sc := fault.NewInstance(nw.G), fault.NewScratch(nw.G)
 		ok := 0
 		const trials = 200
 		for i := 0; i < trials; i++ {
 			inst.Reinject(fault.Symmetric(eps), rng.Stream(71, uint64(i)))
-			if inst.SurvivesBasicChecks() {
+			if inst.SurvivesBasicChecksWith(sc) {
 				ok++
 			}
 		}

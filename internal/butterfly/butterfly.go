@@ -33,10 +33,8 @@ func New(k int) (*Network, error) {
 	}
 	n := 1 << uint(k)
 	cols := k + 1
-	b := graph.NewBuilder(cols*n, k*2*n)
-	for c := 0; c < cols; c++ {
-		b.AddVertices(int32(c), n)
-	}
+	b := graph.NewBuilder(k * 2 * n)
+	b.AddVertices(cols * n)
 	at := func(c, w int) int32 { return int32(c*n + w) }
 	for t := 0; t < k; t++ {
 		bit := k - 1 - t

@@ -66,15 +66,17 @@ func TestUniquePathIsUnique(t *testing.T) {
 	}
 }
 
-// countPaths counts directed in→out paths by DP over the DAG.
+// countPaths counts directed in→out paths by DP over the DAG's level
+// order.
 func countPaths(g *graph.Graph, src, dst int32) int {
-	order, err := g.TopoOrder()
+	lv, err := g.Levels()
 	if err != nil {
 		panic(err)
 	}
 	cnt := make([]int, g.NumVertices())
 	cnt[src] = 1
-	for _, v := range order {
+	for p := range cnt {
+		v := lv.At(int32(p))
 		if cnt[v] == 0 {
 			continue
 		}
@@ -119,12 +121,12 @@ func TestButterflyFrailerThanBenes(t *testing.T) {
 	// often as networks with path diversity. Here: failure rate is high at
 	// modest ε.
 	nw, _ := New(5)
-	inst := fault.NewInstance(nw.G)
+	inst, sc := fault.NewInstance(nw.G), fault.NewScratch(nw.G)
 	fails := 0
 	const trials = 200
 	for i := 0; i < trials; i++ {
 		inst.Reinject(fault.Symmetric(0.03), rng.Stream(7, uint64(i)))
-		if !inst.SurvivesBasicChecks() {
+		if !inst.SurvivesBasicChecksWith(sc) {
 			fails++
 		}
 	}

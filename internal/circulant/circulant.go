@@ -68,9 +68,9 @@ func New(n int, strides []int, depth int) (*Network, error) {
 		return nil, fmt.Errorf("circulant: %d switches exceeds MaxEdges=%d", edges, MaxEdges)
 	}
 
-	b := graph.NewBuilder(2*n+(depth+1)*n, edges)
-	ins := b.AddVertices(graph.NoStage, n)
-	outs := b.AddVertices(graph.NoStage, n)
+	b := graph.NewBuilder(edges)
+	ins := b.AddVertices(n)
+	outs := b.AddVertices(n)
 	nw := &Network{
 		N:       n,
 		Strides: append([]int(nil), strides...),
@@ -78,7 +78,7 @@ func New(n int, strides []int, depth int) (*Network, error) {
 		colBase: make([]int32, depth+1),
 	}
 	for t := 0; t <= depth; t++ {
-		nw.colBase[t] = b.AddVertices(graph.NoStage, n)
+		nw.colBase[t] = b.AddVertices(n)
 	}
 	for i := 0; i < n; i++ {
 		b.MarkInput(ins + int32(i))

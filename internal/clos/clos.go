@@ -31,11 +31,11 @@ func New(n0, m, r int) (*Network, error) {
 	n := n0 * r
 	// Vertices: n inputs, r·m first-stage links, m·r second-stage links,
 	// n outputs.
-	b := graph.NewBuilder(2*n+2*r*m, n*m+m*r*r+m*n)
-	inputs := b.AddVertices(0, n)
-	l1 := b.AddVertices(1, r*m) // link (g,j): input crossbar g → middle j
-	l2 := b.AddVertices(2, m*r) // link (j,h): middle j → output crossbar h
-	outputs := b.AddVertices(3, n)
+	b := graph.NewBuilder(n*m + m*r*r + m*n)
+	inputs := b.AddVertices(n)
+	l1 := b.AddVertices(r * m) // link (g,j): input crossbar g → middle j
+	l2 := b.AddVertices(m * r) // link (j,h): middle j → output crossbar h
+	outputs := b.AddVertices(n)
 	for i := 0; i < n; i++ {
 		b.MarkInput(inputs + int32(i))
 		b.MarkOutput(outputs + int32(i))

@@ -39,14 +39,14 @@ func NewRecursive(n0, levels int) (*RecursiveNetwork, error) {
 	for i := 0; i < levels; i++ {
 		n *= n0
 	}
-	b := graph.NewBuilder(4*n*levels, 8*n*levels*n0)
+	b := graph.NewBuilder(8 * n * levels * n0)
 	ins := make([]int32, n)
 	outs := make([]int32, n)
 	for i := 0; i < n; i++ {
-		ins[i] = b.AddVertex(graph.NoStage)
+		ins[i] = b.AddVertex()
 	}
 	for i := 0; i < n; i++ {
-		outs[i] = b.AddVertex(graph.NoStage)
+		outs[i] = b.AddVertex()
 	}
 	for i := 0; i < n; i++ {
 		b.MarkInput(ins[i])
@@ -80,8 +80,8 @@ func buildRecursive(b *graph.Builder, ins, outs []int32, n0 int) {
 		l1[g] = make([]int32, m)
 		l3[g] = make([]int32, m)
 		for j := 0; j < m; j++ {
-			l1[g][j] = b.AddVertex(graph.NoStage)
-			l3[g][j] = b.AddVertex(graph.NoStage)
+			l1[g][j] = b.AddVertex()
+			l3[g][j] = b.AddVertex()
 		}
 		for i := 0; i < n0; i++ {
 			for j := 0; j < m; j++ {

@@ -43,13 +43,9 @@ func RepairMasks(inst *fault.Instance) Masks {
 // bytes; use MaskUpdater to keep the masks current across trials by diffs
 // instead.
 func RepairMasksInto(inst *fault.Instance, m *Masks) {
-	g := inst.G
 	m.VertexOK = inst.RepairInto(m.VertexOK)
-	m.EdgeOK = growBools(m.EdgeOK, g.NumEdges())
-	for e := range m.EdgeOK {
-		m.EdgeOK[e] = inst.RepairedEdgeUsable(m.VertexOK, int32(e))
-	}
-	m.OutAllowed = g.BuildOutAllowed(m.EdgeOK, m.VertexOK, m.OutAllowed)
+	m.EdgeOK = inst.RepairedEdgesInto(m.VertexOK, m.EdgeOK)
+	m.OutAllowed = inst.G.BuildOutAllowed(m.EdgeOK, m.VertexOK, m.OutAllowed)
 }
 
 // AccessChecker performs the access computations of Lemma 6 and Corollary
@@ -71,14 +67,14 @@ func RepairMasksInto(inst *fault.Instance, m *Masks) {
 // too, a discarded vertex adds nothing on either side. Total cost is
 // O(E·n/64) word operations.
 //
-// "Stage" means topological level. For 𝒩 and every staged MIN the level
-// assignment IS the stage assignment and vertex IDs are level-sorted, so
-// the pass is a plain-ID sweep; wrapped graphs whose IDs are not
-// level-sorted (Mirror images, hammock substitutions, superconcentrators,
-// hyperx and circulant unrollings) walk the cached level-sorted
-// permutation instead. Every Network has a leveling: Build stages its
-// graph and WrapGraph rejects cyclic ones. The lane words are allocated
-// once, so repeated checks over one network allocate nothing.
+// "Stage" means topological level. Each sweep walks traversal positions
+// and maps a position to its vertex through the cached level order: on
+// 𝒩 and every staged MIN the vertex IDs are level-sorted and a position
+// is its vertex ID, while Mirror images, hammock substitutions,
+// superconcentrators, hyperx and circulant unrollings read the
+// level-sorted permutation. Every Network has a leveling: Build's 𝒩 is
+// acyclic and WrapGraph rejects cyclic graphs. The lane words are
+// allocated once, so repeated checks over one network allocate nothing.
 type AccessChecker struct {
 	nw    *Network
 	lv    *graph.Levels
@@ -142,7 +138,8 @@ func (nw *Network) MajorityAccessInto(ac *AccessChecker, m Masks, rep *MajorityR
 		panic("core: MajorityAccessInto: masks lack this network's traversal bytes; build them with RepairMasksInto or MaskUpdater")
 	}
 	mid := nw.MiddleStage
-	rep.MiddleSize = int(nw.StageSize[mid])
+	first := ac.lv.First()
+	rep.MiddleSize = int(first[mid+1] - first[mid])
 	rep.InputAccess = growInts(rep.InputAccess, len(nw.Inputs()))
 	rep.OutputAccess = growInts(rep.OutputAccess, len(nw.Outputs()))
 	ac.countForward(nw.Inputs(), mid, m.OutAllowed, rep.InputAccess)
@@ -179,31 +176,19 @@ func (ac *AccessChecker) countForward(srcs []int32, targetStage int, allowed []u
 		// into v has already deposited its lanes: one pass suffices.
 		// Vertices at or past the target level receive lane bits but are
 		// never expanded: access counts paths that reach the middle
-		// stage, not paths through it. On level-sorted graphs
-		// (order == nil) positions ARE vertex IDs: the plain-ID sweep.
-		if order == nil {
-			for v := int32(0); v < sweepEnd; v++ {
-				w := words[v]
-				if w == 0 {
-					continue
-				}
-				for idx := start[v]; idx < start[v+1]; idx++ {
-					if allowed[idx]&graph.AdjBlocked == 0 {
-						words[heads[idx]] |= w
-					}
-				}
+		// stage, not paths through it.
+		for p := int32(0); p < sweepEnd; p++ {
+			v := p
+			if order != nil {
+				v = order[p]
 			}
-		} else {
-			for p := int32(0); p < sweepEnd; p++ {
-				v := order[p]
-				w := words[v]
-				if w == 0 {
-					continue
-				}
-				for idx := start[v]; idx < start[v+1]; idx++ {
-					if allowed[idx]&graph.AdjBlocked == 0 {
-						words[heads[idx]] |= w
-					}
+			w := words[v]
+			if w == 0 {
+				continue
+			}
+			for idx := start[v]; idx < start[v+1]; idx++ {
+				if allowed[idx]&graph.AdjBlocked == 0 {
+					words[heads[idx]] |= w
 				}
 			}
 		}
@@ -228,27 +213,18 @@ func (ac *AccessChecker) countBackward(srcs []int32, targetStage int, allowed []
 	for base := 0; base < len(srcs); base += ac.lanes {
 		strip := srcs[base:min(base+ac.lanes, len(srcs))]
 		ac.seed(strip)
-		if order == nil {
-			for v := nPos - 1; v >= midFirst; v-- {
-				w := words[v]
-				for idx := start[v]; idx < start[v+1]; idx++ {
-					if allowed[idx]&graph.AdjBlocked == 0 {
-						w |= words[heads[idx]]
-					}
-				}
-				words[v] = w
+		for p := nPos - 1; p >= midFirst; p-- {
+			v := p
+			if order != nil {
+				v = order[p]
 			}
-		} else {
-			for p := nPos - 1; p >= midFirst; p-- {
-				v := order[p]
-				w := words[v]
-				for idx := start[v]; idx < start[v+1]; idx++ {
-					if allowed[idx]&graph.AdjBlocked == 0 {
-						w |= words[heads[idx]]
-					}
+			w := words[v]
+			for idx := start[v]; idx < start[v+1]; idx++ {
+				if allowed[idx]&graph.AdjBlocked == 0 {
+					w |= words[heads[idx]]
 				}
-				words[v] = w
 			}
+			words[v] = w
 		}
 		ac.tally(targetStage, counts[base:base+len(strip)])
 	}
@@ -285,15 +261,6 @@ func growInts(s []int, n int) []int {
 	if cap(s) < n {
 		//ftlint:ignore hotpath growth fallback on first use; steady-state trials reuse the capacity
 		return make([]int, n)
-	}
-	return s[:n]
-}
-
-// growBools is growInts for []bool; the contents are unspecified and must
-// be overwritten by the caller.
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
 	}
 	return s[:n]
 }

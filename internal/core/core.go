@@ -196,11 +196,10 @@ type Network struct {
 	P Params
 	G *graph.Graph
 
-	// StageSize[s] is the number of vertices on stage s; stages run
-	// 0..4ν.
-	StageSize []int32
 	// MiddleStage is 2ν, the central stage of 𝓜 whose majority
-	// accessibility (Lemma 6) certifies nonblocking routing.
+	// accessibility (Lemma 6) certifies nonblocking routing. Stages are
+	// the graph's levels (graph.Levels), which also give each stage's
+	// width.
 	MiddleStage int
 }
 
@@ -222,19 +221,14 @@ func Build(p Params) (*Network, error) {
 	numStages := 4*nu + 1
 	r := rng.New(p.Seed)
 
-	b := graph.NewBuilder(acct.Vertices, acct.Edges)
+	b := graph.NewBuilder(acct.Edges)
 	stageBase := make([]int32, numStages)
-	stageSize := make([]int32, numStages)
 	for s := 0; s < numStages; s++ {
-		var size int
-		switch {
-		case s == 0 || s == 4*nu:
+		size := n * L
+		if s == 0 || s == 4*nu {
 			size = n
-		default:
-			size = n * L
 		}
-		stageBase[s] = b.AddVertices(int32(s), size)
-		stageSize[s] = int32(size)
+		stageBase[s] = b.AddVertices(size)
 	}
 	for i := 0; i < n; i++ {
 		b.MarkInput(stageBase[0] + int32(i))
@@ -337,7 +331,6 @@ func Build(p Params) (*Network, error) {
 	nw := &Network{
 		P:           p,
 		G:           g,
-		StageSize:   stageSize,
 		MiddleStage: 2 * nu,
 	}
 	if g.NumEdges() != acct.Edges {

@@ -83,8 +83,8 @@ func TestBuildMatchesAccounting(t *testing.T) {
 }
 
 // stageStarts returns the first vertex ID of each stage of nw, read off
-// the graph's leveling: Build numbers vertices stage by stage, so its
-// leveling is the stage assignment over level-sorted IDs.
+// the graph's leveling: Build numbers vertices stage by stage, and its
+// levels are its stages over level-sorted IDs.
 func stageStarts(t *testing.T, nw *Network) []int32 {
 	t.Helper()
 	lv, err := nw.G.Levels()
@@ -101,23 +101,17 @@ func TestBuildStageStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, L := p.N(), p.L()
-	if len(nw.StageSize) != 9 {
-		t.Fatalf("stages = %d", len(nw.StageSize))
+	first := stageStarts(t, nw)
+	if len(first) != 10 {
+		t.Fatalf("stages = %d", len(first)-1)
 	}
-	if int(nw.StageSize[0]) != n || int(nw.StageSize[8]) != n {
+	size := func(s int) int { return int(first[s+1] - first[s]) }
+	if size(0) != n || size(8) != n {
 		t.Fatal("terminal stage sizes wrong")
 	}
 	for s := 1; s < 8; s++ {
-		if int(nw.StageSize[s]) != n*L {
-			t.Fatalf("stage %d size = %d, want %d", s, nw.StageSize[s], n*L)
-		}
-	}
-	// Every vertex carries its stage.
-	first := stageStarts(t, nw)
-	for s := range nw.StageSize {
-		v := first[s]
-		if int(nw.G.Stage(v)) != s {
-			t.Fatalf("stage tag of first vertex of stage %d is %d", s, nw.G.Stage(v))
+		if size(s) != n*L {
+			t.Fatalf("stage %d size = %d, want %d", s, size(s), n*L)
 		}
 	}
 }
@@ -171,8 +165,8 @@ func TestBuildNu1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(nw.StageSize) != 5 {
-		t.Fatalf("nu=1 stages = %d", len(nw.StageSize))
+	if first := stageStarts(t, nw); len(first) != 6 {
+		t.Fatalf("nu=1 stages = %d", len(first)-1)
 	}
 	d, _ := nw.G.Depth()
 	if d != 4 {
@@ -223,10 +217,8 @@ func TestBuildRefusesHuge(t *testing.T) {
 // path to o2 through output o1, which no circuit may use, so WrapGraph
 // refuses the graph with graph.Validate's reason.
 func TestWrapGraphRefusesSwitchOutOfOutput(t *testing.T) {
-	b := graph.NewBuilder(8, 7)
-	for v := 0; v < 8; v++ {
-		b.AddVertex(graph.NoStage)
-	}
+	b := graph.NewBuilder(7)
+	b.AddVertices(8)
 	b.MarkInput(0)
 	b.MarkOutput(5)
 	b.MarkOutput(7)
@@ -244,9 +236,14 @@ func TestMirrorSymmetryOfEdgeCounts(t *testing.T) {
 	p := testParams(2)
 	nw, _ := Build(p)
 	g := nw.G
-	counts := make([]int, len(nw.StageSize)-1)
+	lv, err := g.Levels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stage := lv.PerVertex()
+	counts := make([]int, lv.NumLevels()-1)
 	for e := int32(0); e < int32(g.NumEdges()); e++ {
-		counts[g.Stage(g.EdgeFrom(e))]++
+		counts[stage[g.EdgeFrom(e)]]++
 	}
 	for s := 0; s < len(counts); s++ {
 		mirror := len(counts) - 1 - s

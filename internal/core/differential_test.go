@@ -102,8 +102,7 @@ func refStream(nw *Network, m fault.Model, seed uint64, n, churnOps int) []Trial
 // DAG-unrolled hyperx and circulant interconnects, each wrapped by
 // WrapGraph. The wrapped families deliberately include permuted-sweep
 // graphs (vertex IDs not level-sorted) so every differential grid
-// exercises the level-order paths, not just the historical identity
-// sweeps.
+// exercises the permuted level order, not just the identity order.
 func diffFamilies(t testing.TB) map[string]*Network {
 	t.Helper()
 	fams := map[string]Params{

@@ -62,10 +62,10 @@ func (mu *MaskUpdater) Apply(inst *fault.Instance, m *Masks, diff []int32) []int
 	for _, e := range diff {
 		mu.dirtyV = append(mu.dirtyV, g.EdgeFrom(e), g.EdgeTo(e))
 	}
-	// Usability of a vertex depends only on its incident switches: it is
-	// discarded iff it is a non-terminal touching a failed switch.
+	// Usability of a vertex depends only on its incident switches
+	// (fault.Instance.Discarded).
 	for _, v := range mu.dirtyV {
-		ok := g.IsTerminal(v) || !hasFailedIncident(inst, g, v)
+		ok := !inst.Discarded(v)
 		//ftlint:ignore seamcontract audited: the mask maintainer itself — it derives the masks and traversal bytes everyone else reads
 		if ok == m.VertexOK[v] {
 			continue
@@ -77,9 +77,7 @@ func (mu *MaskUpdater) Apply(inst *fault.Instance, m *Masks, diff []int32) []int
 		mu.dirtyE = append(mu.dirtyE, g.InEdges(v)...)
 	}
 	for _, e := range mu.dirtyE {
-		u, w := g.EdgeFrom(e), g.EdgeTo(e)
-		//ftlint:ignore seamcontract audited: the mask maintainer itself — it derives the masks and traversal bytes everyone else reads
-		ok := inst.Edge[e] == fault.Normal && m.VertexOK[u] && m.VertexOK[w]
+		ok := inst.RepairedEdgeUsable(m.VertexOK, e)
 		m.EdgeOK[e] = ok
 		// Only the AdjBlocked bit moves; the static AdjTerminal bit stays.
 		slot := g.OutSlot(e)
@@ -97,20 +95,3 @@ func (mu *MaskUpdater) Apply(inst *fault.Instance, m *Masks, diff []int32) []int
 // derived state incrementally (route.Engine.MasksChangedDiff). Valid
 // until the next Apply.
 func (mu *MaskUpdater) ChangedVertices() []int32 { return mu.flipped }
-
-// hasFailedIncident reports whether any switch incident to v failed.
-func hasFailedIncident(inst *fault.Instance, g *graph.Graph, v int32) bool {
-	for _, e := range g.OutEdges(v) {
-		//ftlint:ignore seamcontract audited: mask-maintainer helper reading raw fault state to derive vertex usability
-		if inst.Edge[e] != fault.Normal {
-			return true
-		}
-	}
-	for _, e := range g.InEdges(v) {
-		//ftlint:ignore seamcontract audited: mask-maintainer helper reading raw fault state to derive vertex usability
-		if inst.Edge[e] != fault.Normal {
-			return true
-		}
-	}
-	return false
-}

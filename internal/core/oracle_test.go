@@ -63,7 +63,12 @@ func (o *accessOracle) count(src, target int32, forward bool, m Masks) int {
 func (o *accessOracle) majorityAccess(m Masks, rep *MajorityReport) {
 	nw := o.nw
 	mid := int32(nw.MiddleStage)
-	rep.MiddleSize = int(nw.StageSize[mid])
+	rep.MiddleSize = 0
+	for _, l := range o.level {
+		if l == mid {
+			rep.MiddleSize++
+		}
+	}
 	rep.InputAccess = rep.InputAccess[:0]
 	rep.OutputAccess = rep.OutputAccess[:0]
 	need := rep.MiddleSize/2 + 1

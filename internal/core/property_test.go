@@ -50,9 +50,14 @@ func TestQuickConstructionInvariants(t *testing.T) {
 		if err != nil || d != 4*p.Nu {
 			return false
 		}
-		// (4) Stages are consecutive: every switch joins stage s to s+1.
+		// (4) Levels are consecutive: every switch joins level s to s+1.
+		lv, err := g.Levels()
+		if err != nil {
+			return false
+		}
+		stage := lv.PerVertex()
 		for e := int32(0); e < int32(g.NumEdges()); e++ {
-			if g.Stage(g.EdgeTo(e))-g.Stage(g.EdgeFrom(e)) != 1 {
+			if stage[g.EdgeTo(e)]-stage[g.EdgeFrom(e)] != 1 {
 				return false
 			}
 		}
@@ -65,7 +70,7 @@ func TestQuickConstructionInvariants(t *testing.T) {
 		// (6) Mirror symmetry of per-transition edge counts.
 		counts := make([]int, 4*p.Nu)
 		for e := int32(0); e < int32(g.NumEdges()); e++ {
-			counts[g.Stage(g.EdgeFrom(e))]++
+			counts[stage[g.EdgeFrom(e)]]++
 		}
 		for s := range counts {
 			if counts[s] != counts[len(counts)-1-s] {

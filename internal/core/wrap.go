@@ -9,12 +9,12 @@ import (
 // WrapGraph adapts an arbitrary acyclic terminal network — an expander
 // chain, a hammock substitution, a Mirror() image, a hyperx or circulant
 // unrolling — to the certification machinery built for 𝒩: the graph's
-// topological levels (graph.Levels) play the role of stages, StageSize
-// holds the per-level vertex counts, and MiddleStage is the central level
-// ⌊L/2⌋, so MajorityAccess measures every terminal's access to a majority
-// of the middle level exactly as Lemma 6 does for 𝒩's middle stage. The
-// word-parallel AccessChecker, the evaluator pipeline, and the churn
-// engines all run unmodified on the wrapped network.
+// topological levels (graph.Levels) play the role of stages, and
+// MiddleStage is the central level ⌊L/2⌋, so MajorityAccess measures
+// every terminal's access to a majority of the middle level exactly as
+// Lemma 6 does for 𝒩's middle stage. The word-parallel AccessChecker,
+// the evaluator pipeline, and the churn engines all run unmodified on the
+// wrapped network.
 //
 // P is left zero: the wrapped network has no 𝒩 parameters, so
 // 𝒩-specific measurements (Lemma 3's grid access, Theorem-2 bounds) do
@@ -37,14 +37,8 @@ func WrapGraph(g *graph.Graph) (*Network, error) {
 	if L < 2 {
 		return nil, fmt.Errorf("core: WrapGraph: %d levels; need at least an input and an output level", L)
 	}
-	first := lv.First()
-	sizes := make([]int32, L)
-	for l := 0; l < L; l++ {
-		sizes[l] = first[l+1] - first[l]
-	}
 	return &Network{
 		G:           g,
-		StageSize:   sizes,
 		MiddleStage: L / 2,
 	}, nil
 }

@@ -165,8 +165,8 @@ func TestPaperExpansionRatioAtScaledDegree(t *testing.T) {
 func TestAddToBuilder(t *testing.T) {
 	r := rng.New(5)
 	b := RandomMatchings(4, 2, r)
-	gb := graph.NewBuilder(8, 8)
-	gb.AddVertices(graph.NoStage, 8)
+	gb := graph.NewBuilder(8)
+	gb.AddVertices(8)
 	added := b.AddToBuilder(gb, 0, 4)
 	g := gb.Freeze()
 	if added != 8 || g.NumEdges() != 8 {
@@ -187,8 +187,8 @@ func TestAddToBuilder(t *testing.T) {
 func TestAddToBuilderReversed(t *testing.T) {
 	r := rng.New(6)
 	b := RandomMatchings(4, 2, r)
-	gb := graph.NewBuilder(8, 8)
-	gb.AddVertices(graph.NoStage, 8)
+	gb := graph.NewBuilder(8)
+	gb.AddVertices(8)
 	b.AddToBuilderReversed(gb, 0, 4)
 	g := gb.Freeze()
 	for v := int32(0); v < 4; v++ {

@@ -84,10 +84,10 @@ func E14FamilyZoo(mode Mode) Result {
 	}
 
 	// Structure: which sweep each family takes. "identity" means vertex
-	// IDs are level-sorted and the sweeps are the historical plain-ID loops;
-	// "permuted" means they walk the cached level order. Every family has
-	// a leveling (WrapGraph rejects the rest), so the word-parallel
-	// certifier runs on all of them.
+	// IDs are level-sorted, so a sweep position is its vertex ID;
+	// "permuted" means positions map to vertices through the cached level
+	// order. Every family has a leveling (WrapGraph rejects the rest), so
+	// the word-parallel certifier runs on all of them.
 	structure := stats.NewTable("family", "in×out", "vertices", "switches", "levels", "sweep")
 	for _, f := range fams {
 		g := f.nw.G

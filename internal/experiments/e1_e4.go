@@ -233,12 +233,12 @@ func E4ExpanderFaultTails(mode Mode) Result {
 // newBipartiteGraph materializes a Bipartite as a 2t-vertex graph.Graph
 // with inlets marked as inputs and outlets as outputs.
 func newBipartiteGraph(b *expander.Bipartite) *graph.Graph {
-	gb := graph.NewBuilder(2*b.T, b.NumEdges())
+	gb := graph.NewBuilder(b.NumEdges())
 	for i := 0; i < b.T; i++ {
-		gb.MarkInput(gb.AddVertex(0))
+		gb.MarkInput(gb.AddVertex())
 	}
 	for o := 0; o < b.T; o++ {
-		gb.MarkOutput(gb.AddVertex(1))
+		gb.MarkOutput(gb.AddVertex())
 	}
 	b.AddToBuilder(gb, 0, int32(b.T))
 	return gb.Freeze()

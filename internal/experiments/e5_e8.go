@@ -48,11 +48,16 @@ func E5MajorityAccess(mode Mode) Result {
 	for _, nu := range nus {
 		p := scaledParams(nu)
 		nw, err := core.Build(p)
+		var lv *graph.Levels
+		if err == nil {
+			lv, err = nw.G.Levels()
+		}
 		if err != nil {
 			res.Notes = append(res.Notes, fmt.Sprintf("ν=%d: %v", nu, err))
 			continue
 		}
-		mid := float64(nw.StageSize[nw.MiddleStage])
+		first := lv.First()
+		mid := float64(first[nw.MiddleStage+1] - first[nw.MiddleStage])
 		for _, eps := range []float64{0.001, 0.005, 0.02} {
 			// Per-worker batched evaluators and per-worker minima: blocks
 			// of fault draws are filled at once (StartBlock) and consumed

@@ -13,9 +13,9 @@ import (
 // bigEdgeGraph returns a 2-vertex multigraph with m parallel switches —
 // the marginal-rate test bed (mirrors TestInjectRateMatchesEps).
 func bigEdgeGraph(m int) *graph.Graph {
-	b := graph.NewBuilder(2, m)
-	u := b.AddVertex(graph.NoStage)
-	v := b.AddVertex(graph.NoStage)
+	b := graph.NewBuilder(m)
+	u := b.AddVertex()
+	v := b.AddVertex()
 	for i := 0; i < m; i++ {
 		b.AddEdge(u, v)
 	}

@@ -234,11 +234,44 @@ func (inst *Instance) RepairInto(usable []bool) []bool {
 	return usable
 }
 
+// Discarded reports whether the repair rule discards v: v is not a
+// terminal and a switch incident to v failed. It is Repair's rule for one
+// vertex, for mask maintainers that recompute only the vertices a fault
+// diff touched; its body stays within the inliner's budget, so their
+// per-vertex loops pay no call.
+func (inst *Instance) Discarded(v int32) bool {
+	if inst.G.IsTerminal(v) {
+		return false
+	}
+	for _, e := range inst.G.OutEdges(v) {
+		if inst.Edge[e] != Normal {
+			return true
+		}
+	}
+	for _, e := range inst.G.InEdges(v) {
+		if inst.Edge[e] != Normal {
+			return true
+		}
+	}
+	return false
+}
+
 // RepairedEdgeUsable reports whether edge e is traversable on the repaired
 // network given the usable mask returned by Repair: the switch must be
 // normal and both endpoints usable.
 func (inst *Instance) RepairedEdgeUsable(usable []bool, e int32) bool {
 	return inst.Edge[e] == Normal && usable[inst.G.EdgeFrom(e)] && usable[inst.G.EdgeTo(e)]
+}
+
+// RepairedEdgesInto writes RepairedEdgeUsable(usable, e) for every edge e
+// into edgeOK, which is grown if needed and returned; passing the previous
+// trial's slice makes the call allocation-free.
+func (inst *Instance) RepairedEdgesInto(usable, edgeOK []bool) []bool {
+	edgeOK = growBools(edgeOK, len(inst.Edge))
+	for e := range edgeOK {
+		edgeOK[e] = inst.RepairedEdgeUsable(usable, int32(e))
+	}
+	return edgeOK
 }
 
 // growBools resizes s to n elements, reusing capacity when possible; the
@@ -426,16 +459,12 @@ func (inst *Instance) IsolatedPairWith(sc *Scratch) (in, out int32) {
 	return -1, -1
 }
 
-// SurvivesBasicChecks reports whether the instance passes both necessary
-// conditions for containing a working network: no two terminals shorted and
-// no input/output pair isolated. This is the cheap necessary test used for
-// baseline networks in experiment E8; the full sufficient verification for
-// Network 𝒩 lives in package core.
-func (inst *Instance) SurvivesBasicChecks() bool {
-	return inst.SurvivesBasicChecksWith(NewScratch(inst.G))
-}
-
-// SurvivesBasicChecksWith is SurvivesBasicChecks using caller-owned scratch.
+// SurvivesBasicChecksWith reports whether the instance passes both
+// necessary conditions for containing a working network: no two terminals
+// shorted and no input/output pair isolated. This is the cheap necessary
+// test used for baseline networks in experiment E8 and ftsim; the full
+// sufficient verification for Network 𝒩 lives in package core. sc is
+// caller-owned scratch for inst's graph.
 func (inst *Instance) SurvivesBasicChecksWith(sc *Scratch) bool {
 	if a, _ := inst.ShortedTerminalsWith(sc); a >= 0 {
 		return false

@@ -10,11 +10,11 @@ import (
 
 // line builds in -> a -> b -> out (3 switches in series).
 func line() *graph.Graph {
-	b := graph.NewBuilder(4, 3)
-	in := b.AddVertex(0)
-	va := b.AddVertex(1)
-	vb := b.AddVertex(2)
-	out := b.AddVertex(3)
+	b := graph.NewBuilder(3)
+	in := b.AddVertex()
+	va := b.AddVertex()
+	vb := b.AddVertex()
+	out := b.AddVertex()
 	b.AddEdge(in, va)
 	b.AddEdge(va, vb)
 	b.AddEdge(vb, out)
@@ -25,11 +25,11 @@ func line() *graph.Graph {
 
 // twoInputs builds in0 -> m <- in1 plus m -> out: two inputs sharing a link.
 func twoInputs() *graph.Graph {
-	b := graph.NewBuilder(4, 3)
-	in0 := b.AddVertex(0)
-	in1 := b.AddVertex(0)
-	m := b.AddVertex(1)
-	out := b.AddVertex(2)
+	b := graph.NewBuilder(3)
+	in0 := b.AddVertex()
+	in1 := b.AddVertex()
+	m := b.AddVertex()
+	out := b.AddVertex()
 	b.AddEdge(in0, m)
 	b.AddEdge(in1, m)
 	b.AddEdge(m, out)
@@ -73,7 +73,7 @@ func TestInjectZeroEps(t *testing.T) {
 	if inst.NumFailed() != 0 {
 		t.Fatalf("failures with ε=0: %d", inst.NumFailed())
 	}
-	if !inst.SurvivesBasicChecks() {
+	if !inst.SurvivesBasicChecksWith(NewScratch(g)) {
 		t.Fatal("fault-free network failed basic checks")
 	}
 }
@@ -91,9 +91,9 @@ func TestInjectAllOpen(t *testing.T) {
 
 func TestInjectRateMatchesEps(t *testing.T) {
 	// Big graph, check empirical failure rates for both regimes of Reinject.
-	b := graph.NewBuilder(2, 20000)
-	u := b.AddVertex(graph.NoStage)
-	v := b.AddVertex(graph.NoStage)
+	b := graph.NewBuilder(20000)
+	u := b.AddVertex()
+	v := b.AddVertex()
 	for i := 0; i < 20000; i++ {
 		b.AddEdge(u, v)
 	}
@@ -228,11 +228,11 @@ func TestClosedEdgesConduct(t *testing.T) {
 func TestClosedEdgesConductBackwards(t *testing.T) {
 	// Contraction is undirected: with b<-a closed, a path in0 -> m ... can
 	// route through the merged node even against edge direction.
-	b := graph.NewBuilder(5, 4)
-	in := b.AddVertex(0)
-	x := b.AddVertex(1)
-	y := b.AddVertex(1)
-	out := b.AddVertex(2)
+	b := graph.NewBuilder(4)
+	in := b.AddVertex()
+	x := b.AddVertex()
+	y := b.AddVertex()
+	out := b.AddVertex()
 	b.AddEdge(in, x)
 	b.AddEdge(y, x) // directed y->x; closing it merges x,y
 	b.AddEdge(y, out)
@@ -253,16 +253,17 @@ func TestClosedEdgesConductBackwards(t *testing.T) {
 func TestSurvivesBasicChecks(t *testing.T) {
 	g := twoInputs()
 	inst := NewInstance(g)
-	if !inst.SurvivesBasicChecks() {
+	sc := NewScratch(g)
+	if !inst.SurvivesBasicChecksWith(sc) {
 		t.Fatal("healthy network fails")
 	}
 	inst.SetState(0, Open)
-	if inst.SurvivesBasicChecks() {
+	if inst.SurvivesBasicChecksWith(sc) {
 		t.Fatal("isolated input not caught")
 	}
 	inst.SetState(0, Closed)
 	inst.SetState(1, Closed)
-	if inst.SurvivesBasicChecks() {
+	if inst.SurvivesBasicChecksWith(sc) {
 		t.Fatal("shorted inputs not caught")
 	}
 }
@@ -312,9 +313,9 @@ func TestAsymmetricModelClosedOnly(t *testing.T) {
 }
 
 func TestAsymmetricRates(t *testing.T) {
-	b := graph.NewBuilder(2, 10000)
-	u := b.AddVertex(graph.NoStage)
-	v := b.AddVertex(graph.NoStage)
+	b := graph.NewBuilder(10000)
+	u := b.AddVertex()
+	v := b.AddVertex()
 	for i := 0; i < 10000; i++ {
 		b.AddEdge(u, v)
 	}

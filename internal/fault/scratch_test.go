@@ -12,10 +12,10 @@ import (
 func testGraph(t testing.TB) *graph.Graph {
 	t.Helper()
 	const n = 4
-	b := graph.NewBuilder(4*n, 3*n*n)
+	b := graph.NewBuilder(3 * n * n)
 	for s := int32(0); s < 4; s++ {
 		for i := 0; i < n; i++ {
-			v := b.AddVertex(s)
+			v := b.AddVertex()
 			if s == 0 {
 				b.MarkInput(v)
 			}
@@ -56,7 +56,7 @@ func TestScratchWitnessesMatchAllocating(t *testing.T) {
 		if i1 != i2 || o1 != o2 {
 			t.Fatalf("trial %d: IsolatedPair (%d,%d) != With (%d,%d)", i, i1, o1, i2, o2)
 		}
-		if inst.SurvivesBasicChecks() != inst.SurvivesBasicChecksWith(sc) {
+		if inst.SurvivesBasicChecksWith(NewScratch(g)) != inst.SurvivesBasicChecksWith(sc) {
 			t.Fatalf("trial %d: SurvivesBasicChecks mismatch", i)
 		}
 	}

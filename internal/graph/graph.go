@@ -13,6 +13,13 @@
 // masks, busy flags, frontiers — lives in the consumer packages, indexed by
 // the dense vertex and edge IDs handed out here, so a single frozen topology
 // can back many concurrent Monte-Carlo trials.
+//
+// A vertex carries no stage label. The one notion of depth in the
+// repository is Levels, Kahn's longest-path leveling, computed the same
+// way for every graph. A staged construction's stages are its levels,
+// because every switch steps one stage forward and every vertex past the
+// first stage has a switch in; and it lays vertex IDs out stage by stage,
+// so its sweeps visit plain vertex IDs.
 package graph
 
 import (
@@ -21,42 +28,35 @@ import (
 	"sync"
 )
 
-// NoStage marks a vertex that does not belong to a staged construction.
-const NoStage = int32(-1)
-
 // Builder accumulates vertices and edges and freezes them into a Graph.
 // The zero value is ready to use.
 type Builder struct {
-	stage    []int32
+	n        int32 // vertices added so far
 	edgeFrom []int32
 	edgeTo   []int32
 	inputs   []int32
 	outputs  []int32
 }
 
-// NewBuilder returns a Builder with capacity hints for vertices and edges.
-func NewBuilder(vertexHint, edgeHint int) *Builder {
+// NewBuilder returns a Builder with a capacity hint for edges.
+func NewBuilder(edgeHint int) *Builder {
 	return &Builder{
-		stage:    make([]int32, 0, vertexHint),
 		edgeFrom: make([]int32, 0, edgeHint),
 		edgeTo:   make([]int32, 0, edgeHint),
 	}
 }
 
-// AddVertex creates a vertex on the given stage (use NoStage for unstaged
-// graphs) and returns its ID.
-func (b *Builder) AddVertex(stage int32) int32 {
-	b.stage = append(b.stage, stage)
-	return int32(len(b.stage) - 1)
+// AddVertex creates a vertex and returns its ID.
+func (b *Builder) AddVertex() int32 {
+	b.n++
+	return b.n - 1
 }
 
-// AddVertices creates k vertices on the given stage and returns the ID of
-// the first; IDs are contiguous.
-func (b *Builder) AddVertices(stage int32, k int) int32 {
-	first := int32(len(b.stage))
-	for i := 0; i < k; i++ {
-		b.stage = append(b.stage, stage)
-	}
+// AddVertices creates k vertices and returns the ID of the first; IDs are
+// contiguous.
+func (b *Builder) AddVertices(k int) int32 {
+	first := b.n
+	b.n += int32(k)
 	return first
 }
 
@@ -64,7 +64,7 @@ func (b *Builder) AddVertices(stage int32, k int) int32 {
 // are permitted (the probabilistic expander constructions produce them) and
 // are electrically meaningful: parallel switches fail independently.
 func (b *Builder) AddEdge(u, v int32) int32 {
-	n := int32(len(b.stage))
+	n := b.n
 	if u < 0 || u >= n || v < 0 || v >= n {
 		panic(fmt.Sprintf("graph: AddEdge(%d,%d) out of range n=%d", u, v, n))
 	}
@@ -82,10 +82,9 @@ func (b *Builder) MarkOutput(v int32) { b.outputs = append(b.outputs, v) }
 // Freeze converts the accumulated topology into an immutable Graph.
 // The Builder must not be used afterwards.
 func (b *Builder) Freeze() *Graph {
-	n := len(b.stage)
+	n := int(b.n)
 	m := len(b.edgeFrom)
 	g := &Graph{
-		stage:    b.stage,
 		edgeFrom: b.edgeFrom,
 		edgeTo:   b.edgeTo,
 		inputs:   b.inputs,
@@ -137,7 +136,6 @@ func (b *Builder) Freeze() *Graph {
 // Graph is an immutable directed multigraph in CSR form. Vertex IDs are
 // dense in [0, NumVertices()); edge IDs are dense in [0, NumEdges()).
 type Graph struct {
-	stage      []int32
 	edgeFrom   []int32
 	edgeTo     []int32
 	inputs     []int32
@@ -151,9 +149,7 @@ type Graph struct {
 	outSlot    []int32 // outSlot[e] = position of e in outEdges
 	vertexRole []uint8 // per-vertex terminal role bits (roleInput, roleOutput)
 
-	// Lazily computed topological-level metadata (see Levels). Mirror
-	// pre-seeds levels/levelsErr with the assignment derived from the
-	// original; the Once then keeps whatever is already there.
+	// Lazily computed topological-level metadata (see Levels).
 	levelsOnce sync.Once
 	levels     *Levels
 	levelsErr  error
@@ -164,7 +160,7 @@ type Graph struct {
 }
 
 // NumVertices returns the vertex count.
-func (g *Graph) NumVertices() int { return len(g.stage) }
+func (g *Graph) NumVertices() int { return len(g.vertexRole) }
 
 // NumEdges returns the edge (switch) count — the paper's "size" measure.
 func (g *Graph) NumEdges() int { return len(g.edgeFrom) }
@@ -195,9 +191,6 @@ func (g *Graph) IsInput(v int32) bool {
 func (g *Graph) IsOutput(v int32) bool {
 	return uint32(v) < uint32(len(g.vertexRole)) && g.vertexRole[v]&roleOutput != 0
 }
-
-// Stage returns the stage of v, or NoStage.
-func (g *Graph) Stage(v int32) int32 { return g.stage[v] }
 
 // EdgeFrom returns the tail of edge e.
 func (g *Graph) EdgeFrom(e int32) int32 { return g.edgeFrom[e] }
@@ -311,30 +304,12 @@ func (g *Graph) MaxDegree() int {
 // Mirror returns the mirror image of g in the paper's sense: inputs and
 // outputs are exchanged and every edge is reversed. Vertex and edge IDs are
 // preserved, so fault states computed for g apply verbatim to the mirror.
-//
-// The mirror's topological levels are derived from the original rather
-// than recomputed: reversing every edge reflects a valid leveling, so the
-// mirror's level of v is maxLevel − level(v). Mirrors of acyclic graphs
-// are therefore always levelable — including mirrors of unstaged graphs —
-// and keep every level-gated fast path.
+// The mirror of an acyclic graph is acyclic, and Levels levels it like any
+// other graph.
 func (g *Graph) Mirror() *Graph {
-	n := g.NumVertices()
-	m := g.NumEdges()
-	b := NewBuilder(n, m)
-	maxStage := int32(-1)
-	for _, s := range g.stage {
-		if s > maxStage {
-			maxStage = s
-		}
-	}
-	for v := 0; v < n; v++ {
-		s := g.stage[v]
-		if s != NoStage && maxStage >= 0 {
-			s = maxStage - s
-		}
-		b.AddVertex(s)
-	}
-	for e := int32(0); e < int32(m); e++ {
+	b := NewBuilder(g.NumEdges())
+	b.AddVertices(g.NumVertices())
+	for e := range g.edgeFrom {
 		b.AddEdge(g.edgeTo[e], g.edgeFrom[e])
 	}
 	for _, v := range g.outputs {
@@ -343,52 +318,16 @@ func (g *Graph) Mirror() *Graph {
 	for _, v := range g.inputs {
 		b.MarkOutput(v)
 	}
-	mg := b.Freeze()
-	if lv, err := g.Levels(); err == nil {
-		mg.levels = lv.mirrored()
-	}
-	return mg
-}
-
-// TopoOrder returns a topological order of the vertices, or an error if the
-// graph has a directed cycle. Kahn's algorithm; ties resolved by vertex ID
-// so the order is deterministic.
-func (g *Graph) TopoOrder() ([]int32, error) {
-	n := g.NumVertices()
-	indeg := make([]int32, n)
-	for _, v := range g.edgeTo {
-		indeg[v]++
-	}
-	order := make([]int32, 0, n)
-	queue := make([]int32, 0, n)
-	for v := int32(0); v < int32(n); v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, e := range g.OutEdges(v) {
-			w := g.edgeTo[e]
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("graph: directed cycle detected (%d of %d vertices ordered)", len(order), n)
-	}
-	return order, nil
+	return b.Freeze()
 }
 
 // Depth returns the largest number of switches on any directed path from an
-// input to an output — the paper's "depth" measure. It returns an error if
-// the graph is cyclic. Unreachable outputs contribute nothing.
+// input to an output — the paper's "depth" measure. It returns Levels'
+// error if the graph is cyclic. Unreachable outputs contribute nothing.
+// The longest-path recurrence runs over the cached level order, in which
+// every edge points forward.
 func (g *Graph) Depth() (int, error) {
-	order, err := g.TopoOrder()
+	lv, err := g.Levels()
 	if err != nil {
 		return 0, err
 	}
@@ -400,18 +339,18 @@ func (g *Graph) Depth() (int, error) {
 	for _, v := range g.inputs {
 		dist[v] = 0
 	}
-	best := int32(0)
-	for _, v := range order {
+	for p := range dist {
+		v := lv.At(int32(p))
 		if dist[v] == unset {
 			continue
 		}
-		for _, e := range g.OutEdges(v) {
-			w := g.edgeTo[e]
+		for _, w := range g.outHeads[g.outStart[v]:g.outStart[v+1]] {
 			if d := dist[v] + 1; d > dist[w] {
 				dist[w] = d
 			}
 		}
 	}
+	best := int32(0)
 	for _, v := range g.outputs {
 		if dist[v] > best {
 			best = dist[v]

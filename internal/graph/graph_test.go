@@ -10,11 +10,11 @@ import (
 
 // diamond builds the 4-vertex diamond: in -> a,b -> out.
 func diamond() *Graph {
-	b := NewBuilder(4, 4)
-	in := b.AddVertex(0)
-	a := b.AddVertex(1)
-	c := b.AddVertex(1)
-	out := b.AddVertex(2)
+	b := NewBuilder(4)
+	in := b.AddVertex()
+	a := b.AddVertex()
+	c := b.AddVertex()
+	out := b.AddVertex()
 	b.AddEdge(in, a)
 	b.AddEdge(in, c)
 	b.AddEdge(a, out)
@@ -71,10 +71,10 @@ func TestDepth(t *testing.T) {
 
 func TestDepthLongestPath(t *testing.T) {
 	// in -> a -> out and in -> out directly: depth must be 2, not 1.
-	b := NewBuilder(3, 3)
-	in := b.AddVertex(NoStage)
-	a := b.AddVertex(NoStage)
-	out := b.AddVertex(NoStage)
+	b := NewBuilder(3)
+	in := b.AddVertex()
+	a := b.AddVertex()
+	out := b.AddVertex()
 	b.AddEdge(in, a)
 	b.AddEdge(a, out)
 	b.AddEdge(in, out)
@@ -90,16 +90,13 @@ func TestDepthLongestPath(t *testing.T) {
 	}
 }
 
-func TestTopoOrderDetectsCycle(t *testing.T) {
-	b := NewBuilder(2, 2)
-	u := b.AddVertex(NoStage)
-	v := b.AddVertex(NoStage)
+func TestDepthDetectsCycle(t *testing.T) {
+	b := NewBuilder(2)
+	u := b.AddVertex()
+	v := b.AddVertex()
 	b.AddEdge(u, v)
 	b.AddEdge(v, u)
 	g := b.Freeze()
-	if _, err := g.TopoOrder(); err == nil {
-		t.Fatal("cycle not detected")
-	}
 	if _, err := g.Depth(); err == nil {
 		t.Fatal("Depth on cyclic graph did not error")
 	}
@@ -121,9 +118,13 @@ func TestMirror(t *testing.T) {
 	if m.Inputs()[0] != g.Outputs()[0] || m.Outputs()[0] != g.Inputs()[0] {
 		t.Fatal("mirror did not swap terminals")
 	}
-	// Stages reversed: input (stage 0) becomes stage 2.
-	if m.Stage(g.Inputs()[0]) != 2 {
-		t.Fatalf("mirror stage = %d", m.Stage(g.Inputs()[0]))
+	// Levels reversed: the input (level 0) becomes level 2.
+	mlv, err := m.Levels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := mlv.PerVertex()[g.Inputs()[0]]; l != 2 {
+		t.Fatalf("mirror level of the input = %d", l)
 	}
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
@@ -153,10 +154,10 @@ func TestUndirectedDistances(t *testing.T) {
 
 func TestUndirectedDistancesIgnoreDirection(t *testing.T) {
 	// a -> b <- c: undirected distance a..c is 2 even though no directed path.
-	b := NewBuilder(3, 2)
-	va := b.AddVertex(NoStage)
-	vb := b.AddVertex(NoStage)
-	vc := b.AddVertex(NoStage)
+	b := NewBuilder(2)
+	va := b.AddVertex()
+	vb := b.AddVertex()
+	vc := b.AddVertex()
 	b.AddEdge(va, vb)
 	b.AddEdge(vc, vb)
 	g := b.Freeze()
@@ -184,9 +185,9 @@ func TestReachableFromWithMask(t *testing.T) {
 }
 
 func TestValidateRejectsBadTerminals(t *testing.T) {
-	b := NewBuilder(2, 1)
-	u := b.AddVertex(NoStage)
-	v := b.AddVertex(NoStage)
+	b := NewBuilder(1)
+	u := b.AddVertex()
+	v := b.AddVertex()
 	b.AddEdge(u, v)
 	b.MarkInput(v) // v has in-degree 1: invalid input
 	b.MarkOutput(u)
@@ -197,8 +198,8 @@ func TestValidateRejectsBadTerminals(t *testing.T) {
 }
 
 func TestValidateRejectsOverlap(t *testing.T) {
-	b := NewBuilder(1, 0)
-	v := b.AddVertex(NoStage)
+	b := NewBuilder(0)
+	v := b.AddVertex()
 	b.MarkInput(v)
 	b.MarkOutput(v)
 	g := b.Freeze()
@@ -225,17 +226,15 @@ func TestComputeStats(t *testing.T) {
 }
 
 // Property test: on random DAGs (edges always from lower to higher ID),
-// TopoOrder succeeds and respects all edges, and Depth is bounded by the
-// vertex count.
+// Levels succeeds and its order respects all edges, and Depth is bounded
+// by the vertex count.
 func TestQuickRandomDAG(t *testing.T) {
 	r := rng.New(1234)
 	f := func(seed uint32) bool {
 		rr := r.Split(uint64(seed))
 		n := 2 + rr.Intn(40)
-		b := NewBuilder(n, n*2)
-		for i := 0; i < n; i++ {
-			b.AddVertex(NoStage)
-		}
+		b := NewBuilder(n * 2)
+		b.AddVertices(n)
 		m := rr.Intn(3 * n)
 		for i := 0; i < m; i++ {
 			u := rr.Intn(n - 1)
@@ -245,13 +244,13 @@ func TestQuickRandomDAG(t *testing.T) {
 		b.MarkInput(0)
 		b.MarkOutput(int32(n - 1))
 		g := b.Freeze()
-		order, err := g.TopoOrder()
+		lv, err := g.Levels()
 		if err != nil {
 			return false
 		}
 		pos := make([]int, n)
-		for i, v := range order {
-			pos[v] = i
+		for i := range pos {
+			pos[lv.At(int32(i))] = i
 		}
 		for e := int32(0); e < int32(g.NumEdges()); e++ {
 			if pos[g.EdgeFrom(e)] >= pos[g.EdgeTo(e)] {
@@ -272,8 +271,8 @@ func TestAddEdgeOutOfRangePanics(t *testing.T) {
 			t.Fatal("AddEdge out of range did not panic")
 		}
 	}()
-	b := NewBuilder(1, 1)
-	b.AddVertex(NoStage)
+	b := NewBuilder(1)
+	b.AddVertex()
 	b.AddEdge(0, 5)
 }
 
@@ -391,59 +390,55 @@ func checkLevels(t *testing.T, g *Graph, lv *Levels) {
 }
 
 func TestLevelsStagedSorted(t *testing.T) {
-	b := NewBuilder(8, 8)
-	// Stage 0: v0,v1; stage 1: v2,v3,v4; stage 3: v5 (stage 2 empty).
-	v0 := b.AddVertex(0)
-	v1 := b.AddVertex(0)
-	v2 := b.AddVertex(1)
-	b.AddVertex(1)
-	v4 := b.AddVertex(1)
-	v5 := b.AddVertex(3)
+	// IDs laid out in the stage order a caller might intend — stage 0:
+	// v0,v1; stage 1: v2,v3,v4; stage 3: v5 — but the levels are what the
+	// switches say: the 1→3 skip closes up (v5 sits on level 2), and v3,
+	// with no switch in, sits on level 0, so the order moves it forward.
+	b := NewBuilder(8)
+	v0 := b.AddVertex()
+	v1 := b.AddVertex()
+	v2 := b.AddVertex()
+	b.AddVertex()
+	v4 := b.AddVertex()
+	v5 := b.AddVertex()
 	b.AddEdge(v0, v2)
 	b.AddEdge(v1, v4)
-	b.AddEdge(v2, v5) // stage 1 -> 3 skip is still strictly increasing
+	b.AddEdge(v2, v5)
 	g := b.Freeze()
 	lv, err := g.Levels()
 	if err != nil {
 		t.Fatalf("Levels: %v", err)
 	}
-	// Stage-derived assignment, identity order: First() holds the old
-	// stage-layout prefix sums over vertex IDs.
-	if !lv.Sorted() {
-		t.Fatal("stage-sorted graph should have identity order")
-	}
-	want := []int32{0, 2, 5, 5, 6}
-	first := lv.First()
-	if len(first) != len(want) {
-		t.Fatalf("first = %v, want %v", first, want)
-	}
-	for i := range want {
-		if first[i] != want[i] {
-			t.Fatalf("first = %v, want %v", first, want)
+	equal := func(name string, got, want []int32) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s = %v, want %v", name, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s = %v, want %v", name, got, want)
+			}
 		}
 	}
-	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		if lv.PerVertex()[v] != g.Stage(v) {
-			t.Fatalf("vertex %d: level %d != stage %d", v, lv.PerVertex()[v], g.Stage(v))
-		}
-	}
+	equal("levels", lv.PerVertex(), []int32{0, 0, 1, 0, 1, 2})
+	equal("first", lv.First(), []int32{0, 3, 5, 6})
+	equal("order", lv.Order(), []int32{0, 1, 3, 2, 4, 5})
 	checkLevels(t, g, lv)
 	// Idempotent (cached) and shared.
 	again, err := g.Levels()
 	if err != nil || again != lv {
 		t.Fatal("Levels not cached")
 	}
-	_ = v5
 }
 
 func TestLevelsLongestPath(t *testing.T) {
-	// Unstaged diamond with a long arm; IDs deliberately not level-sorted.
-	b := NewBuilder(8, 8)
-	sink := b.AddVertex(NoStage) // v0, level 3
-	src := b.AddVertex(NoStage)  // v1, level 0
-	a := b.AddVertex(NoStage)    // v2, level 1
-	c := b.AddVertex(NoStage)    // v3, level 1
-	d := b.AddVertex(NoStage)    // v4, level 2 (via a)
+	// Diamond with a long arm; IDs deliberately not level-sorted.
+	b := NewBuilder(8)
+	sink := b.AddVertex() // v0, level 3
+	src := b.AddVertex()  // v1, level 0
+	a := b.AddVertex()    // v2, level 1
+	c := b.AddVertex()    // v3, level 1
+	d := b.AddVertex()    // v4, level 2 (via a)
 	b.AddEdge(src, a)
 	b.AddEdge(src, c)
 	b.AddEdge(a, d)
@@ -467,11 +462,10 @@ func TestLevelsLongestPath(t *testing.T) {
 }
 
 func TestLevelsStagedUnsorted(t *testing.T) {
-	// Staged and stage-monotone but IDs unsorted: the stage assignment is
-	// kept and the traversal order permutes.
-	b := NewBuilder(2, 1)
-	hi := b.AddVertex(1)
-	lo := b.AddVertex(0)
+	// IDs against the switch direction: the traversal order permutes.
+	b := NewBuilder(1)
+	hi := b.AddVertex()
+	lo := b.AddVertex()
 	b.AddEdge(lo, hi)
 	g := b.Freeze()
 	lv, err := g.Levels()
@@ -485,11 +479,11 @@ func TestLevelsStagedUnsorted(t *testing.T) {
 }
 
 func TestLevelsNonMonotoneStagesFallBack(t *testing.T) {
-	// A same-stage edge invalidates the stage assignment; the longest-path
-	// leveling takes over (and still levels the graph).
-	b := NewBuilder(2, 1)
-	u := b.AddVertex(0)
-	v := b.AddVertex(0)
+	// Two vertices a caller might place on one stage, joined by a switch:
+	// the switch puts them on consecutive levels.
+	b := NewBuilder(1)
+	u := b.AddVertex()
+	v := b.AddVertex()
 	b.AddEdge(u, v)
 	g := b.Freeze()
 	lv, err := g.Levels()
@@ -503,9 +497,9 @@ func TestLevelsNonMonotoneStagesFallBack(t *testing.T) {
 }
 
 func TestLevelsCycleError(t *testing.T) {
-	b := NewBuilder(2, 2)
-	u := b.AddVertex(NoStage)
-	v := b.AddVertex(NoStage)
+	b := NewBuilder(2)
+	u := b.AddVertex()
+	v := b.AddVertex()
 	b.AddEdge(u, v)
 	b.AddEdge(v, u)
 	g := b.Freeze()
@@ -519,7 +513,7 @@ func TestLevelsCycleError(t *testing.T) {
 }
 
 func TestLevelsEmptyGraph(t *testing.T) {
-	lv, err := NewBuilder(0, 0).Freeze().Levels()
+	lv, err := NewBuilder(0).Freeze().Levels()
 	if err != nil {
 		t.Fatalf("Levels: %v", err)
 	}
@@ -529,13 +523,12 @@ func TestLevelsEmptyGraph(t *testing.T) {
 }
 
 func TestLevelsMirrorDerived(t *testing.T) {
-	// Staged chain: the mirror keeps vertex IDs, so its levels DEcrease in
-	// ID order — levelable via the reflected assignment, with a permuted
-	// traversal order.
-	b := NewBuilder(4, 3)
-	in := b.AddVertex(0)
-	mid := b.AddVertex(1)
-	out := b.AddVertex(2)
+	// Chain: the mirror keeps vertex IDs, so its levels DEcrease in ID
+	// order — the reflected assignment, with a permuted traversal order.
+	b := NewBuilder(3)
+	in := b.AddVertex()
+	mid := b.AddVertex()
+	out := b.AddVertex()
 	b.AddEdge(in, mid)
 	b.AddEdge(mid, out)
 	b.MarkInput(in)
@@ -558,19 +551,29 @@ func TestLevelsMirrorDerived(t *testing.T) {
 	}
 	checkLevels(t, m, mlv)
 
-	// Mirror of an UNSTAGED graph is levelable too (derived, not staged).
-	b = NewBuilder(3, 2)
-	x := b.AddVertex(NoStage)
-	y := b.AddVertex(NoStage)
-	z := b.AddVertex(NoStage)
+	// Kahn levels a mirror from its own sources, like any graph. With a
+	// dead-end branch x→w beside the chain x→y→z, reflecting the
+	// original's levels would put w on level 1; in the mirror w has no
+	// switch in, so it sits on level 0 beside z.
+	b = NewBuilder(3)
+	x := b.AddVertex()
+	y := b.AddVertex()
+	z := b.AddVertex()
+	w := b.AddVertex()
 	b.AddEdge(x, y)
 	b.AddEdge(y, z)
+	b.AddEdge(x, w)
 	b.MarkInput(x)
 	b.MarkOutput(z)
 	um := b.Freeze().Mirror()
 	ulv, err := um.Levels()
 	if err != nil {
-		t.Fatalf("unstaged mirror Levels: %v", err)
+		t.Fatalf("branched mirror Levels: %v", err)
+	}
+	for v, want := range []int32{2, 1, 0, 0} {
+		if got := ulv.PerVertex()[v]; got != want {
+			t.Fatalf("branched mirror: vertex %d on level %d, want %d", v, got, want)
+		}
 	}
 	checkLevels(t, um, ulv)
 }
@@ -585,10 +588,8 @@ func TestOutputSpansMatchReachability(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + r.Intn(400)
 		perm := r.Perm(n) // perm[i] is the vertex at topological rank i
-		b := NewBuilder(n, 3*n)
-		for i := 0; i < n; i++ {
-			b.AddVertex(NoStage)
-		}
+		b := NewBuilder(3 * n)
+		b.AddVertices(n)
 		for i := 3 * n * r.Intn(4) / 4; i > 0; i-- {
 			u := r.Intn(n - 1)
 			v := u + 1 + r.Intn(n-u-1)
@@ -644,9 +645,9 @@ func TestOutputSpansMatchReachability(t *testing.T) {
 }
 
 func TestOutputSpansCycleIsNil(t *testing.T) {
-	b := NewBuilder(2, 2)
-	x := b.AddVertex(NoStage)
-	y := b.AddVertex(NoStage)
+	b := NewBuilder(2)
+	x := b.AddVertex()
+	y := b.AddVertex()
 	b.AddEdge(x, y)
 	b.AddEdge(y, x)
 	b.MarkInput(x)

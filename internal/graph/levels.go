@@ -11,26 +11,17 @@ import "fmt"
 // level order guarantees each vertex is expanded only after every edge
 // into it has been seen.
 //
-// The assignment is chosen so that existing consumers keep their exact
-// historical behavior:
-//
-//   - Fully staged, stage-monotone graphs (every vertex staged, every edge
-//     strictly increasing in stage — all the MIN constructions) use the
-//     stage assignment itself, which is a valid leveling. When vertex IDs
-//     are already sorted by level the traversal order is the identity and
-//     Order() returns nil, so sweeps iterate plain vertex IDs exactly as
-//     the old stage-layout fast paths did — bit-identical tables fall out
-//     by construction.
-//   - Otherwise the level is the longest-path depth from the in-degree-0
-//     sources (Kahn), and the order is the stable counting sort of
-//     vertices by level.
-//   - Mirror() images inherit the reflected assignment of their original
-//     (see Graph.Mirror), so mirrors are levelable even when unstaged.
+// A vertex's level is its longest-path depth from the in-degree-0
+// sources (Kahn's algorithm), the only leveling any graph gets — staged
+// constructions, mirrors and the wrapped zoo alike. The order is the
+// stable counting sort of vertices by level. Every staged construction
+// lays its vertex IDs out level by level, so its order is the identity:
+// Order() returns nil and the sweeps visit plain vertex IDs.
 //
 // Cyclic graphs have no leveling: Graph.Levels returns an error. The
 // routing guide then falls back to unguided probing; core never meets
-// one, because its networks are staged (Build) or checked (WrapGraph). A
-// Levels is immutable and shared; do not mutate the returned slices.
+// one, because WrapGraph checks and Build's 𝒩 is acyclic. A Levels is
+// immutable and shared; do not mutate the returned slices.
 type Levels struct {
 	level []int32 // per-vertex level
 	first []int32 // len NumLevels()+1; order positions first[l]..first[l+1] hold level l
@@ -38,8 +29,8 @@ type Levels struct {
 }
 
 // NumLevels returns the number of levels (max level + 1; 0 for the empty
-// graph). Intermediate levels may be empty under the stage- and
-// mirror-derived assignments.
+// graph). No level below the top is empty: a vertex at level l > 0 has an
+// in-neighbor at level l−1.
 func (lv *Levels) NumLevels() int { return len(lv.first) - 1 }
 
 // PerVertex returns the per-vertex level array (shared; do not mutate).
@@ -47,14 +38,13 @@ func (lv *Levels) PerVertex() []int32 { return lv.level }
 
 // First returns the per-level position ranges (shared; do not mutate):
 // positions first[l]..first[l+1] of the traversal order hold the vertices
-// of level l, with len(First()) = NumLevels()+1. When Sorted() holds,
-// positions are vertex IDs — first[l] is the first vertex ID of level l,
-// exactly the old stage-layout prefix sums.
+// of level l, with len(First()) = NumLevels()+1, so first[l+1]−first[l]
+// is level l's width. When Sorted() holds, positions are vertex IDs —
+// first[l] is the first vertex ID of level l.
 func (lv *Levels) First() []int32 { return lv.first }
 
 // Sorted reports whether vertex IDs are already level-sorted, i.e. the
-// traversal order is the identity. Hot sweeps branch on this once and keep
-// their historical plain-ID loops.
+// traversal order is the identity.
 func (lv *Levels) Sorted() bool { return lv.order == nil }
 
 // Order returns the level-sorted vertex permutation, or nil when the
@@ -74,24 +64,19 @@ func (lv *Levels) At(pos int32) int32 {
 // a directed cycle.
 func (g *Graph) Levels() (*Levels, error) {
 	g.levelsOnce.Do(func() {
-		if g.levels == nil && g.levelsErr == nil {
-			g.levels, g.levelsErr = computeLevels(g)
-		}
+		g.levels, g.levelsErr = computeLevels(g)
 	})
 	return g.levels, g.levelsErr
 }
 
+// computeLevels is Kahn's algorithm with longest-path relaxation: a
+// vertex's level is fixed once all its in-edges have been relaxed, so
+// levels strictly increase along every edge.
 func computeLevels(g *Graph) (*Levels, error) {
-	n := len(g.stage)
-	if lv := stageLeveling(g); lv != nil {
-		return lv, nil
-	}
-	// Longest-path depth via Kahn's algorithm: a vertex's level is fixed
-	// once all its in-edges have been relaxed, so levels strictly increase
-	// along every edge.
+	n := g.NumVertices()
 	indeg := make([]int32, n)
-	for _, v := range g.edgeTo {
-		indeg[v]++
+	for v := range indeg {
+		indeg[v] = g.inStart[v+1] - g.inStart[v]
 	}
 	level := make([]int32, n)
 	queue := make([]int32, 0, n)
@@ -100,13 +85,10 @@ func computeLevels(g *Graph) (*Levels, error) {
 			queue = append(queue, v)
 		}
 	}
-	processed := 0
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		processed++
 		d := level[v] + 1
-		for _, e := range g.OutEdges(v) {
-			w := g.edgeTo[e]
+		for _, w := range g.outHeads[g.outStart[v]:g.outStart[v+1]] {
 			if d > level[w] {
 				level[w] = d
 			}
@@ -116,34 +98,14 @@ func computeLevels(g *Graph) (*Levels, error) {
 			}
 		}
 	}
-	if processed != n {
-		return nil, fmt.Errorf("graph: no leveling: directed cycle detected (%d of %d vertices leveled)", processed, n)
+	if len(queue) != n {
+		return nil, fmt.Errorf("graph: no leveling: directed cycle detected (%d of %d vertices leveled)", len(queue), n)
 	}
 	return levelsFromAssignment(level), nil
 }
 
-// stageLeveling returns the stage-derived leveling when every vertex is
-// staged and every edge strictly increases stage, or nil otherwise.
-func stageLeveling(g *Graph) *Levels {
-	if len(g.stage) == 0 {
-		return nil
-	}
-	for _, s := range g.stage {
-		if s == NoStage {
-			return nil
-		}
-	}
-	for e := range g.edgeFrom {
-		if g.stage[g.edgeFrom[e]] >= g.stage[g.edgeTo[e]] {
-			return nil
-		}
-	}
-	return levelsFromAssignment(g.stage)
-}
-
 // levelsFromAssignment builds the range and order metadata for a valid
-// level assignment. The slice is retained (callers hand over ownership or
-// an immutable array such as the stage table).
+// level assignment, which it retains.
 func levelsFromAssignment(level []int32) *Levels {
 	n := len(level)
 	maxLevel := int32(-1)
@@ -183,18 +145,6 @@ func levelsFromAssignment(level []int32) *Levels {
 	return lv
 }
 
-// mirrored returns the reflected assignment maxLevel−level for the mirror
-// image: reversing every edge turns "strictly increasing" into "strictly
-// decreasing", so the reflection is again a valid leveling.
-func (lv *Levels) mirrored() *Levels {
-	maxLevel := int32(lv.NumLevels() - 1)
-	level := make([]int32, len(lv.level))
-	for v, l := range lv.level {
-		level[v] = maxLevel - l
-	}
-	return levelsFromAssignment(level)
-}
-
 // WordSpan is a half-open range [Lo, Hi) of 64-output lane words; Lo == Hi
 // is the empty span. 16-bit bounds keep a per-vertex span array at 4 bytes
 // per vertex.
@@ -226,7 +176,7 @@ func (g *Graph) OutputSpans() []WordSpan {
 }
 
 func computeOutputSpans(g *Graph, lv *Levels) []WordSpan {
-	spans := make([]WordSpan, len(g.stage))
+	spans := make([]WordSpan, g.NumVertices())
 	for i, v := range g.outputs {
 		w := uint16(i >> 6)
 		spans[v] = spans[v].hull(WordSpan{w, w + 1})

@@ -6,10 +6,8 @@ import "testing"
 // each vertex wired to every vertex of the next level.
 func worklistGraph(t *testing.T) (*Graph, *Levels) {
 	t.Helper()
-	b := NewBuilder(12, 27)
-	for l := int32(0); l < 4; l++ {
-		b.AddVertices(l, 3)
-	}
+	b := NewBuilder(27)
+	b.AddVertices(12)
 	for l := int32(0); l < 3; l++ {
 		for i := int32(0); i < 3; i++ {
 			for j := int32(0); j < 3; j++ {

@@ -39,7 +39,7 @@ func BuildInto(b *graph.Builder, l, w int, cyclic bool) *Grid {
 	if l < 1 || w < 1 {
 		panic(fmt.Sprintf("hammock: invalid grid %dx%d", l, w))
 	}
-	base := b.AddVertices(graph.NoStage, l*w)
+	base := b.AddVertices(l * w)
 	g := &Grid{L: l, W: w, Cyclic: cyclic, base: base}
 	for j := 0; j < w-1; j++ {
 		for i := 0; i < l; i++ {
@@ -82,10 +82,10 @@ type Network struct {
 
 // NewNetwork builds the two-terminal (l,w) hammock.
 func NewNetwork(l, w int, cyclic bool) *Network {
-	b := graph.NewBuilder(l*w+2, (2*l)*(w+1))
-	src := b.AddVertex(graph.NoStage)
+	b := graph.NewBuilder((2 * l) * (w + 1))
+	src := b.AddVertex()
 	grid := BuildInto(b, l, w, cyclic)
-	sink := b.AddVertex(graph.NoStage)
+	sink := b.AddVertex()
 	for i := 0; i < l; i++ {
 		b.AddEdge(src, grid.VertexAt(i, 0))
 		b.AddEdge(grid.VertexAt(i, w-1), sink)
@@ -108,8 +108,8 @@ type AccessNetwork struct {
 
 // NewAccessNetwork builds the one-sided (l,w) grid.
 func NewAccessNetwork(l, w int, cyclic bool) *AccessNetwork {
-	b := graph.NewBuilder(l*w+1, 2*l*w)
-	src := b.AddVertex(graph.NoStage)
+	b := graph.NewBuilder(2 * l * w)
+	src := b.AddVertex()
 	grid := BuildInto(b, l, w, cyclic)
 	for i := 0; i < l; i++ {
 		b.AddEdge(src, grid.VertexAt(i, 0))
@@ -180,13 +180,9 @@ func clampProb(p float64) float64 {
 // row switches] → v, with fresh grid vertices per edge. Terminals and
 // vertex IDs of g are preserved (g's vertices come first).
 func SubstituteEdges(g *graph.Graph, l, w int, cyclic bool) *graph.Graph {
-	perEdgeVerts := l * w
 	perEdgeEdges := 2*l + (2*l)*(w-1) // bounds capacity; exact for cyclic
-	b := graph.NewBuilder(g.NumVertices()+g.NumEdges()*perEdgeVerts,
-		g.NumEdges()*perEdgeEdges)
-	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		b.AddVertex(g.Stage(v))
-	}
+	b := graph.NewBuilder(g.NumEdges() * perEdgeEdges)
+	b.AddVertices(g.NumVertices())
 	for _, v := range g.Inputs() {
 		b.MarkInput(v)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 func TestGridStructure(t *testing.T) {
-	b := graph.NewBuilder(0, 0)
+	b := graph.NewBuilder(0)
 	g := BuildInto(b, 4, 8, false) // the Fig. 4 grid
 	gr := b.Freeze()
 	g.Bind(gr)
@@ -42,7 +42,7 @@ func TestGridStructure(t *testing.T) {
 }
 
 func TestGridCyclicStructure(t *testing.T) {
-	b := graph.NewBuilder(0, 0)
+	b := graph.NewBuilder(0)
 	g := BuildInto(b, 4, 3, true)
 	gr := b.Freeze()
 	g.Bind(gr)
@@ -66,7 +66,7 @@ func TestGridCyclicStructure(t *testing.T) {
 }
 
 func TestVertexAtPanics(t *testing.T) {
-	b := graph.NewBuilder(0, 0)
+	b := graph.NewBuilder(0)
 	g := BuildInto(b, 2, 2, false)
 	defer func() {
 		if recover() == nil {
@@ -261,9 +261,9 @@ func TestAccessNetworkBlocked(t *testing.T) {
 
 func TestSubstituteEdgesStructure(t *testing.T) {
 	// A single switch in -> out substituted by an (l,w) hammock.
-	b := graph.NewBuilder(2, 1)
-	in := b.AddVertex(graph.NoStage)
-	out := b.AddVertex(graph.NoStage)
+	b := graph.NewBuilder(1)
+	in := b.AddVertex()
+	out := b.AddVertex()
 	b.AddEdge(in, out)
 	b.MarkInput(in)
 	b.MarkOutput(out)
@@ -302,11 +302,11 @@ func TestSubstituteEdgesStructure(t *testing.T) {
 
 func TestSubstituteEdgesAmplifies(t *testing.T) {
 	// Substituted 3-switch line survives single-hammock-internal faults.
-	b := graph.NewBuilder(4, 3)
-	v0 := b.AddVertex(graph.NoStage)
-	v1 := b.AddVertex(graph.NoStage)
-	v2 := b.AddVertex(graph.NoStage)
-	v3 := b.AddVertex(graph.NoStage)
+	b := graph.NewBuilder(3)
+	v0 := b.AddVertex()
+	v1 := b.AddVertex()
+	v2 := b.AddVertex()
+	v3 := b.AddVertex()
 	b.AddEdge(v0, v1)
 	b.AddEdge(v1, v2)
 	b.AddEdge(v2, v3)
@@ -329,10 +329,10 @@ func TestSubstituteEdgesAmplifies(t *testing.T) {
 func TestSubstituteEdgesMonteCarlo(t *testing.T) {
 	// Empirical §3 check on the 3-switch line: at ε=0.05 the substituted
 	// network must beat the plain one by a wide margin.
-	b := graph.NewBuilder(4, 3)
+	b := graph.NewBuilder(3)
 	vs := make([]int32, 4)
 	for i := range vs {
-		vs[i] = b.AddVertex(graph.NoStage)
+		vs[i] = b.AddVertex()
 	}
 	for i := 0; i < 3; i++ {
 		b.AddEdge(vs[i], vs[i+1])
@@ -343,12 +343,12 @@ func TestSubstituteEdgesMonteCarlo(t *testing.T) {
 	sub := SubstituteEdges(g, 4, 4, false)
 
 	rate := func(gr *graph.Graph) float64 {
-		inst := fault.NewInstance(gr)
+		inst, sc := fault.NewInstance(gr), fault.NewScratch(gr)
 		fails := 0
 		const trials = 500
 		for i := 0; i < trials; i++ {
 			inst.Reinject(fault.Symmetric(0.05), rng.Stream(88, uint64(i)))
-			if !inst.SurvivesBasicChecks() {
+			if !inst.SurvivesBasicChecksWith(sc) {
 				fails++
 			}
 		}
@@ -366,7 +366,7 @@ func TestBuildIntoPanicsOnBadDims(t *testing.T) {
 			t.Fatal("BuildInto(0,5) did not panic")
 		}
 	}()
-	BuildInto(graph.NewBuilder(0, 0), 0, 5, false)
+	BuildInto(graph.NewBuilder(0), 0, 5, false)
 }
 
 // EdgeCount returns the number of switches the grid contributes.

@@ -67,9 +67,9 @@ func New(dims []int, depth int) (*Network, error) {
 		return nil, fmt.Errorf("hyperx: %d switches exceeds MaxEdges=%d", edges, MaxEdges)
 	}
 
-	b := graph.NewBuilder(2*points+(depth+1)*points, edges)
-	ins := b.AddVertices(graph.NoStage, points)
-	outs := b.AddVertices(graph.NoStage, points)
+	b := graph.NewBuilder(edges)
+	ins := b.AddVertices(points)
+	outs := b.AddVertices(points)
 	nw := &Network{
 		Dims:    append([]int(nil), dims...),
 		Depth:   depth,
@@ -77,7 +77,7 @@ func New(dims []int, depth int) (*Network, error) {
 		colBase: make([]int32, depth+1),
 	}
 	for t := 0; t <= depth; t++ {
-		nw.colBase[t] = b.AddVertices(graph.NoStage, points)
+		nw.colBase[t] = b.AddVertices(points)
 	}
 	for i := 0; i < points; i++ {
 		b.MarkInput(ins + int32(i))

@@ -12,10 +12,10 @@ import (
 func TestGoodInputsTwoStars(t *testing.T) {
 	// Two inputs joined to a shared hub: distance 2 < 3 → not good at
 	// minDist 3; good at minDist 2.
-	b := graph.NewBuilder(3, 2)
-	i0 := b.AddVertex(0)
-	i1 := b.AddVertex(0)
-	hub := b.AddVertex(1)
+	b := graph.NewBuilder(2)
+	i0 := b.AddVertex()
+	i1 := b.AddVertex()
+	hub := b.AddVertex()
 	b.AddEdge(i0, hub)
 	b.AddEdge(i1, hub)
 	b.MarkInput(i0)
@@ -35,11 +35,11 @@ func TestGoodInputsTwoStars(t *testing.T) {
 
 func TestZoneProfileLine(t *testing.T) {
 	// in -> a -> b -> out: from in, B_1 = {in-a}, B_2 = {a-b}, B_3 = {b-out}.
-	b := graph.NewBuilder(4, 3)
-	in := b.AddVertex(0)
-	va := b.AddVertex(1)
-	vb := b.AddVertex(2)
-	out := b.AddVertex(3)
+	b := graph.NewBuilder(3)
+	in := b.AddVertex()
+	va := b.AddVertex()
+	vb := b.AddVertex()
+	out := b.AddVertex()
 	b.AddEdge(in, va)
 	b.AddEdge(va, vb)
 	b.AddEdge(vb, out)
@@ -60,9 +60,9 @@ func TestZoneProfileLine(t *testing.T) {
 
 func TestZoneCountsEdgesOnce(t *testing.T) {
 	// Parallel switches both count in the same zone.
-	b := graph.NewBuilder(2, 2)
-	u := b.AddVertex(0)
-	v := b.AddVertex(1)
+	b := graph.NewBuilder(2)
+	u := b.AddVertex()
+	v := b.AddVertex()
 	b.AddEdge(u, v)
 	b.AddEdge(u, v)
 	b.MarkInput(u)
@@ -141,11 +141,11 @@ func TestAnalyzeComparesNetworks(t *testing.T) {
 
 func TestGoodInputsAllGoodWhenIsolated(t *testing.T) {
 	// Disjoint input/output pairs: inputs mutually unreachable → all good.
-	b := graph.NewBuilder(4, 2)
-	i0 := b.AddVertex(0)
-	o0 := b.AddVertex(1)
-	i1 := b.AddVertex(0)
-	o1 := b.AddVertex(1)
+	b := graph.NewBuilder(2)
+	i0 := b.AddVertex()
+	o0 := b.AddVertex()
+	i1 := b.AddVertex()
+	o1 := b.AddVertex()
 	b.AddEdge(i0, o0)
 	b.AddEdge(i1, o1)
 	b.MarkInput(i0)

@@ -57,13 +57,13 @@ func TestMaxFlowParallelEdges(t *testing.T) {
 
 // completeBipartite builds a crossbar a×b as a graph.Graph.
 func completeBipartite(a, b int) *graph.Graph {
-	bld := graph.NewBuilder(a+b, a*b)
+	bld := graph.NewBuilder(a * b)
 	for i := 0; i < a; i++ {
-		v := bld.AddVertex(0)
+		v := bld.AddVertex()
 		bld.MarkInput(v)
 	}
 	for j := 0; j < b; j++ {
-		v := bld.AddVertex(1)
+		v := bld.AddVertex()
 		bld.MarkOutput(v)
 	}
 	for i := 0; i < a; i++ {
@@ -89,12 +89,12 @@ func TestVertexDisjointCrossbar(t *testing.T) {
 
 func TestVertexDisjointSharedMiddle(t *testing.T) {
 	// Two inputs forced through ONE middle vertex: only 1 disjoint path.
-	b := graph.NewBuilder(5, 4)
-	i0 := b.AddVertex(0)
-	i1 := b.AddVertex(0)
-	m := b.AddVertex(1)
-	o0 := b.AddVertex(2)
-	o1 := b.AddVertex(2)
+	b := graph.NewBuilder(4)
+	i0 := b.AddVertex()
+	i1 := b.AddVertex()
+	m := b.AddVertex()
+	o0 := b.AddVertex()
+	o1 := b.AddVertex()
 	b.AddEdge(i0, m)
 	b.AddEdge(i1, m)
 	b.AddEdge(m, o0)
@@ -140,12 +140,12 @@ func TestPairsRoutableCrossbar(t *testing.T) {
 func TestPairsRoutableSharedMiddleImpossible(t *testing.T) {
 	// Two pairs forced through one middle vertex: flow=1, pairing version
 	// must report impossible.
-	b := graph.NewBuilder(5, 4)
-	i0 := b.AddVertex(0)
-	i1 := b.AddVertex(0)
-	m := b.AddVertex(1)
-	o0 := b.AddVertex(2)
-	o1 := b.AddVertex(2)
+	b := graph.NewBuilder(4)
+	i0 := b.AddVertex()
+	i1 := b.AddVertex()
+	m := b.AddVertex()
+	o0 := b.AddVertex()
+	o1 := b.AddVertex()
 	b.AddEdge(i0, m)
 	b.AddEdge(i1, m)
 	b.AddEdge(m, o0)
@@ -165,13 +165,13 @@ func TestPairsRoutableRequiresPairing(t *testing.T) {
 	// Set-flow says 2 paths exist; the PAIRING i0→o1, i1→o0 is the only
 	// feasible one; i0→o0, i1→o1 is impossible. Construct: i0 reaches only
 	// o1's side, i1 only o0's side.
-	b := graph.NewBuilder(6, 4)
-	i0 := b.AddVertex(0)
-	i1 := b.AddVertex(0)
-	a := b.AddVertex(1)
-	c := b.AddVertex(1)
-	o0 := b.AddVertex(2)
-	o1 := b.AddVertex(2)
+	b := graph.NewBuilder(4)
+	i0 := b.AddVertex()
+	i1 := b.AddVertex()
+	a := b.AddVertex()
+	c := b.AddVertex()
+	o0 := b.AddVertex()
+	o1 := b.AddVertex()
 	b.AddEdge(i0, a)
 	b.AddEdge(a, o1)
 	b.AddEdge(i1, c)
@@ -215,10 +215,8 @@ func TestPairsRoutableAgreesWithBenesLooping(t *testing.T) {
 func benesNetwork() (*graph.Graph, error) {
 	k, n := 3, 8
 	cols := 2 * k
-	b := graph.NewBuilder(cols*n, (cols-1)*2*n)
-	for c := 0; c < cols; c++ {
-		b.AddVertices(int32(c), n)
-	}
+	b := graph.NewBuilder((cols - 1) * 2 * n)
+	b.AddVertices(cols * n)
 	at := func(c, w int) int32 { return int32(c*n + w) }
 	bit := func(t int) int {
 		if t < k {
@@ -246,12 +244,12 @@ func TestFlowRandomizedAgainstEdgeCount(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		a := 2 + r.Intn(4)
 		bCount := 2 + r.Intn(4)
-		b := graph.NewBuilder(a+bCount, a*bCount)
+		b := graph.NewBuilder(a * bCount)
 		for i := 0; i < a; i++ {
-			b.MarkInput(b.AddVertex(0))
+			b.MarkInput(b.AddVertex())
 		}
 		for j := 0; j < bCount; j++ {
-			b.MarkOutput(b.AddVertex(1))
+			b.MarkOutput(b.AddVertex())
 		}
 		prev := -1
 		edges := 0
@@ -269,12 +267,12 @@ func TestFlowRandomizedAgainstEdgeCount(t *testing.T) {
 				}
 				prev = flow
 				// Rebuild: Freeze consumed the builder.
-				nb := graph.NewBuilder(a+bCount, a*bCount)
+				nb := graph.NewBuilder(a * bCount)
 				for i := 0; i < a; i++ {
-					nb.MarkInput(nb.AddVertex(0))
+					nb.MarkInput(nb.AddVertex())
 				}
 				for j := 0; j < bCount; j++ {
-					nb.MarkOutput(nb.AddVertex(1))
+					nb.MarkOutput(nb.AddVertex())
 				}
 				for e2 := int32(0); e2 < int32(g.NumEdges()); e2++ {
 					nb.AddEdge(g.EdgeFrom(e2), g.EdgeTo(e2))

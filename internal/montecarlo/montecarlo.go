@@ -70,19 +70,13 @@ type BlockStarter interface {
 	StartBlock(seed, first uint64, n int)
 }
 
-// RunBool estimates P[trial] over cfg.Trials independent trials and
-// returns the success proportion.
-func RunBool(cfg Config, trial func(r *rng.RNG) bool) stats.Proportion {
-	return RunBoolWith(cfg, func() struct{} { return struct{}{} },
-		func(r *rng.RNG, _ struct{}) bool { return trial(r) })
-}
-
-// RunBoolWith is RunBool with worker-local scratch: each worker calls
-// newScratch once and passes the same value to every one of its trials, so
-// trial bodies can reuse buffers (fault instances, masks, routers) and run
-// allocation-free in steady state. Results are identical to RunBool for a
-// pure trial function: trial i still sees the stream rng.Stream(cfg.Seed, i)
-// and proportions merge commutatively.
+// RunBoolWith estimates P[trial] over cfg.Trials independent trials and
+// returns the success proportion. Each worker calls newScratch once and
+// passes the same value to every one of its trials, so trial bodies can
+// reuse buffers (fault instances, masks, routers) and run allocation-free
+// in steady state. Trial i sees the stream rng.Stream(cfg.Seed, i) and
+// proportions merge commutatively, so for a trial function that depends
+// only on its stream the result does not depend on the worker count.
 func RunBoolWith[S any](cfg Config, newScratch func() S, trial func(r *rng.RNG, s S) bool) stats.Proportion {
 	perWorker := make([]stats.Proportion, cfg.workers())
 	parallelFor(cfg, newScratch, func(w int, r *rng.RNG, s S, i uint64) {

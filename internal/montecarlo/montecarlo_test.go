@@ -9,8 +9,14 @@ import (
 	"ftcsn/internal/stats"
 )
 
+// runBool runs RunBoolWith with no scratch.
+func runBool(cfg Config, trial func(r *rng.RNG) bool) stats.Proportion {
+	return RunBoolWith(cfg, func() struct{} { return struct{}{} },
+		func(r *rng.RNG, _ struct{}) bool { return trial(r) })
+}
+
 func TestRunBoolEstimates(t *testing.T) {
-	p := RunBool(Config{Trials: 20000, Workers: 4, Seed: 1}, func(r *rng.RNG) bool {
+	p := runBool(Config{Trials: 20000, Workers: 4, Seed: 1}, func(r *rng.RNG) bool {
 		return r.Bernoulli(0.3)
 	})
 	if p.Trials != 20000 {
@@ -23,7 +29,7 @@ func TestRunBoolEstimates(t *testing.T) {
 
 func TestRunBoolReproducibleAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) int {
-		p := RunBool(Config{Trials: 5000, Workers: workers, Seed: 99}, func(r *rng.RNG) bool {
+		p := runBool(Config{Trials: 5000, Workers: workers, Seed: 99}, func(r *rng.RNG) bool {
 			return r.Bernoulli(0.5)
 		})
 		return p.Successes
@@ -51,7 +57,7 @@ func TestRunSample(t *testing.T) {
 
 func TestEveryTrialRunsExactlyOnce(t *testing.T) {
 	var count atomic.Int64
-	RunBool(Config{Trials: 1234, Workers: 7, Seed: 2}, func(r *rng.RNG) bool {
+	runBool(Config{Trials: 1234, Workers: 7, Seed: 2}, func(r *rng.RNG) bool {
 		count.Add(1)
 		return true
 	})
@@ -61,7 +67,7 @@ func TestEveryTrialRunsExactlyOnce(t *testing.T) {
 }
 
 func TestZeroTrials(t *testing.T) {
-	p := RunBool(Config{Trials: 0, Seed: 3}, func(r *rng.RNG) bool { return true })
+	p := runBool(Config{Trials: 0, Seed: 3}, func(r *rng.RNG) bool { return true })
 	if p.Trials != 0 {
 		t.Fatal("phantom trials")
 	}
@@ -73,7 +79,7 @@ func TestZeroTrials(t *testing.T) {
 }
 
 func TestDefaultWorkers(t *testing.T) {
-	p := RunBool(Config{Trials: 100, Seed: 4}, func(r *rng.RNG) bool { return true })
+	p := runBool(Config{Trials: 100, Seed: 4}, func(r *rng.RNG) bool { return true })
 	if p.Successes != 100 {
 		t.Fatalf("successes = %d", p.Successes)
 	}
@@ -97,7 +103,7 @@ func TestNegativeConfigPanics(t *testing.T) {
 					t.Errorf("Config %+v did not panic", tc.cfg)
 				}
 			}()
-			RunBool(tc.cfg, func(*rng.RNG) bool { return true })
+			runBool(tc.cfg, func(*rng.RNG) bool { return true })
 		})
 	}
 }

@@ -7,17 +7,24 @@ import (
 	"ftcsn/internal/rng"
 )
 
-// TestRunBoolWithMatchesRunBool: for a pure trial function the scratch
-// variant must produce the identical estimate, at any worker count.
+// TestRunBoolWithMatchesRunBool: for a pure trial function RunBoolWith
+// must count exactly the successes of the plain sequential run — trial i
+// on rng.Stream(seed, i) — at any worker count.
 func TestRunBoolWithMatchesRunBool(t *testing.T) {
+	const trials, seed = 5000, 99
 	trial := func(r *rng.RNG) bool { return r.Float64() < 0.3 }
-	want := RunBool(Config{Trials: 5000, Workers: 1, Seed: 99}, trial)
+	want := 0
+	for i := uint64(0); i < trials; i++ {
+		if trial(rng.Stream(seed, i)) {
+			want++
+		}
+	}
 	for _, workers := range []int{1, 2, 7} {
-		got := RunBoolWith(Config{Trials: 5000, Workers: workers, Seed: 99},
+		got := RunBoolWith(Config{Trials: trials, Workers: workers, Seed: seed},
 			func() struct{} { return struct{}{} },
 			func(r *rng.RNG, _ struct{}) bool { return trial(r) })
-		if got.Estimate() != want.Estimate() {
-			t.Fatalf("workers=%d: estimate %v != sequential %v", workers, got.Estimate(), want.Estimate())
+		if got.Trials != trials || got.Successes != want {
+			t.Fatalf("workers=%d: %d of %d trials succeeded, sequential run %d of %d", workers, got.Successes, got.Trials, want, trials)
 		}
 	}
 }

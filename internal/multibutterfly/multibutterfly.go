@@ -47,10 +47,8 @@ func New(k, d int, seed uint64) (*Network, error) {
 	n := 1 << uint(k)
 	cols := k + 1
 	r := rng.New(seed)
-	b := graph.NewBuilder(cols*n, cols*2*d*n)
-	for c := 0; c < cols; c++ {
-		b.AddVertices(int32(c), n)
-	}
+	b := graph.NewBuilder(cols * 2 * d * n)
+	b.AddVertices(cols * n)
 	at := func(c, w int) int32 { return int32(c*n + w) }
 	for t := 0; t < k; t++ {
 		blockSize := n >> uint(t)

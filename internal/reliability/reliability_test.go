@@ -95,9 +95,9 @@ func TestGridPathProbRejectsBadInput(t *testing.T) {
 // buildHammock replicates hammock.NewNetwork's topology locally to avoid an
 // import cycle (hammock imports reliability).
 func buildHammock(l, w int, cyclic bool) *graph.Graph {
-	b := graph.NewBuilder(l*w+2, 2*l*(w+1))
-	src := b.AddVertex(graph.NoStage)
-	base := b.AddVertices(graph.NoStage, l*w)
+	b := graph.NewBuilder(2 * l * (w + 1))
+	src := b.AddVertex()
+	base := b.AddVertices(l * w)
 	at := func(i, j int) int32 { return base + int32(j*l+i) }
 	for j := 0; j < w-1; j++ {
 		for i := 0; i < l; i++ {
@@ -109,7 +109,7 @@ func buildHammock(l, w int, cyclic bool) *graph.Graph {
 			}
 		}
 	}
-	sink := b.AddVertex(graph.NoStage)
+	sink := b.AddVertex()
 	for i := 0; i < l; i++ {
 		b.AddEdge(src, at(i, 0))
 		b.AddEdge(at(i, w-1), sink)
@@ -218,12 +218,12 @@ func TestFailurePolynomialMatchesExact(t *testing.T) {
 		pPoly := EvalFailurePolynomial(counts, eps)
 		// Monte-Carlo the union event.
 		r := rng.New(7)
-		inst := fault.NewInstance(g)
+		inst, sc := fault.NewInstance(g), fault.NewScratch(g)
 		fails := 0
 		const trials = 20000
 		for i := 0; i < trials; i++ {
 			inst.Reinject(fault.Symmetric(eps), r)
-			if !inst.SurvivesBasicChecks() {
+			if !inst.SurvivesBasicChecksWith(sc) {
 				fails++
 			}
 		}

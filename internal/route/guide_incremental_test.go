@@ -314,11 +314,11 @@ func guideSequence(t *testing.T, g *graph.Graph, pieces int, eps float64, trials
 // With h=64 rows are two words wide and the spans are s, a: [0,2),
 // b: [1,2), output i: [i>>6, i>>6+1); with h=32 every row is one word.
 func forkGraph(h int) (g *graph.Graph, sa1, aOut, bOut []int32) {
-	b := graph.NewBuilder(3+2*h, 3+2*h+1)
-	s := b.AddVertex(0)
-	va := b.AddVertex(1)
-	vb := b.AddVertex(1)
-	outs := b.AddVertices(2, 2*h)
+	b := graph.NewBuilder(3 + 2*h + 1)
+	s := b.AddVertex()
+	va := b.AddVertex()
+	vb := b.AddVertex()
+	outs := b.AddVertices(2 * h)
 	b.MarkInput(s)
 	for i := 0; i < 2*h; i++ {
 		b.MarkOutput(outs + int32(i))

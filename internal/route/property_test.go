@@ -19,19 +19,19 @@ func randomStaged(r *rng.RNG) *graph.Graph {
 	nIn := 2 + r.Intn(4)
 	mid := 2 + r.Intn(6)
 	nOut := 2 + r.Intn(4)
-	b := graph.NewBuilder(nIn+mid+nOut, nIn*mid+mid*nOut)
+	b := graph.NewBuilder(nIn*mid + mid*nOut)
 	ins := make([]int32, nIn)
 	mids := make([]int32, mid)
 	outs := make([]int32, nOut)
 	for i := range ins {
-		ins[i] = b.AddVertex(0)
+		ins[i] = b.AddVertex()
 		b.MarkInput(ins[i])
 	}
 	for i := range mids {
-		mids[i] = b.AddVertex(1)
+		mids[i] = b.AddVertex()
 	}
 	for i := range outs {
-		outs[i] = b.AddVertex(2)
+		outs[i] = b.AddVertex()
 		b.MarkOutput(outs[i])
 	}
 	for _, in := range ins {
@@ -177,18 +177,18 @@ func TestQuickConcurrentDisjointness(t *testing.T) {
 func TestSequentialAndConcurrentAgreeOnCapacity(t *testing.T) {
 	// Dense network: every input sees every middle, every middle every
 	// output, middles ≥ terminals: all matchings route.
-	b := graph.NewBuilder(12, 32)
+	b := graph.NewBuilder(32)
 	var ins, mids, outs []int32
 	for i := 0; i < 4; i++ {
-		v := b.AddVertex(0)
+		v := b.AddVertex()
 		b.MarkInput(v)
 		ins = append(ins, v)
 	}
 	for i := 0; i < 4; i++ {
-		mids = append(mids, b.AddVertex(1))
+		mids = append(mids, b.AddVertex())
 	}
 	for i := 0; i < 4; i++ {
-		v := b.AddVertex(2)
+		v := b.AddVertex()
 		b.MarkOutput(v)
 		outs = append(outs, v)
 	}

@@ -78,13 +78,13 @@ func unprunedConnectRef(rt *Router, in, out int32) []int32 {
 // output and a second rank continuing to a third rank and the deep output.
 func shallowOutputGraph(t *testing.T) *graph.Graph {
 	t.Helper()
-	b := graph.NewBuilder(16, 40)
-	ins := b.AddVertices(0, 3)
-	r1 := b.AddVertices(1, 4)
-	outA := b.AddVertex(2)
-	r2 := b.AddVertices(2, 4)
-	r3 := b.AddVertices(3, 4)
-	outB := b.AddVertex(4)
+	b := graph.NewBuilder(40)
+	ins := b.AddVertices(3)
+	r1 := b.AddVertices(4)
+	outA := b.AddVertex()
+	r2 := b.AddVertices(4)
+	r3 := b.AddVertices(4)
+	outB := b.AddVertex()
 	for i := int32(0); i < 3; i++ {
 		for j := int32(0); j < 4; j++ {
 			b.AddEdge(ins+i, r1+j)

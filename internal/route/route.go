@@ -96,11 +96,7 @@ func NewRouter(g *graph.Graph) *Router {
 // failed switch (terminals excepted), and only normal switches conduct.
 func NewRepairedRouter(inst *fault.Instance) *Router {
 	usable := inst.Repair()
-	edgeOK := make([]bool, inst.G.NumEdges())
-	for e := range edgeOK {
-		edgeOK[e] = inst.RepairedEdgeUsable(usable, int32(e))
-	}
-	return newRouter(inst.G, usable, edgeOK)
+	return newRouter(inst.G, usable, inst.RepairedEdgesInto(usable, nil))
 }
 
 func newRouter(g *graph.Graph, vertexOK, edgeOK []bool) *Router {

@@ -13,17 +13,17 @@ import (
 // in_i -> m_{i,j} -> out_j for all i,j (4 middle vertices), which is
 // strictly nonblocking.
 func crossbar() *graph.Graph {
-	b := graph.NewBuilder(8, 8)
-	in0 := b.AddVertex(0)
-	in1 := b.AddVertex(0)
+	b := graph.NewBuilder(8)
+	in0 := b.AddVertex()
+	in1 := b.AddVertex()
 	var mids [2][2]int32
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
-			mids[i][j] = b.AddVertex(1)
+			mids[i][j] = b.AddVertex()
 		}
 	}
-	out0 := b.AddVertex(2)
-	out1 := b.AddVertex(2)
+	out0 := b.AddVertex()
+	out1 := b.AddVertex()
 	ins := []int32{in0, in1}
 	outs := []int32{out0, out1}
 	for i := 0; i < 2; i++ {
@@ -43,18 +43,18 @@ func crossbar() *graph.Graph {
 // (input, output) pair, so any single internal vertex loss leaves an
 // alternate route.
 func crossbar2() *graph.Graph {
-	b := graph.NewBuilder(12, 16)
-	ins := []int32{b.AddVertex(0), b.AddVertex(0)}
+	b := graph.NewBuilder(16)
+	ins := []int32{b.AddVertex(), b.AddVertex()}
 	outs := make([]int32, 0, 2)
 	var mids [2][2][2]int32
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
 			for k := 0; k < 2; k++ {
-				mids[i][j][k] = b.AddVertex(1)
+				mids[i][j][k] = b.AddVertex()
 			}
 		}
 	}
-	outs = append(outs, b.AddVertex(2), b.AddVertex(2))
+	outs = append(outs, b.AddVertex(), b.AddVertex())
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
 			for k := 0; k < 2; k++ {
@@ -127,11 +127,11 @@ func TestNoPathThroughForeignTerminal(t *testing.T) {
 	// in0 -> out0 -> ... is illegal: circuits may not pass through another
 	// terminal. Build in0 -> out0 and in0 -> x -> out1; connecting
 	// in0->out1 must go via x even if out0 offers a "shortcut".
-	b := graph.NewBuilder(5, 4)
-	in0 := b.AddVertex(0)
-	out0 := b.AddVertex(2)
-	x := b.AddVertex(1)
-	out1 := b.AddVertex(2)
+	b := graph.NewBuilder(4)
+	in0 := b.AddVertex()
+	out0 := b.AddVertex()
+	x := b.AddVertex()
+	out1 := b.AddVertex()
 	b.AddEdge(in0, out0)
 	b.AddEdge(in0, x)
 	b.AddEdge(x, out1)

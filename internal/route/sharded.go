@@ -146,10 +146,7 @@ func NewShardedEngine(g *graph.Graph, shards int) *ShardedEngine {
 // NewShardedEngine).
 func NewRepairedShardedEngine(inst *fault.Instance, shards int) *ShardedEngine {
 	usable := inst.Repair()
-	edgeOK := make([]bool, inst.G.NumEdges())
-	for e := range edgeOK {
-		edgeOK[e] = inst.RepairedEdgeUsable(usable, int32(e))
-	}
+	edgeOK := inst.RepairedEdgesInto(usable, nil)
 	return newShardedEngine(inst.G, usable, inst.G.BuildOutAllowed(edgeOK, usable, nil), shards)
 }
 

@@ -66,12 +66,12 @@ func TestSuperconcentratorUnderFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inst := fault.NewInstance(nw.G)
+		inst, sc := fault.NewInstance(nw.G), fault.NewScratch(nw.G)
 		fails := 0
 		const trials = 200
 		for i := 0; i < trials; i++ {
 			inst.Reinject(fault.Symmetric(0.001), rng.Stream(9, uint64(i)))
-			if !inst.SurvivesBasicChecks() {
+			if !inst.SurvivesBasicChecksWith(sc) {
 				fails++
 			}
 		}

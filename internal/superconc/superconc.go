@@ -47,7 +47,9 @@ type Network struct {
 }
 
 // New builds an n-superconcentrator for any n ≥ 1, with concentrator
-// degree d (d ≥ 3 recommended) and randomness from seed.
+// degree d (d ≥ 3 recommended) and randomness from seed. It returns an
+// error when no concentrator candidate passes the Hall check, which a
+// small d makes likely.
 func New(n, d int, seed uint64) (*Network, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("superconc: n=%d must be positive", n)
@@ -56,9 +58,9 @@ func New(n, d int, seed uint64) (*Network, error) {
 		return nil, fmt.Errorf("superconc: degree d=%d too small", d)
 	}
 	r := rng.New(seed)
-	b := graph.NewBuilder(4*n, (2*d+2)*n)
-	ins := b.AddVertices(graph.NoStage, n)
-	outs := b.AddVertices(graph.NoStage, n)
+	b := graph.NewBuilder((2*d + 2) * n)
+	ins := b.AddVertices(n)
+	outs := b.AddVertices(n)
 	inList := make([]int32, n)
 	outList := make([]int32, n)
 	for i := 0; i < n; i++ {
@@ -67,13 +69,15 @@ func New(n, d int, seed uint64) (*Network, error) {
 		b.MarkInput(inList[i])
 		b.MarkOutput(outList[i])
 	}
-	build(b, inList, outList, d, r)
+	if err := build(b, inList, outList, d, r); err != nil {
+		return nil, err
+	}
 	return &Network{N: n, D: d, G: b.Freeze()}, nil
 }
 
 // build wires a superconcentrator between the given input and output
 // vertex lists (recursive).
-func build(b *graph.Builder, ins, outs []int32, d int, r *rng.RNG) {
+func build(b *graph.Builder, ins, outs []int32, d int, r *rng.RNG) error {
 	n := len(ins)
 	if n <= BaseSize {
 		for _, u := range ins {
@@ -81,15 +85,15 @@ func build(b *graph.Builder, ins, outs []int32, d int, r *rng.RNG) {
 				b.AddEdge(u, v)
 			}
 		}
-		return
+		return nil
 	}
 	// Perfect matching ins[i] → outs[i].
 	for i := range ins {
 		b.AddEdge(ins[i], outs[i])
 	}
 	hubs := (3*n + 3) / 4
-	hubIn := b.AddVertices(graph.NoStage, hubs)
-	hubOut := b.AddVertices(graph.NoStage, hubs)
+	hubIn := b.AddVertices(hubs)
+	hubOut := b.AddVertices(hubs)
 	subIns := make([]int32, hubs)
 	subOuts := make([]int32, hubs)
 	for i := 0; i < hubs; i++ {
@@ -97,20 +101,29 @@ func build(b *graph.Builder, ins, outs []int32, d int, r *rng.RNG) {
 		subOuts[i] = hubOut + int32(i)
 	}
 	// Forward concentrator: every input gets d switches into the hubs.
-	fw := concentrator(n, hubs, d, r)
+	fw, err := concentrator(n, hubs, d, r)
+	if err != nil {
+		return err
+	}
 	for i, targets := range fw {
 		for _, h := range targets {
 			b.AddEdge(ins[i], subIns[h])
 		}
 	}
-	build(b, subIns, subOuts, d, r)
+	if err := build(b, subIns, subOuts, d, r); err != nil {
+		return err
+	}
 	// Reverse concentrator: hubs back to the n outputs (mirror image).
-	bw := concentrator(n, hubs, d, r)
+	bw, err := concentrator(n, hubs, d, r)
+	if err != nil {
+		return err
+	}
 	for o, sources := range bw {
 		for _, h := range sources {
 			b.AddEdge(subOuts[h], outs[o])
 		}
 	}
+	return nil
 }
 
 // hallRetries bounds the Las-Vegas resampling of a concentrator candidate.
@@ -126,8 +139,9 @@ const hallExactLimit = 20
 // least k distinct hubs — which a random candidate can violate at small n,
 // so candidates are verified (exactly for n ≤ hallExactLimit,
 // adversarially+sampled above) and resampled until one passes: a Las Vegas
-// construction in the spirit of Bassalygo–Pinsker.
-func concentrator(n, hubs, d int, r *rng.RNG) [][]int32 {
+// construction in the spirit of Bassalygo–Pinsker. After hallRetries
+// failed candidates it gives up with an error.
+func concentrator(n, hubs, d int, r *rng.RNG) ([][]int32, error) {
 	need := (n + 1) / 2
 	for attempt := 0; attempt < hallRetries; attempt++ {
 		cand := make([][]int32, n)
@@ -138,10 +152,10 @@ func concentrator(n, hubs, d int, r *rng.RNG) [][]int32 {
 			}
 		}
 		if hallOK(cand, n, hubs, need, r) {
-			return cand
+			return cand, nil
 		}
 	}
-	panic(fmt.Sprintf("superconc: no Hall concentrator found for n=%d hubs=%d d=%d after %d attempts; increase d", n, hubs, d, hallRetries))
+	return nil, fmt.Errorf("superconc: no Hall concentrator found for n=%d hubs=%d d=%d after %d attempts; increase d", n, hubs, d, hallRetries)
 }
 
 // hallOK verifies the Hall condition for subsets of size ≤ maxK.

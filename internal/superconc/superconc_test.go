@@ -30,6 +30,16 @@ func TestNewRejects(t *testing.T) {
 	}
 }
 
+// TestNewReturnsHallFailure: at d = 2 no concentrator for n = 16 passes
+// the Hall check in hallRetries draws, and New says so with an error
+// instead of panicking.
+func TestNewReturnsHallFailure(t *testing.T) {
+	nw, err := New(16, 2, 1)
+	if err == nil {
+		t.Fatalf("New(16, 2, 1) built %d switches; want the Hall-check error", nw.Size())
+	}
+}
+
 func TestNonPowerOfTwoSizes(t *testing.T) {
 	// The 3n/4 recursion naturally visits non-powers of two; they must
 	// build and verify.

@@ -7,7 +7,7 @@ import (
 )
 
 // Network is the doubled-tree connector on n = 2^k terminals: a complete
-// binary up-tree from the n leaf inputs to the root, mirrored by a
+// binary up-tree from the n leaf inputs to the root, matched by a
 // complete binary down-tree from the root to n leaf outputs. It is the
 // minimal-size connector (Θ(n) switches) and the degenerate extreme of the
 // fault-tolerance spectrum the experiments chart: every input–output pair
@@ -29,12 +29,12 @@ func Doubled(k int) (*Network, error) {
 		return nil, fmt.Errorf("trees: doubled k=%d out of range [1,20]", k)
 	}
 	n := 1 << uint(k)
-	b := graph.NewBuilder(4*n-2, 4*n-4)
+	b := graph.NewBuilder(4*n - 4)
 	// Up-tree: stage s holds 2^(k−s) vertices; vertex (s,i) is the parent
 	// of (s−1,2i) and (s−1,2i+1). Stage k is the root.
 	up := make([]int32, k+1)
 	for s := 0; s <= k; s++ {
-		up[s] = b.AddVertices(int32(s), n>>uint(s))
+		up[s] = b.AddVertices(n >> uint(s))
 	}
 	for s := 1; s <= k; s++ {
 		for i := int32(0); i < int32(n>>uint(s)); i++ {
@@ -47,7 +47,7 @@ func Doubled(k int) (*Network, error) {
 	down := make([]int32, k+1)
 	down[0] = up[k] // the root is shared
 	for s := 1; s <= k; s++ {
-		down[s] = b.AddVertices(int32(k+s), 1<<uint(s))
+		down[s] = b.AddVertices(1 << uint(s))
 	}
 	for s := 1; s <= k; s++ {
 		for i := int32(0); i < int32(1<<uint(s-1)); i++ {
