@@ -59,12 +59,15 @@ ftserve-smoke:
 	rm -f ftserve-a.out ftserve-b.out; \
 	echo "ftserve smoke: deterministic"
 
-# CLI input-validation smoke: every invocation below is a bad flag value
-# that must exit 1 with a message on stderr. A panic (exit 2) or a run
-# that never ends (timeout's 124) fails the target. ftsim, ftroute and
-# ftnetgen have no tests of their own, so this is their gate. The last
-# seven ask for networks whose size arithmetic wraps int (ν ≥ 30, a huge
-# M or γ), which core.Build must refuse. CI runs this in the test job.
+# CLI smoke: every CLI_BAD invocation is a bad flag value that must exit 1
+# with a message on stderr, and every CLI_GOOD invocation a plain run that
+# must exit 0 with no INVARIANT VIOLATION or WARNING line on stdout (the
+# lines ftroute prints when its engine state or the certificate's promise
+# fails). A panic (exit 2) or a run that never ends (timeout's 124) fails
+# the target. ftsim, ftroute and ftnetgen have no tests of their own, so
+# this is their gate. The last seven bad ones ask for networks whose size
+# arithmetic wraps int (ν ≥ 30, a huge M or γ), which core.Build must
+# refuse. CI runs this in the test job.
 CLI_BAD := \
 	"ftserve -rate NaN" \
 	"ftserve -rate +Inf" \
@@ -97,6 +100,12 @@ CLI_BAD := \
 	"ftnetgen -kind network-n -nu 32" \
 	"ftsim -gamma 40 -trials 1"
 
+CLI_GOOD := \
+	"ftroute" \
+	"ftroute -concurrent" \
+	"ftsim -trials 20" \
+	"ftnetgen -kind superconcentrator"
+
 cli-smoke:
 	@set -e; bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
 	for c in ftserve ftsim ftroute ftnetgen; do $(GO) build -o "$$bin/$$c" ./cmd/$$c; done; \
@@ -108,8 +117,15 @@ cli-smoke:
 			cat "$$bin/stderr"; bad=1; \
 		fi; \
 	done; \
+	for inv in $(CLI_GOOD); do \
+		st=0; timeout 20 "$$bin"/$$inv > "$$bin/stdout" 2> "$$bin/stderr" || st=$$?; \
+		if [ $$st -ne 0 ] || grep -qE '^(INVARIANT VIOLATION|WARNING)' "$$bin/stdout"; then \
+			echo "FAIL: $$inv exited $$st (want 0 with no INVARIANT VIOLATION or WARNING line)"; \
+			cat "$$bin/stdout" "$$bin/stderr"; bad=1; \
+		fi; \
+	done; \
 	[ $$bad -eq 0 ]; \
-	echo "cli smoke: every bad invocation exits 1 with a message"
+	echo "cli smoke: every bad invocation exits 1 with a message, every good one exits 0"
 
 # Examples smoke: build and run every program under examples/; a non-zero
 # exit (or a run past the timeout) fails the target and prints the

@@ -166,14 +166,14 @@ func BenchmarkMajorityAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkGreedyConnect measures one connect+disconnect on n=64. Path
-// pooling is on and a warm-up round primes the pool: without it every
-// Connect allocates its result slice (the historical allocs_op: 1 in
-// BENCH.json), which the gate now keeps at zero.
+// BenchmarkGreedyConnect measures one connect+disconnect of the reference
+// Router on n=64. A warm-up round primes the path pool, so the timed loop
+// allocates nothing: before paths were pooled every Connect allocated its
+// result slice (the historical allocs_op: 1 in BENCH.json), and the gate
+// now keeps it at zero.
 func BenchmarkGreedyConnect(b *testing.B) {
 	nw := benchNetwork(b, 3)
-	rt := NewRouter(nw.G)
-	rt.EnablePathReuse()
+	rt := route.NewRouter(nw.G)
 	r := rng.New(3)
 	n := len(nw.Inputs())
 	if _, err := rt.Connect(nw.Inputs()[0], nw.Outputs()[0]); err != nil {
@@ -314,9 +314,7 @@ func BenchmarkShardedChurnParallel(b *testing.B) {
 	nw := benchNetwork(b, 4)
 	n := len(nw.Inputs())
 	b.Run("router", func(b *testing.B) {
-		rt := route.NewRouter(nw.G)
-		rt.EnablePathReuse()
-		benchChurn(b, nw, rt, n/2)
+		benchChurn(b, nw, route.NewRouter(nw.G), n/2)
 	})
 	b.Run("shards=1", func(b *testing.B) {
 		benchShardedChurn(b, nw, n/2)

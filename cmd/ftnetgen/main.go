@@ -9,7 +9,7 @@
 //	ftnetgen -kind butterfly -k 4
 //	ftnetgen -kind multibutterfly -k 4 -d 2
 //	ftnetgen -kind clos -n0 4 -r 4 [-mm 7]
-//	ftnetgen -kind superconcentrator -n 64 -d 4
+//	ftnetgen -kind superconcentrator -n 64 [-d 3]
 //	ftnetgen -kind paper-accounting          # closed-form Theorem-2 table
 package main
 
@@ -37,7 +37,7 @@ func main() {
 	dq := flag.Int("dq", 3, "matchings per quarter DQ for network-n")
 	seed := flag.Uint64("seed", 1, "construction seed")
 	k := flag.Int("k", 4, "k for benes/butterfly/multibutterfly (n = 2^k)")
-	d := flag.Int("d", 2, "multiplicity/degree for multibutterfly/superconcentrator")
+	d := flag.Int("d", 2, "multiplicity/degree for multibutterfly/superconcentrator (3 for superconcentrator when not set)")
 	n0 := flag.Int("n0", 4, "Clos input-crossbar width")
 	r := flag.Int("r", 4, "Clos crossbar count")
 	mm := flag.Int("mm", 0, "Clos middle count (0 = strict 2n0-1)")
@@ -45,6 +45,12 @@ func main() {
 	dot := flag.String("dot", "", "write Graphviz DOT to file")
 	analyze := flag.Bool("analyze", false, "run the Theorem-1 zone analysis (slow on big graphs)")
 	flag.Parse()
+	dSet := false
+	flag.Visit(func(f *flag.Flag) { dSet = dSet || f.Name == "d" })
+	if !dSet && *kind == "superconcentrator" {
+		// No degree-2 concentrator passes the Hall check at the default n.
+		*d = 3
+	}
 
 	if *kind == "paper-accounting" {
 		tab := stats.NewTable("ν", "n", "γ", "L", "edges (faithful)", "edges (claimed)", "depth")

@@ -1,7 +1,8 @@
 // Command ftroute demonstrates circuit routing on a faulted, repaired
 // Network 𝒩: it injects switch failures, applies the paper's discard
 // repair, prints the majority-access certificate, then drives a random
-// connect/disconnect session workload and reports per-request outcomes.
+// connect/disconnect session workload on the guided engine and reports
+// per-request outcomes.
 //
 // Usage:
 //
@@ -27,7 +28,7 @@ func main() {
 	eps := flag.Float64("eps", 0.002, "switch failure rate ε (open = closed = ε)")
 	ops := flag.Int("ops", 40, "churn operations")
 	seed := flag.Uint64("seed", 7, "seed")
-	concurrent := flag.Bool("concurrent", false, "route one permutation batch on the guided engine instead of churning")
+	concurrent := flag.Bool("concurrent", false, "route one permutation batch instead of churning")
 	flag.Parse()
 	if err := fault.Symmetric(*eps).Validate(); err != nil {
 		die(fmt.Errorf("-eps %g: %w", *eps, err))
@@ -63,6 +64,7 @@ func main() {
 	fmt.Printf("majority-access certificate (Lemma 6): OK=%v (middle stage %d, strict majority needed %d)\n",
 		rep.OK, rep.MiddleSize, rep.MiddleSize/2+1)
 
+	se := route.NewRepairedShardedEngine(inst, 1)
 	if *concurrent {
 		n := p.N()
 		perm := r.Perm(n)
@@ -70,7 +72,6 @@ func main() {
 		for i := range reqs {
 			reqs[i] = route.Request{In: nw.Inputs()[i], Out: nw.Outputs()[perm[i]]}
 		}
-		se := route.NewRepairedShardedEngine(inst, 1)
 		results := se.ConnectBatch(reqs, nil)
 		okCount := 0
 		for _, res := range results {
@@ -86,12 +87,11 @@ func main() {
 		return
 	}
 
-	rt := route.NewRepairedRouter(inst)
 	var cd netsim.ChurnDriver
-	connects, failures, pathTotal := cd.Run(rt, nw.Inputs(), nw.Outputs(), *ops, r)
+	connects, failures, pathTotal := cd.Run(se, nw.Inputs(), nw.Outputs(), *ops, r)
 	fmt.Printf("churn: %d connects, %d blocked, mean path length %.1f switches, %d circuits live at end\n",
-		connects, failures, avg(pathTotal, connects-failures), rt.ActiveCircuits())
-	if err := rt.VerifyInvariants(); err != nil {
+		connects, failures, avg(pathTotal, connects-failures), se.ActiveCircuits())
+	if err := se.VerifyState(); err != nil {
 		fmt.Printf("INVARIANT VIOLATION: %v\n", err)
 		os.Exit(1)
 	}

@@ -86,16 +86,20 @@ func main() {
 		log.Fatal(err)
 	}
 	inst2 := ftcsn.Inject(nn.G, ftcsn.Symmetric(eps), 3)
-	rt := ftcsn.NewRepairedRouter(inst2)
+	eng := ftcsn.NewRepairedShardedEngine(inst2)
+	reqs := make([]ftcsn.RouteRequest, 16)
 	for _, w := range workloads {
+		for i := range reqs {
+			reqs[i] = ftcsn.RouteRequest{In: nn.Inputs()[i], Out: nn.Outputs()[w.perm(i, 16)]}
+		}
 		routed := 0
-		for i := 0; i < 16; i++ {
-			if _, err := rt.Connect(nn.Inputs()[i], nn.Outputs()[w.perm(i, 16)]); err == nil {
+		for _, res := range eng.ConnectBatch(reqs, nil) {
+			if res.Path != nil {
 				routed++
 			}
 		}
 		fmt.Printf("  network-𝒩: %-17s %2d/16 circuits (with %d faulty switches discarded)\n",
 			w.name, routed, inst2.NumFailed())
-		rt.Reset()
+		eng.Reset()
 	}
 }

@@ -28,18 +28,21 @@ func main() {
 
 	// The paper's repair: discard both endpoints of every failed switch
 	// (§4: "merely by discarding faulty components and their immediate
-	// neighbors"), then route greedily — no clever algorithms needed.
-	rt := ftcsn.NewRepairedRouter(inst)
-	established := 0
+	// neighbors"), then route greedily — no clever algorithms needed. The
+	// engine serves the batch in order, one request at a time.
+	eng := ftcsn.NewRepairedShardedEngine(inst)
+	reqs := make([]ftcsn.RouteRequest, len(nw.Inputs()))
 	for i, in := range nw.Inputs() {
-		out := nw.Outputs()[(i*7+3)%len(nw.Outputs())]
-		path, err := rt.Connect(in, out)
-		if err != nil {
-			fmt.Printf("  request %2d: BLOCKED (%v)\n", i, err)
+		reqs[i] = ftcsn.RouteRequest{In: in, Out: nw.Outputs()[(i*7+3)%len(nw.Outputs())]}
+	}
+	established := 0
+	for i, res := range eng.ConnectBatch(reqs, nil) {
+		if res.Path == nil {
+			fmt.Printf("  request %2d: BLOCKED\n", i)
 			continue
 		}
 		established++
-		fmt.Printf("  request %2d: routed over %d switches\n", i, len(path)-1)
+		fmt.Printf("  request %2d: routed over %d switches\n", i, len(res.Path)-1)
 	}
 	fmt.Printf("%d/%d circuits established on the repaired network\n",
 		established, len(nw.Inputs()))

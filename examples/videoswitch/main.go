@@ -22,7 +22,6 @@ import (
 	"ftcsn/internal/graph"
 	"ftcsn/internal/multibutterfly"
 	"ftcsn/internal/rng"
-	"ftcsn/internal/route"
 )
 
 // plant is one candidate switching fabric.
@@ -71,7 +70,9 @@ func main() {
 func simulateDay(g *graph.Graph, eps float64, sessions int) (attempts, blocked int) {
 	r := rng.New(2026)
 	inst := ftcsn.Inject(g, ftcsn.Symmetric(eps), 77)
-	rt := route.NewRepairedRouter(inst)
+	eng := ftcsn.NewRepairedShardedEngine(inst)
+	req := make([]ftcsn.RouteRequest, 1) // one patch request per batch
+	var res []ftcsn.RouteResult
 
 	type patch struct{ in, out int32 }
 	var live []patch
@@ -85,7 +86,8 @@ func simulateDay(g *graph.Graph, eps float64, sessions int) (attempts, blocked i
 			i := r.Intn(len(idleIn))
 			o := r.Intn(len(idleOut))
 			attempts++
-			if _, err := rt.Connect(idleIn[i], idleOut[o]); err != nil {
+			req[0] = ftcsn.RouteRequest{In: idleIn[i], Out: idleOut[o]}
+			if res = eng.ConnectBatch(req, res); res[0].Path == nil {
 				blocked++
 				continue
 			}
@@ -97,7 +99,7 @@ func simulateDay(g *graph.Graph, eps float64, sessions int) (attempts, blocked i
 		} else {
 			pi := r.Intn(len(live))
 			p := live[pi]
-			if err := rt.Disconnect(p.in, p.out); err == nil {
+			if err := eng.Disconnect(p.in, p.out); err == nil {
 				idleIn = append(idleIn, p.in)
 				idleOut = append(idleOut, p.out)
 			}

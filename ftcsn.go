@@ -23,10 +23,9 @@
 //   - NewSuperconcentrator: linear-size superconcentrators with
 //     max-flow verification;
 //   - Symmetric / Inject: the random switch failure model;
-//   - NewRouter / NewRepairedRouter: greedy circuit routing (§4), and
-//     NewShardedEngine / NewRepairedShardedEngine: the same decisions and
-//     paths, served in batches by a hunt a per-epoch output-reachability
-//     guide prunes — the two Engine implementations;
+//   - NewShardedEngine / NewRepairedShardedEngine: greedy circuit
+//     routing (§4), a depth-first hunt that a per-epoch
+//     output-reachability guide prunes, serving batches in order;
 //   - Evaluate: the end-to-end Theorem-2 pipeline
 //     (inject → discard repair → majority-access certificate → churn),
 //     which an Evaluator runs as blocks of trials.
@@ -78,7 +77,7 @@ type TrialOutcome = core.TrialOutcome
 
 // Evaluator is the reusable, allocation-free Theorem-2 trial engine: it
 // owns every per-trial buffer (fault instance, repair masks, access
-// checker, pooled router) for one network. Hold one per goroutine.
+// checker, churn engine) for one network. Hold one per goroutine.
 type Evaluator = core.Evaluator
 
 // FaultModel holds the per-switch failure probabilities (ε₁, ε₂).
@@ -87,21 +86,18 @@ type FaultModel = fault.Model
 // FaultInstance is one random realization of switch states.
 type FaultInstance = fault.Instance
 
-// Router serves connect/disconnect requests with greedy path-finding.
-type Router = route.Router
-
 // ShardedEngine serves batches of connection requests in order against
 // live claims, pruning each hunt with a per-epoch output-reachability
 // guide: accept/reject decisions and established paths are bit-identical
-// to Router processing the batch in order. See internal/route and
-// DESIGN.md §2.7.
+// to the unpruned reference hunt processing the batch in order. See
+// internal/route and DESIGN.md §2.7.
 type ShardedEngine = route.ShardedEngine
 
-// Engine is the uniform seam over the two path-hunting engines (Router,
-// ShardedEngine), both with sequential-batch semantics: ConnectBatch /
-// Disconnect / PathOf / Reset / Stats plus shared-mask adoption. The
-// Theorem-2 trial pipeline drives its churn through this seam
-// (Evaluator.SetChurnEngine); see DESIGN.md §2.8.
+// Engine is the routing seam with sequential-batch semantics that
+// ShardedEngine implements: ConnectBatch / Disconnect / PathOf / Reset /
+// Stats plus shared-mask adoption. The Theorem-2 trial pipeline drives
+// its churn through this seam (Evaluator.SetChurnEngine), and Serve its
+// open-loop traffic; see DESIGN.md §2.8.
 type Engine = route.Engine
 
 // EngineStats is the engine-neutral cumulative serving record.
@@ -164,22 +160,15 @@ func Inject(g *Graph, m FaultModel, seed uint64) *FaultInstance {
 // nothing in steady state.
 func NewEvaluator(nw *Network) *Evaluator { return core.NewEvaluator(nw) }
 
-// NewRouter returns a greedy circuit router over the fault-free network.
-func NewRouter(g *Graph) *Router { return route.NewRouter(g) }
-
-// NewRepairedRouter returns a router over the network repaired from inst
-// by the paper's rule: discard every faulty non-terminal vertex.
-func NewRepairedRouter(inst *FaultInstance) *Router { return route.NewRepairedRouter(inst) }
-
 // NewShardedEngine returns the guided batch-routing engine over the
-// fault-free network: the Router's decisions and paths, each hunt pruned
+// fault-free network: greedy depth-first path hunting, each hunt pruned
 // by a per-epoch output-reachability guide.
 func NewShardedEngine(g *Graph) *ShardedEngine {
 	return route.NewShardedEngine(g, 1)
 }
 
 // NewRepairedShardedEngine is NewShardedEngine over the network repaired
-// from inst by the paper's discard rule.
+// from inst by the paper's rule: discard every faulty non-terminal vertex.
 func NewRepairedShardedEngine(inst *FaultInstance) *ShardedEngine {
 	return route.NewRepairedShardedEngine(inst, 1)
 }

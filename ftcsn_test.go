@@ -18,17 +18,21 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	inst := Inject(nw.G, Symmetric(0.001), 42)
-	rt := NewRepairedRouter(inst)
-	ok := 0
+	eng := NewRepairedShardedEngine(inst)
+	reqs := make([]RouteRequest, 16)
 	for i, in := range nw.Inputs() {
-		if _, err := rt.Connect(in, nw.Outputs()[(i+5)%16]); err == nil {
+		reqs[i] = RouteRequest{In: in, Out: nw.Outputs()[(i+5)%16]}
+	}
+	ok := 0
+	for _, res := range eng.ConnectBatch(reqs, nil) {
+		if res.Path != nil {
 			ok++
 		}
 	}
 	if ok < 15 {
 		t.Fatalf("only %d/16 circuits established at ε=0.001", ok)
 	}
-	if err := rt.VerifyInvariants(); err != nil {
+	if err := eng.VerifyState(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -167,7 +171,7 @@ func TestEngineSeamFacade(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = RouteRequest{In: nw.Inputs()[i], Out: nw.Outputs()[(i+1)%n]}
 	}
-	engines := []Engine{NewRouter(nw.G), NewShardedEngine(nw.G)}
+	engines := []Engine{NewShardedEngine(nw.G), NewRepairedShardedEngine(Inject(nw.G, Symmetric(0.001), 42))}
 	for ei, eng := range engines {
 		res := eng.ConnectBatch(reqs, nil)
 		st := eng.Stats()

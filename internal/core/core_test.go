@@ -317,8 +317,10 @@ func TestHealthyFullPermutationRoutes(t *testing.T) {
 			t.Fatalf("connect %d->%d failed: %v", i, p, err)
 		}
 	}
-	if rt.ActiveCircuits() != len(nw.Inputs()) {
-		t.Fatal("not all circuits established")
+	for i, p := range perm {
+		if rt.PathOf(nw.Inputs()[i], nw.Outputs()[p]) == nil {
+			t.Fatalf("circuit %d->%d not registered", i, p)
+		}
 	}
 	if err := rt.VerifyInvariants(); err != nil {
 		t.Fatal(err)

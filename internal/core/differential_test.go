@@ -45,7 +45,6 @@ type refTrial struct {
 
 func newRefTrial(nw *Network) *refTrial {
 	rt := route.NewRouter(nw.G)
-	rt.EnablePathReuse()
 	return &refTrial{
 		nw:   nw,
 		inst: fault.NewInstance(nw.G),

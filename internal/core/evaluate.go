@@ -82,8 +82,6 @@ type Evaluator struct {
 // NewEvaluator returns a reusable trial evaluator for nw. The repair
 // masks and the traversal bytes are sized here, so no trial grows them.
 func NewEvaluator(nw *Network) *Evaluator {
-	rt := route.NewRouter(nw.G)
-	rt.EnablePathReuse()
 	ev := &Evaluator{
 		nw:    nw,
 		inst:  fault.NewInstance(nw.G),
@@ -97,7 +95,7 @@ func NewEvaluator(nw *Network) *Evaluator {
 	ev.masks.EdgeOK = make([]bool, nE)
 	ev.masks.OutAllowed = make([]uint8, nE)
 	ev.mu.Init(ev.inst, &ev.masks)
-	ev.SetChurnEngine(rt)
+	ev.SetChurnEngine(route.NewRouter(nw.G))
 	return ev
 }
 

@@ -171,8 +171,7 @@ func isRearrangeableSampled(g *graph.Graph, samples int, r *rng.RNG) bool {
 // neverBlocksUnderChurn drives randomized greedy churn and reports whether
 // any connect between idle terminals ever failed.
 func neverBlocksUnderChurn(g *graph.Graph, ops int, r *rng.RNG) bool {
-	rt := route.NewRouter(g)
 	var cd netsim.ChurnDriver
-	_, failures, _ := cd.Run(rt, g.Inputs(), g.Outputs(), ops, r)
+	_, failures, _ := cd.Run(route.NewShardedEngine(g, 1), g.Inputs(), g.Outputs(), ops, r)
 	return failures == 0
 }

@@ -37,7 +37,6 @@ func TestChurnDriverMatchesPerOp(t *testing.T) {
 
 		// Per-op reference.
 		ref := route.NewRouter(nw.G)
-		ref.EnablePathReuse()
 		ref.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
 		const ops = 400
 		refR := rng.New(42)
@@ -48,7 +47,6 @@ func TestChurnDriverMatchesPerOp(t *testing.T) {
 		engines := map[string]route.Engine{
 			"router": func() route.Engine {
 				rt := route.NewRouter(nw.G)
-				rt.EnablePathReuse()
 				return rt
 			}(),
 		}
@@ -97,7 +95,6 @@ func TestChurnDriverRollbackExercised(t *testing.T) {
 	nw := buildSmall(t)
 	m := repairedMasks(t, nw, 0.25, 0xC0FFEE+250)
 	ref := route.NewRouter(nw.G)
-	ref.EnablePathReuse()
 	ref.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
 	r := rng.New(42)
 	_, failures, _ := ChurnWith(ref, nw.G.Inputs(), nw.G.Outputs(), 400, r, &ChurnScratch{})
@@ -141,7 +138,6 @@ func TestChurnDriverIncrementalMasks(t *testing.T) {
 	mu.Init(inst, &m)
 
 	ref := route.NewRouter(g)
-	ref.EnablePathReuse()
 	ref.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
 	se := route.NewShardedEngine(g, 1)
 	se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
@@ -184,12 +180,10 @@ func TestChurnDriverUnequalTerminalSets(t *testing.T) {
 	ins := nw.G.Inputs()
 	outs := nw.G.Outputs()[:2]
 	ref := route.NewRouter(nw.G)
-	ref.EnablePathReuse()
 	refR := rng.New(5)
 	wantC, wantF, wantP := ChurnWith(ref, ins, outs, 300, refR, &ChurnScratch{})
 
 	eng := route.NewRouter(nw.G)
-	eng.EnablePathReuse()
 	var cd netsim.ChurnDriver
 	r := rng.New(5)
 	gotC, gotF, gotP := cd.Run(eng, ins, outs, 300, r)

@@ -1,7 +1,8 @@
 // Package netsimtest is test support for the routing engines: the
 // closed-loop churn generator that route's differentials and the gated
-// BenchmarkShardedChurn rows drive both engines with. Only tests import
-// it, so its exports are exempt from ftlint's deadexport rule.
+// BenchmarkShardedChurn rows drive the guided engine and its reference
+// with. Only tests import it, so its exports are exempt from ftlint's
+// deadexport rule.
 package netsimtest
 
 // Workload is the closed-loop churn generator — the feedback-coupled
@@ -9,11 +10,11 @@ package netsimtest
 // timestamped arrivals drawn independently of the network, it emits
 // connect batches and release picks whose composition depends on the
 // engine's own accept/reject decisions, the Theorem-2 churn protocol.
-// It is engine-agnostic — the same stream drives the sequential
-// route.Router and the guided route.ShardedEngine — which is what the
-// differential harnesses lean on: identical decisions imply identical
-// subsequent workload, so decision streams of two engines can be compared
-// step by step under arbitrary churn.
+// It is engine-agnostic — the same stream drives the guided
+// route.ShardedEngine and the reference route.Router it is checked
+// against — which is what the differential harnesses lean on: identical
+// decisions imply identical subsequent workload, so decision streams of
+// two engines can be compared step by step under arbitrary churn.
 //
 // The generator owns the idle/live bookkeeping: NextConnects draws
 // endpoint-distinct requests from the idle pools, Commit feeds decisions

@@ -28,7 +28,7 @@ func TestServeDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	engines := map[string]func() route.Engine{
-		"router":  func() route.Engine { rt := route.NewRouter(nw.G); rt.EnablePathReuse(); return rt },
+		"router":  func() route.Engine { return route.NewRouter(nw.G) },
 		"sharded": func() route.Engine { return route.NewShardedEngine(nw.G, 1) },
 	}
 	for name, mk := range engines {
@@ -70,10 +70,9 @@ func TestServeAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := route.NewRouter(nw.G)
-	rt.EnablePathReuse()
+	se := route.NewShardedEngine(nw.G, 1)
 	var slo stats.SLO
-	err = netsim.Serve(rt, openLoopSource(nw, 42, 8.0), netsim.ServeConfig{MaxArrivals: 2000}, &slo)
+	err = netsim.Serve(se, openLoopSource(nw, 42, 8.0), netsim.ServeConfig{MaxArrivals: 2000}, &slo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +87,10 @@ func TestServeAccounting(t *testing.T) {
 	if sn.Departed != sn.Accepted || sn.Live != 0 {
 		t.Fatalf("departed %d / live %d, want all %d accepted gone", sn.Departed, sn.Live, sn.Accepted)
 	}
-	if int64(rt.ActiveCircuits()) != sn.Live {
-		t.Fatalf("engine still holds %d circuits", rt.ActiveCircuits())
+	if int64(se.ActiveCircuits()) != sn.Live {
+		t.Fatalf("engine still holds %d circuits", se.ActiveCircuits())
 	}
-	es := rt.Stats()
+	es := se.Stats()
 	if es.Accepted != sn.Accepted || es.Rejected != sn.Rejected {
 		t.Fatalf("engine stats %+v disagree with SLO %+v", es, sn)
 	}
@@ -118,7 +117,6 @@ func TestServeBatchingDecisionNeutral(t *testing.T) {
 		return slo.Snapshot()
 	}
 	rt := route.NewRouter(nw.G)
-	rt.EnablePathReuse()
 	one := run(rt, 1)
 	se := route.NewShardedEngine(nw.G, 1)
 	big := run(se, 64)
@@ -141,10 +139,9 @@ func TestServeHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := route.NewRouter(nw.G)
-	rt.EnablePathReuse()
+	se := route.NewShardedEngine(nw.G, 1)
 	var slo stats.SLO
-	if err := netsim.Serve(rt, openLoopSource(nw, 7, 5.0), netsim.ServeConfig{Horizon: 40.0}, &slo); err != nil {
+	if err := netsim.Serve(se, openLoopSource(nw, 7, 5.0), netsim.ServeConfig{Horizon: 40.0}, &slo); err != nil {
 		t.Fatal(err)
 	}
 	sn := slo.Snapshot()
@@ -158,8 +155,8 @@ func TestServeHorizon(t *testing.T) {
 	if sn.Live != sn.Accepted-sn.Departed {
 		t.Fatalf("live %d != accepted %d - departed %d", sn.Live, sn.Accepted, sn.Departed)
 	}
-	if int64(rt.ActiveCircuits()) != sn.Live {
-		t.Fatalf("engine live count %d != SLO live %d", rt.ActiveCircuits(), sn.Live)
+	if int64(se.ActiveCircuits()) != sn.Live {
+		t.Fatalf("engine live count %d != SLO live %d", se.ActiveCircuits(), sn.Live)
 	}
 }
 
@@ -178,7 +175,6 @@ func TestServeOverloadMonotonic(t *testing.T) {
 	var rates []float64
 	for _, rate := range []float64{1.0, 4.0, 16.0, 64.0} {
 		rt := route.NewRepairedRouter(inst)
-		rt.EnablePathReuse()
 		src := netsim.NewTrafficSource(0x10AD,
 			netsim.NewPoisson(rate),
 			netsim.NewExpHolding(4.0),

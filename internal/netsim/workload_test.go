@@ -145,7 +145,6 @@ func TestWorkloadDecisionStreamGolden(t *testing.T) {
 	}
 	wl := netsimtest.NewWorkload(nw.Inputs(), nw.Outputs(), 0xF00D)
 	rt := route.NewRouter(nw.G)
-	rt.EnablePathReuse()
 	var res []route.Result
 	var h uint64 = 1469598103934665603 // FNV-1a offset basis
 	mix := func(v uint64) {

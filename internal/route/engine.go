@@ -1,10 +1,11 @@
 package route
 
 // Engine is the uniform seam over this package's two path-hunting engines
-// — the sequential Router and the guided ShardedEngine — so the layers
-// above (core's Theorem-2 churn pipeline, netsim's workload drivers and
-// serving loop, experiment E9) can swap engines without hand-rolled
-// per-engine call paths.
+// — the guided ShardedEngine, which every production caller that picks an
+// engine routes on, and the reference Router — so the layers above
+// (core's Theorem-2 churn pipeline, netsim's churn driver and serving
+// loop) drive either one, and the differential tests can run both on one
+// stream.
 //
 // The shared contract:
 //
@@ -74,12 +75,14 @@ var (
 	_ Engine = (*ShardedEngine)(nil)
 )
 
-// circuits is the guided engine's per-input live-circuit registry: at
-// most one live circuit per input terminal — an input stays claimed while
+// circuits is both engines' per-input live-circuit registry: at most one
+// live circuit per input terminal — an input stays claimed while
 // connected, so a second circuit cannot coexist — with O(1) install,
-// lookup, and swap-removal. Fields are parallel arrays indexed by vertex:
-// out[in] is the live circuit's output (-1 = none), path[in] its path, and
-// ins/pos a mutual index for O(1) removal from the live list.
+// lookup, and swap-removal, and no allocation once ins has grown to the
+// peak live count. Fields are parallel arrays indexed by vertex: out[in]
+// is the live circuit's output (-1 = none), path[in] its path, and
+// ins/pos a mutual index for O(1) removal from the live list, which
+// callers walk to visit every live circuit in a fixed order.
 type circuits struct {
 	out  []int32
 	path [][]int32

@@ -6,8 +6,10 @@ package route_test
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
+	"ftcsn/internal/netsim/netsimtest"
 	"ftcsn/internal/rng"
 	"ftcsn/internal/route"
 )
@@ -22,7 +24,6 @@ func permReqs(t *testing.T, nu int) ([]route.Request, *route.Router, []route.Eng
 		reqs[i] = route.Request{In: nw.Inputs()[i], Out: nw.Outputs()[perm[i]]}
 	}
 	rt := route.NewRouter(nw.G)
-	rt.EnablePathReuse()
 	return reqs, rt, []route.Engine{rt, route.NewShardedEngine(nw.G, 1)}
 }
 
@@ -108,7 +109,6 @@ func TestSequentialEnginesAgree(t *testing.T) {
 	reqs, _, _ := permReqs(t, 2)
 	nw := buildNet(t, 2)
 	engA := route.NewRouter(nw.G)
-	engA.EnablePathReuse()
 	engB := route.NewShardedEngine(nw.G, 1)
 	var resA, resB []route.Result
 	for round := 0; round < 5; round++ {
@@ -186,5 +186,52 @@ func TestEnginesRefuseNonTerminalEndpoints(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestSteadyChurnAllocatesNothing: once warm, churn allocates no bytes on
+// either engine, also while fresh (in, out) pairs keep arriving: both keep
+// their circuits in the per-input registry, which never grows past the
+// peak live count, and recycle retired paths. Bytes are read from
+// runtime.MemStats because testing.AllocsPerRun divides by its run count
+// and truncates, so a rare amortized growth (a map of circuit keys that
+// grows as distinct pairs churn through it) reads 0 allocs per run.
+func TestSteadyChurnAllocatesNothing(t *testing.T) {
+	nw := buildNet(t, 3)
+	n := len(nw.Inputs())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, eng := range []route.Engine{route.NewRouter(nw.G), route.NewShardedEngine(nw.G, 1)} {
+		wl := netsimtest.NewWorkload(nw.Inputs(), nw.Outputs(), 0xA110C)
+		var res []route.Result
+		// A round connects up to half the terminals on top of the live
+		// half, then releases as many circuits as it requested.
+		round := func() {
+			reqs := wl.NextConnects(n / 2)
+			res = eng.ConnectBatch(reqs, res)
+			wl.Commit(res[:len(reqs)])
+			for _, rel := range wl.NextReleases(len(reqs)) {
+				if err := eng.Disconnect(rel.In, rel.Out); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for wl.Live() < n/2 {
+			reqs := wl.NextConnects(n/2 - wl.Live())
+			res = eng.ConnectBatch(reqs, res)
+			wl.Commit(res[:len(reqs)])
+		}
+		for i := 0; i < 8; i++ {
+			round() // grow every buffer to its peak
+		}
+		const rounds = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			round()
+		}
+		runtime.ReadMemStats(&after)
+		if b := after.TotalAlloc - before.TotalAlloc; b != 0 {
+			t.Errorf("%T: %d warm churn rounds allocated %d bytes, want 0", eng, rounds, b)
+		}
 	}
 }

@@ -18,5 +18,5 @@ func (rt *Router) SetMasks(vertexOK, edgeOK []bool) {
 // Busy reports whether vertex v is held by a circuit.
 func (rt *Router) Busy(v int32) bool { return rt.busy[v] }
 
-// ActiveCircuits returns the number of committed circuits.
-func (se *ShardedEngine) ActiveCircuits() int { return len(se.circ.ins) }
+// ActiveCircuits returns the number of established circuits.
+func (rt *Router) ActiveCircuits() int { return len(rt.circ.ins) }

@@ -4,12 +4,11 @@ import (
 	"testing"
 )
 
-// TestPooledConnectAllocFree: with path reuse enabled, a warmed router's
-// connect/disconnect cycle allocates nothing.
+// TestPooledConnectAllocFree: a warmed router's connect/disconnect cycle
+// allocates nothing.
 func TestPooledConnectAllocFree(t *testing.T) {
 	g := crossbar()
 	rt := NewRouter(g)
-	rt.EnablePathReuse()
 	in, out := g.Inputs()[0], g.Outputs()[0]
 	cycle := func() {
 		if _, err := rt.Connect(in, out); err != nil {
@@ -32,7 +31,6 @@ func TestPooledConnectAllocFree(t *testing.T) {
 func TestPooledPathRecycled(t *testing.T) {
 	g := crossbar()
 	rt := NewRouter(g)
-	rt.EnablePathReuse()
 	in, out := g.Inputs()[1], g.Outputs()[1]
 	p1, err := rt.Connect(in, out)
 	if err != nil {
@@ -53,36 +51,11 @@ func TestPooledPathRecycled(t *testing.T) {
 	}
 }
 
-// TestUnpooledPathsUntouched: without EnablePathReuse, Connect results
-// remain valid after Disconnect (the documented legacy contract).
-func TestUnpooledPathsUntouched(t *testing.T) {
-	g := crossbar()
-	rt := NewRouter(g)
-	in, out := g.Inputs()[0], g.Outputs()[1]
-	p1, err := rt.Connect(in, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]int32(nil), p1...)
-	if err := rt.Disconnect(in, out); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Connect(in, out); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if p1[i] != want[i] {
-			t.Fatal("legacy path mutated after Disconnect without path reuse")
-		}
-	}
-}
-
 // TestSetMasksSwapsRepairState: one router serves successive mask sets, and
 // mask changes drop established circuits.
 func TestSetMasksSwapsRepairState(t *testing.T) {
 	g := crossbar()
 	rt := NewRouter(g)
-	rt.EnablePathReuse()
 	in, out := g.Inputs()[0], g.Outputs()[0]
 
 	// Block every switch: connect must fail.

@@ -21,7 +21,7 @@ func unprunedConnectRef(rt *Router, in, out int32) []int32 {
 	if rt.busy[in] || rt.busy[out] || !rt.usableVertex(in) || !rt.usableVertex(out) {
 		return nil
 	}
-	if _, dup := rt.circuits[circuitKey(in, out)]; dup {
+	if rt.PathOf(in, out) != nil {
 		return nil
 	}
 	n := rt.g.NumVertices()

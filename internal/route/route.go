@@ -4,19 +4,21 @@
 // Pippenger & Lin's §4 observes that because their fault-tolerant network
 // contains a *strictly* nonblocking network, "routing can be performed by a
 // 'greedy' application of a standard path-finding algorithm, so no
-// difficult computations are involved". Router is that greedy algorithm: a
+// difficult computations are involved". That greedy algorithm is a
 // depth-first path hunt over idle usable vertices (visited-stamped, so the
 // worst case stays linear while the common lightly-loaded case costs only
 // about depth·degree). On a strictly nonblocking (sub)network it can never
 // fail; on weaker networks (Beneš without rearrangement, butterflies) its
-// failures are themselves measurements, which experiment E9 exploits.
+// failures are themselves measurements (experiments E9 and E12).
 //
-// Two engines are provided behind one Engine seam: the sequential Router,
-// and ShardedEngine, which runs the same hunt in input order against its
-// owner array, pruned by a per-epoch output-reachability guide, so its
-// decisions and paths are bit-identical to the Router's. Multi-core speed
-// comes from running independent trials in parallel (package montecarlo),
-// not from splitting a batch.
+// ShardedEngine is the production engine: it runs the hunt in input order
+// against its owner array, pruned by a per-epoch output-reachability
+// guide. Router is the unpruned reference hunt with its own busy set,
+// kept to check the guided engine against (the differential tests in
+// this package, core and netsim) and as core.NewEvaluator's default churn
+// engine; the two share only the per-input circuit registry. Multi-core
+// speed comes from running independent trials in parallel (package
+// montecarlo), not from splitting a batch.
 package route
 
 import (
@@ -47,13 +49,14 @@ var ErrNoCircuit = errors.New("route: no such circuit")
 var ErrNotTerminal = errors.New("route: endpoint is not a terminal of the requested kind")
 
 // Router maintains a set of vertex-disjoint circuits on a (possibly
-// repaired) network and serves connect/disconnect requests greedily.
+// repaired) network and serves connect/disconnect requests greedily: the
+// reference hunt ShardedEngine's decisions and paths are checked against.
 type Router struct {
 	g        *graph.Graph
 	vertexOK []bool // usable vertices after repair (nil = all usable)
 	edgeOK   []bool // usable switches after repair (nil = all usable)
 	busy     []bool // vertices held by established circuits
-	circuits map[int64][]int32
+	circ     circuits
 
 	// allowed is the CSR-slot-aligned traversal byte array the BFS hot
 	// loop reads instead of the edgeOK/vertexOK/IsTerminal triple (see
@@ -72,10 +75,9 @@ type Router struct {
 	queue     []int32
 	rev       []int32 // path-reconstruction scratch
 
-	// Path pooling (EnablePathReuse): retired circuit paths are kept on a
-	// free list and reused by later Connects, making steady-state churn
-	// allocation-free. Pooled paths are only valid until Disconnect.
-	pooled   bool
+	// Path pooling: retired circuit paths are kept on a free list and
+	// reused by later Connects, making steady-state churn allocation-free.
+	// Pooled paths are only valid until Disconnect.
 	pathPool [][]int32
 
 	// levels is the graph's per-vertex topological level (graph.Levels;
@@ -106,11 +108,11 @@ func newRouter(g *graph.Graph, vertexOK, edgeOK []bool) *Router {
 		vertexOK:  vertexOK,
 		edgeOK:    edgeOK,
 		busy:      make([]bool, n),
-		circuits:  make(map[int64][]int32),
 		seenEpoch: make([]uint32, n),
 		pred:      make([]int32, n),
 		queue:     make([]int32, 0, 256),
 	}
+	rt.circ.init(n)
 	rt.allowedOwned = g.BuildOutAllowed(edgeOK, vertexOK, nil)
 	rt.allowed = rt.allowedOwned
 	if lv, err := g.Levels(); err == nil {
@@ -119,12 +121,11 @@ func newRouter(g *graph.Graph, vertexOK, edgeOK []bool) *Router {
 	return rt
 }
 
-// EnablePathReuse switches the router to pooled path slices: the slice
-// returned by Connect is recycled once its circuit is Disconnected (or the
-// router is Reset), so callers must not retain it past the circuit's
-// lifetime. Together with SetMasksShared and Reset this makes a long-lived
-// router allocation-free in steady state; core.Evaluator relies on it.
-func (rt *Router) EnablePathReuse() { rt.pooled = true }
+// EnablePathReuse does nothing: path slices are always pooled, so the
+// slice Connect returns is recycled once its circuit is Disconnected (or
+// the router is Reset). It remains only for callers written against the
+// former opt-in.
+func (rt *Router) EnablePathReuse() {}
 
 // SetMasksShared replaces the usable-vertex and usable-switch masks and
 // the caller-maintained CSR-slot-aligned traversal byte array for the
@@ -139,8 +140,6 @@ func (rt *Router) SetMasksShared(vertexOK, edgeOK []bool, outAllowed []uint8) {
 	rt.allowed = outAllowed
 	rt.Reset()
 }
-
-func circuitKey(in, out int32) int64 { return int64(in)<<32 | int64(uint32(out)) }
 
 func (rt *Router) usableVertex(v int32) bool {
 	//ftlint:ignore seamcontract audited endpoint-admission accessor: vertexOK gates terminals only; per-edge admission stays in the traversal bytes
@@ -255,81 +254,68 @@ func (rt *Router) Connect(in, out int32) ([]int32, error) {
 	for _, v := range path {
 		rt.busy[v] = true
 	}
-	rt.circuits[circuitKey(in, out)] = path
+	rt.circ.install(in, out, path)
 	return path, nil
 }
 
-// newPath returns an n-element path slice, recycled from the pool when path
-// reuse is enabled and a retired slice is large enough.
+// newPath returns an n-element path slice, recycled from the pool when a
+// retired slice is large enough.
 func (rt *Router) newPath(n int) []int32 {
-	if rt.pooled {
-		for len(rt.pathPool) > 0 {
-			last := len(rt.pathPool) - 1
-			p := rt.pathPool[last]
-			rt.pathPool = rt.pathPool[:last]
-			if cap(p) >= n {
-				return p[:n]
-			}
-			// Too small to reuse: drop it and try the next.
+	for len(rt.pathPool) > 0 {
+		last := len(rt.pathPool) - 1
+		p := rt.pathPool[last]
+		rt.pathPool = rt.pathPool[:last]
+		if cap(p) >= n {
+			return p[:n]
 		}
+		// Too small to reuse: drop it and try the next.
 	}
 	//ftlint:ignore hotpath pool-miss fallback: steady-state churn recycles retired paths, so this is first-use only
 	return make([]int32, n)
 }
 
-// retirePath hands a no-longer-live circuit path back to the pool.
-func (rt *Router) retirePath(p []int32) {
-	if rt.pooled {
-		rt.pathPool = append(rt.pathPool, p)
+// release frees a no-longer-live circuit path's vertices and hands the
+// path back to the pool.
+func (rt *Router) release(path []int32) {
+	for _, v := range path {
+		rt.busy[v] = false
 	}
+	rt.pathPool = append(rt.pathPool, path)
 }
 
 // Disconnect releases the circuit between in and out, or returns
 // ErrNoCircuit.
 func (rt *Router) Disconnect(in, out int32) error {
-	key := circuitKey(in, out)
-	path, ok := rt.circuits[key]
+	path, ok := rt.circ.remove(in, out)
 	if !ok {
 		return ErrNoCircuit
 	}
-	for _, v := range path {
-		rt.busy[v] = false
-	}
-	delete(rt.circuits, key)
-	rt.retirePath(path)
+	rt.release(path)
 	return nil
 }
 
-// ActiveCircuits returns the number of established circuits.
-func (rt *Router) ActiveCircuits() int { return len(rt.circuits) }
-
 // PathOf returns the established path for (in, out), or nil.
-func (rt *Router) PathOf(in, out int32) []int32 { return rt.circuits[circuitKey(in, out)] }
+func (rt *Router) PathOf(in, out int32) []int32 { return rt.circ.lookup(in, out) }
 
 // Reset releases all circuits, keeping every buffer for reuse. It clears
 // busy flags only along the live circuit paths (every busy vertex lies on
 // one — see VerifyInvariants), so a reset costs O(total live path length)
 // rather than O(V).
 func (rt *Router) Reset() {
-	//ftlint:ignore determinism order-insensitive fold: clearing busy bits and retiring paths commutes across circuits
-	for _, path := range rt.circuits {
-		for _, v := range path {
-			rt.busy[v] = false
-		}
-		rt.retirePath(path)
+	for _, in := range rt.circ.ins {
+		rt.release(rt.circ.path[in])
 	}
-	clear(rt.circuits)
+	rt.circ.reset()
 }
 
 // VerifyInvariants checks that established circuits are vertex-disjoint
-// directed paths over usable idle-claimed vertices; it is used by tests and
+// directed paths over usable idle-claimed vertices, reading the raw
+// repair masks rather than the traversal bytes; it is used by tests and
 // the churn harness.
 func (rt *Router) VerifyInvariants() error {
-	claimed := make(map[int32]bool)
-	//ftlint:ignore determinism verification helper: which violation is reported first may vary, but any violation fails the caller
-	for key, path := range rt.circuits {
-		in := int32(key >> 32)
-		out := int32(uint32(key))
+	claimed := make([]bool, len(rt.busy))
+	for _, in := range rt.circ.ins {
+		path, out := rt.circ.path[in], rt.circ.out[in]
 		if len(path) < 2 || path[0] != in || path[len(path)-1] != out {
 			return fmt.Errorf("route: malformed path for (%d,%d)", in, out)
 		}
@@ -361,7 +347,7 @@ func (rt *Router) VerifyInvariants() error {
 		}
 	}
 	for v, isBusy := range rt.busy {
-		if isBusy && !claimed[int32(v)] {
+		if isBusy && !claimed[v] {
 			return fmt.Errorf("route: vertex %d busy but on no circuit", v)
 		}
 	}

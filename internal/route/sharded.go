@@ -445,6 +445,9 @@ func (se *ShardedEngine) PathOf(in, out int32) []int32 {
 	return se.circ.lookup(in, out)
 }
 
+// ActiveCircuits returns the number of committed circuits.
+func (se *ShardedEngine) ActiveCircuits() int { return len(se.circ.ins) }
+
 // SetMasksShared adopts the usable-vertex mask and the caller-maintained
 // CSR-slot traversal byte array — the same contract as
 // Router.SetMasksShared — releases every committed circuit (a mask change
@@ -643,8 +646,8 @@ func (se *ShardedEngine) guideRow(v int32) bool {
 }
 
 // VerifyState checks the engine's whole state against its definition,
-// the engine's analogue of Router.VerifyInvariants, for tests and the
-// stress harnesses:
+// the engine's analogue of Router.VerifyInvariants, for tests, the stress
+// harnesses and ftroute:
 //
 //   - the committed circuits are vertex-disjoint paths from an input
 //     terminal to an output terminal that the current masks admit: both

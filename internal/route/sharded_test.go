@@ -135,7 +135,6 @@ func TestShardedMatchesSequentialChurn(t *testing.T) {
 					name := fmt.Sprintf("nu=%d/eps=%g/shards=%d/%s", nu, eps, shards, md.name)
 					t.Run(name, func(t *testing.T) {
 						rt := route.NewRouter(nw.G)
-						rt.EnablePathReuse()
 						se := route.NewShardedEngine(nw.G, 1)
 						if eps > 0 {
 							rt.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
@@ -179,7 +178,6 @@ func TestShardedRaceStress(t *testing.T) {
 		reqs[i] = route.Request{In: nw.Inputs()[i], Out: nw.Outputs()[perm[i]]}
 	}
 	rt := route.NewRouter(nw.G)
-	rt.EnablePathReuse()
 	want := make([]bool, n)
 	for _, batch := range []int{n, n / 2, 9} {
 		se := route.NewShardedEngine(nw.G, 1)
@@ -350,7 +348,6 @@ func FuzzShardedVsSequential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, batchRaw uint8) {
 		m := repairedMasks(t, nw, 0.04, seed)
 		rt := route.NewRouter(nw.G)
-		rt.EnablePathReuse()
 		rt.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
 		se := route.NewShardedEngine(nw.G, 1)
 		se.SetMasksShared(m.VertexOK, m.EdgeOK, m.OutAllowed)
